@@ -29,9 +29,8 @@ def main() -> None:
         for seed in args.seeds:
             records = run(replace(base, seed=seed))
             write_trace_csv(records, slice_ids, out / f"{base.name}-seed{seed}.csv")
-            events = {r.slot: r.total_cost for r in records}
             print(f"{base.name} seed={seed}: final cost {records[-1].total_cost:.3f} "
-                  f"over {len(events)} slots")
+                  f"over {len(records)} slots")
     print(f"traces in {out}")
 
 

@@ -8,13 +8,25 @@ rewards (every arm is rewarded each round, played or not).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 DEFAULT_KAPPA = 1.96
 PORTFOLIO = ("ei", "pi", "lcb")
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_pdf(d: np.ndarray) -> np.ndarray:
+    """Standard normal density, written as scipy.stats.norm.pdf evaluates it.
+
+    scipy.stats costs about as much to import as the rest of the program, so
+    the density is written out here and the distribution function is
+    scipy.special.ndtr, which norm.cdf itself calls.
+    """
+    return np.exp(-(d**2) / 2.0) / _SQRT_2PI
 
 
 def ei(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
@@ -25,7 +37,7 @@ def ei(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(sigma > 0.0, improve / sigma, 0.0)
     exact = np.maximum(improve, 0.0)  # deterministic candidate: improvement or nothing
-    return np.where(sigma > 0.0, improve * norm.cdf(d) + sigma * norm.pdf(d), exact)
+    return np.where(sigma > 0.0, improve * ndtr(d) + sigma * _normal_pdf(d), exact)
 
 
 def pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
@@ -34,7 +46,7 @@ def pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(sigma > 0.0, (best - mu) / sigma, 0.0)
-    return np.where(sigma > 0.0, norm.cdf(d), (mu < best).astype(float))
+    return np.where(sigma > 0.0, ndtr(d), (mu < best).astype(float))
 
 
 def lcb(mu: np.ndarray, sigma: np.ndarray, kappa: float = DEFAULT_KAPPA) -> np.ndarray:

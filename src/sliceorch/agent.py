@@ -170,7 +170,6 @@ class SliceAgent:
         self.params = KernelParams(self._default_scales, 1.0, nu)
         self.gp: GpModel | None = None
         self.fit_count = 0
-        self.best_value = math.inf
         self.last_action: Action | None = None
         self._last_nominees: np.ndarray | None = None
         # Staggering the design sequence across agents keeps their cold-start
@@ -299,7 +298,3 @@ class SliceAgent:
             prox = 0.5 * ctx.rho * (self._last_nominees[:, 0] - ctx.z + ctx.y) ** 2
             hedge_update(self.hedge, -(mu_nom + prox))
             self._last_nominees = None
-
-        value = scalarize(action, perf, ctx)
-        if value < self.best_value:
-            self.best_value = value

@@ -24,7 +24,15 @@ from .agent import barrier_value
 from .coordinator import clamp_capacity
 from .core import Action, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
-from .gp import GpModel, KernelParams, ReplayBuffer, default_length_scales, fit, optimize_params
+from .gp import (
+    GpModel,
+    KernelParams,
+    ReplayBuffer,
+    default_length_scales,
+    fit,
+    kernel_matrix,
+    optimize_params,
+)
 from .netenv import EnvConfig, TrafficProfile, step
 from .vsharing import ground
 
@@ -58,6 +66,15 @@ class GridPortfolioBo:
     recommendation survives buffer eviction, and a nominee that has already
     been probed is swapped for the next unexplored design point (re-probing
     a known grid row teaches the optimizer nothing new).
+
+    Every training row is a candidate row, so the cross-covariance between
+    the candidates and the training sample is kept column by column, keyed
+    by row: a refit computes only the columns of rows new to the sample.
+    All columns are dropped when a hyperparameter search changes the kernel.
+    A row that leaves the subsample but stays in the replay buffer keeps its
+    column, since the next refit's sample is likely to draw it again; rows
+    evicted from the buffer lose theirs. So the cache holds at most one
+    column per buffered row.
     """
 
     def __init__(
@@ -93,6 +110,26 @@ class GridPortfolioBo:
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = 0
         self.archive: dict[tuple, GridExperience] = {}
+        self._columns: dict[tuple, np.ndarray] = {}  # buffered row key -> kernel column
+        self._columns_params: KernelParams | None = None
+
+    def _predict_candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """gp.predict(candidates), reusing the cached kernel columns.
+
+        Each column is kernel_matrix(candidates, row), which equals the
+        matching column of the full cross-covariance bit for bit.
+        """
+        gp = self.gp
+        if gp.params != self._columns_params:
+            self._columns = {}
+            self._columns_params = gp.params
+        buffered = {e.key() for e in self.buffer.items}
+        self._columns = {k: c for k, c in self._columns.items() if k in buffered}
+        keys = [_row_key(row) for row in gp.x_train]
+        for key, row in zip(keys, gp.x_train):
+            if key not in self._columns:
+                self._columns[key] = kernel_matrix(self.candidates, row[None, :], gp.params)[:, 0]
+        return gp.predict(self.candidates, k_star=np.stack([self._columns[k] for k in keys], axis=1))
 
     def _design_index(self) -> int:
         u = _radical_inverse(self._design_cursor + 1, 2)
@@ -122,7 +159,7 @@ class GridPortfolioBo:
             self._last_nominees = None
             row = self._next_unexplored()
             return row if row is not None else self.candidates[self._design_index()]
-        mu, sigma = self.gp.predict(self.candidates)
+        mu, sigma = self._predict_candidates()
         best = min(target_fn(e) for e in self.archive.values())
         nominees = portfolio_nominate(mu, sigma, best, self.kappa)
         self._last_nominees = self.candidates[nominees]

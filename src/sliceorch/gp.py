@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.optimize import minimize
 
 from .core import PerfVector
@@ -23,6 +23,11 @@ from .errors import GpFitError
 # Jitter escalation: start tiny, multiply by 10, give up past the max.
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
+
+# LAPACK's float64 Cholesky factorization and solve, called directly: at a
+# few dozen training rows, scipy.linalg.cholesky/cho_solve spend longer on
+# argument handling than LAPACK spends on the arithmetic.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
 
 
 @dataclass(frozen=True)
@@ -148,19 +153,40 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
 
 
 def _chol_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter until it succeeds."""
-    try:
-        return cholesky(gram, lower=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    """Lower Cholesky factor, escalating diagonal jitter until it succeeds.
+
+    A Gram matrix with an inf or NaN entry raises ValueError before any
+    factorization is tried.
+    """
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix must not contain infs or NaNs")
+    chol, info = _POTRF(gram, lower=1, clean=1)
+    if info == 0:
+        return chol, 0.0
+    diag = gram.diagonal()
+    jittered = gram.copy()
     jitter = _JITTER_START
-    eye = np.eye(gram.shape[0])
     while jitter <= _JITTER_MAX:
-        try:
-            return cholesky(gram + jitter * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        np.fill_diagonal(jittered, diag + jitter)
+        chol, info = _POTRF(jittered, lower=1, clean=1)
+        if info == 0:
+            return chol, jitter
+        jitter *= 10.0
     raise GpFitError(f"Gram factorization failed with jitter up to {_JITTER_MAX}")
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (chol chol^T) x = rhs; an inf or NaN in rhs raises ValueError."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    return _POTRS(chol, rhs, lower=1)[0]
+
+
+def _noisy_gram(x: np.ndarray, params: KernelParams, noise_var: float) -> np.ndarray:
+    """Training covariance: the kernel over x plus noise_var on the diagonal."""
+    gram = kernel_matrix(x, x, params)
+    gram.flat[:: x.shape[0] + 1] += noise_var
+    return gram
 
 
 @dataclass
@@ -185,14 +211,22 @@ class GpModel:
         """Prior predictive variance in raw target units."""
         return self.params.signal_var * self.y_scale * self.y_scale
 
-    def predict(self, x_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at the query rows."""
+    def predict(
+        self, x_query: np.ndarray, k_star: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at the query rows.
+
+        `k_star`, when given, must equal kernel_matrix(x_query, x_train,
+        params); callers that cache kernel columns pass it to skip the
+        recomputation.
+        """
         x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
         if self.x_train is None:
             mu = np.zeros(x_query.shape[0])
             sigma = np.full(x_query.shape[0], math.sqrt(self.params.signal_var))
             return mu, sigma
-        k_star = kernel_matrix(x_query, self.x_train, self.params)
+        if k_star is None:
+            k_star = kernel_matrix(x_query, self.x_train, self.params)
         mu_std = k_star @ self.alpha
         v = solve_triangular(self.chol, k_star.T, lower=True)
         var_std = self.params.signal_var - np.einsum("nm,nm->m", v, v)
@@ -206,6 +240,27 @@ def _standardize(targets: np.ndarray) -> tuple[np.ndarray, float, float]:
     if not math.isfinite(scale) or scale < 1e-12:
         scale = 1.0
     return (targets - mean) / scale, mean, scale
+
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """GP training rows as float arrays, with targets standardized once.
+
+    The hyperparameter search evaluates the likelihood of the same data at
+    many hyperparameters; building this once keeps the conversion and the
+    standardization out of every evaluation.
+    """
+
+    x: np.ndarray
+    y_std: np.ndarray
+    y_mean: float
+    y_scale: float
+
+    @classmethod
+    def build(cls, inputs: np.ndarray, targets: Sequence[float] | np.ndarray) -> "TrainingSet":
+        x = np.atleast_2d(np.asarray(inputs, dtype=float))
+        y_std, y_mean, y_scale = _standardize(np.asarray(targets, dtype=float))
+        return cls(x, y_std, y_mean, y_scale)
 
 
 def fit(
@@ -227,37 +282,28 @@ def fit(
         )
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    y_std, y_mean, y_scale = _standardize(y)
-    gram = kernel_matrix(x, x, params) + noise_var * np.eye(x.shape[0])
-    chol, jitter = _chol_with_jitter(gram)
-    alpha = cho_solve((chol, True), y_std)
+    data = TrainingSet.build(x, y)
+    chol, jitter = _chol_with_jitter(_noisy_gram(data.x, params, noise_var))
+    alpha = _cho_solve(chol, data.y_std)
     return GpModel(
         params=params,
         noise_var=noise_var,
-        x_train=x,
-        y_mean=y_mean,
-        y_scale=y_scale,
+        x_train=data.x,
+        y_mean=data.y_mean,
+        y_scale=data.y_scale,
         chol=chol,
         alpha=alpha,
         jitter=jitter,
     )
 
 
-def log_marginal_likelihood(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    params: KernelParams,
-    noise_var: float,
-) -> float:
+def log_marginal_likelihood(data: TrainingSet, params: KernelParams, noise_var: float) -> float:
     """Log marginal likelihood of the standardized targets under the kernel."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y_std, _, _ = _standardize(np.asarray(targets, dtype=float))
-    gram = kernel_matrix(x, x, params) + noise_var * np.eye(x.shape[0])
-    chol, _ = _chol_with_jitter(gram)
-    alpha = cho_solve((chol, True), y_std)
-    n = x.shape[0]
+    chol, _ = _chol_with_jitter(_noisy_gram(data.x, params, noise_var))
+    alpha = _cho_solve(chol, data.y_std)
+    n = data.x.shape[0]
     return float(
-        -0.5 * y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
+        -0.5 * data.y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
     )
 
 
@@ -275,9 +321,8 @@ def optimize_params(
     hyperparameters, one from the reference (dimension-span) defaults.
     Deterministic given the data.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(targets, dtype=float)
-    d = x.shape[1]
+    data = TrainingSet.build(inputs, targets)
+    d = data.x.shape[1]
     reference = reference or init
 
     def pack(p: KernelParams, nv: float) -> np.ndarray:
@@ -293,7 +338,7 @@ def optimize_params(
     def negative_lml(theta: np.ndarray) -> float:
         try:
             p, nv = unpack(theta)
-            return -log_marginal_likelihood(x, y, p, nv)
+            return -log_marginal_likelihood(data, p, nv)
         except (GpFitError, FloatingPointError, ValueError):
             return 1e12
 

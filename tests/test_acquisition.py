@@ -1,10 +1,15 @@
 """Acquisition functions and the Hedge portfolio bandit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sliceorch
 from sliceorch.acquisition import (
     HedgeState,
     PORTFOLIO,
@@ -127,3 +132,56 @@ class TestHedge:
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             HedgeState(eta=0.0)
+
+
+def reference_ei(mu, sigma, best):
+    """EI as written with scipy.stats.norm."""
+    from scipy.stats import norm
+
+    improve = best - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(sigma > 0.0, improve / sigma, 0.0)
+    exact = np.maximum(improve, 0.0)
+    return np.where(sigma > 0.0, improve * norm.cdf(d) + sigma * norm.pdf(d), exact)
+
+
+def reference_pi(mu, sigma, best):
+    """PI as written with scipy.stats.norm."""
+    from scipy.stats import norm
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(sigma > 0.0, (best - mu) / sigma, 0.0)
+    return np.where(sigma > 0.0, norm.cdf(d), (mu < best).astype(float))
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+class TestAgainstScipyStats:
+    def inputs(self):
+        rng = np.random.default_rng(8)
+        mu = rng.normal(0.0, 20.0, size=200_000)
+        sigma = np.abs(rng.normal(0.0, 5.0, size=200_000)) * rng.choice([1e-6, 1.0, 1e3], 200_000)
+        special = [0.0, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan, 40.0, -40.0]
+        mu_edge, sigma_edge = np.meshgrid(special, [0.0, 1e-300, 1.0, 1e300, math.inf, math.nan])
+        return np.concatenate([mu, mu_edge.ravel()]), np.concatenate([sigma, sigma_edge.ravel()])
+
+    @pytest.mark.parametrize("best", [0.0, 3.5, -1e6, math.inf])
+    def test_ei_and_pi_match_bit_for_bit(self, best):
+        mu, sigma = self.inputs()
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_bits(ei(mu, sigma, best), reference_ei(mu, sigma, best))
+            assert_same_bits(pi(mu, sigma, best), reference_pi(mu, sigma, best))
+
+    def test_importing_the_harness_leaves_scipy_stats_out(self):
+        src = Path(sliceorch.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, sliceorch.harness; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        )
+        assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sliceorch import baselines
 from sliceorch.baselines import (
     AtlasAgent,
     GboBaseline,
@@ -135,6 +136,42 @@ EASY = {
     "a": SliceSpec("a", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
     "b": SliceSpec("b", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
 }
+
+
+class TestCrossKernelCache:
+    def test_cached_prediction_equals_plain_predict(self, monkeypatch):
+        """Bit-identical across hyperparameter searches and buffer evictions."""
+        columns_computed = []
+        original = baselines.kernel_matrix
+
+        def counting(a, b, params):
+            columns_computed.append(b.shape[0])
+            return original(a, b, params)
+
+        monkeypatch.setattr(baselines, "kernel_matrix", counting)
+        grid = np.asarray(enumerate_joint_grid(3, 12), dtype=float)
+        bo = make_bo(grid, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        weights = np.array([1.0, -0.5, 2.0])
+        searches = reused = 0
+        for slot in range(30):
+            row = bo.suggest(payload_target)
+            params = bo.params
+            bo.observe(row, float(row @ weights + np.sin(row.sum())), payload_target, slot)
+            if bo.gp is None:
+                continue
+            searches += bo.params != params
+            columns_computed.clear()
+            mu, sigma = bo._predict_candidates()
+            reused += sum(columns_computed) < bo.gp.x_train.shape[0]
+            mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
+            assert np.array_equal(mu, mu_ref)
+            assert np.array_equal(sigma, sigma_ref)
+            buffered = {e.key() for e in bo.buffer.items}
+            assert set(bo._columns) <= buffered
+            assert len(bo._columns) <= len(bo.buffer)
+        assert searches > 0
+        assert reused > 0
+        assert len(bo.archive) > bo.buffer.capacity  # rows were evicted
 
 
 class TestGboBaseline:

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 
+from sliceorch import gp
 from sliceorch.core import PerfVector
+from sliceorch.errors import GpFitError
 from sliceorch.gp import (
     Experience,
     GpInput,
     GpModel,
     KernelParams,
     ReplayBuffer,
+    TrainingSet,
     default_length_scales,
     fit,
     kernel_matrix,
@@ -147,8 +151,9 @@ class TestHyperopt:
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(12)
         init = KernelParams((3.0, 3.0), 1.0, 2.5)
         tuned, noise = optimize_params(x, y, init, 1e-2)
-        before = log_marginal_likelihood(x, y, init, 1e-2)
-        after = log_marginal_likelihood(x, y, tuned, noise)
+        data = TrainingSet.build(x, y)
+        before = log_marginal_likelihood(data, init, 1e-2)
+        after = log_marginal_likelihood(data, tuned, noise)
         assert after >= before - 1e-6
 
     def test_deterministic(self):
@@ -162,6 +167,132 @@ class TestHyperopt:
 
     def test_default_length_scales_half_span(self):
         assert default_length_scales([10.0, 1.0, 0.0]) == (5.0, 0.5, 1e-2)
+
+
+def reference_chol_with_jitter(gram):
+    """The jitter escalation written with scipy.linalg.cholesky."""
+    try:
+        return cholesky(gram, lower=True), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    jitter = gp._JITTER_START
+    eye = np.eye(gram.shape[0])
+    while jitter <= gp._JITTER_MAX:
+        try:
+            return cholesky(gram + jitter * eye, lower=True), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise GpFitError("reference factorization failed")
+
+
+def reference_lml(x, y, params, noise_var):
+    """Log marginal likelihood written with cholesky/cho_solve and a dense noise term."""
+    y = np.asarray(y, dtype=float)
+    mean, scale = float(y.mean()), float(y.std())
+    if not math.isfinite(scale) or scale < 1e-12:
+        scale = 1.0
+    y_std = (y - mean) / scale
+    n = x.shape[0]
+    gram = kernel_matrix(x, x, params) + noise_var * np.eye(n)
+    chol, _ = reference_chol_with_jitter(gram)
+    alpha = cho_solve((chol, True), y_std)
+    return float(
+        -0.5 * y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
+    )
+
+
+def random_params(rng, d):
+    """Hyperparameters drawn log-uniformly from the search's bounds."""
+    return (
+        KernelParams(
+            tuple(float(v) for v in np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=d))),
+            float(np.exp(rng.uniform(math.log(1e-4), math.log(1e4)))),
+            float(rng.choice([0.5, 1.5, 2.5])),
+        ),
+        float(np.exp(rng.uniform(math.log(1e-8), math.log(1e-1)))),
+    )
+
+
+class TestLapackPath:
+    """The direct potrf/potrs path against scipy.linalg.cholesky/cho_solve."""
+
+    def test_rank_deficient_gram_gets_the_reference_jitter(self):
+        rng = np.random.default_rng(5)
+        grams = []
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            a = rng.standard_normal((n, int(rng.integers(1, n))))
+            grams.append(a @ a.T)
+        x = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])  # duplicate rows, no noise
+        grams.append(kernel_matrix(x, x, KernelParams((1.0,), 1.0, 2.5)))
+        jittered = 0
+        for gram in grams:
+            chol, jitter = gp._chol_with_jitter(gram)
+            ref_chol, ref_jitter = reference_chol_with_jitter(gram)
+            assert jitter == ref_jitter
+            assert np.array_equal(chol, ref_chol)
+            jittered += jitter > 0.0
+        assert jitter > 0.0  # the duplicate-row Gram
+        assert jittered > 1
+
+    def test_jitter_beyond_the_max_raises(self):
+        with pytest.raises(GpFitError):
+            gp._chol_with_jitter(np.diag([1.0, -1e-3]))
+        with pytest.raises(GpFitError):
+            reference_chol_with_jitter(np.diag([1.0, -1e-3]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gram_raises_value_error(self, bad):
+        gram = np.eye(3)
+        gram[1, 2] = gram[2, 1] = bad
+        with pytest.raises(ValueError):
+            gp._chol_with_jitter(gram)
+        with pytest.raises(ValueError):
+            cholesky(gram, lower=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_data_keeps_the_value_error(self):
+        params = KernelParams((1.0,), 1.0, 2.5)
+        with pytest.raises(ValueError):
+            fit(np.array([[0.0], [1.0]]), np.array([1.0, math.nan]), params, 1e-3)
+        with pytest.raises(ValueError):
+            fit(np.array([[0.0], [math.inf]]), np.array([1.0, 2.0]), params, 1e-3)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(TrainingSet.build([[0.0]], [math.inf]), params, 1e-3)
+
+    def test_lml_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 31))
+            d = int(rng.integers(1, 4))
+            x = rng.integers(0, 6, size=(n, d)).astype(float)  # grid rows, with repeats
+            y = rng.uniform(-5.0, 40.0, size=n)
+            params, noise_var = random_params(rng, d)
+            try:
+                expected = reference_lml(x, y, params, noise_var)
+            except GpFitError:
+                with pytest.raises(GpFitError):
+                    log_marginal_likelihood(TrainingSet.build(x, y), params, noise_var)
+                continue
+            assert log_marginal_likelihood(TrainingSet.build(x, y), params, noise_var) == expected
+
+    def test_fit_matches_the_reference_factorization(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(1, 31))
+            x = rng.integers(0, 6, size=(n, 2)).astype(float)
+            y = rng.uniform(-5.0, 40.0, size=n)
+            params, noise_var = random_params(rng, 2)
+            y_std = (y - y.mean()) / (y.std() if y.std() >= 1e-12 else 1.0)
+            gram = kernel_matrix(x, x, params) + noise_var * np.eye(n)
+            try:
+                ref_chol, ref_jitter = reference_chol_with_jitter(gram)
+            except GpFitError:
+                continue
+            model = fit(x, y, params, noise_var)
+            assert model.jitter == ref_jitter
+            assert np.array_equal(model.chol, ref_chol)
+            assert np.array_equal(model.alpha, cho_solve((ref_chol, True), y_std))
 
 
 def exp_at(svrb, slot=0):
