@@ -1,4 +1,4 @@
-"""Per-slice constrained Bayesian agent.
+"""Per-slice constrained Bayesian agent, and the optimizer core it shares.
 
 Each agent minimizes its own scalarized objective over a discrete action
 grid: resource cost, plus a consensus proximal term that ties its svRB count
@@ -6,12 +6,18 @@ to the coordinator's target, plus a log-barrier on the worst SLA margin that
 turns the performance constraint into a price. The surrogate models only
 cost + barrier as a function of (svrb, sw, peers_sw); the proximal term is a
 known quadratic and is added analytically when candidates are scored.
+
+`PortfolioBo` holds what every online optimizer of the workbench shares:
+the replay buffer, archive, GP refits and hyperparameter searches, and the
+Hedge-weighted acquisition portfolio. `SliceAgent` and the baselines' grid
+optimizer are its two subclasses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -130,16 +136,22 @@ def design_point(grid: CandidateGrid, index: int) -> tuple[int, float]:
     return svrb, sw
 
 
-class SliceAgent:
-    """Online constrained Bayesian optimizer for one slice's (svrb, sw)."""
+class PortfolioBo:
+    """Shared core of the online Bayesian optimizers.
+
+    Holds the replay buffer that feeds the surrogate, an all-time archive of
+    the latest outcome per distinct input, the GP with its hyperparameters,
+    the Hedge bandit over the acquisition portfolio, and a cursor into a
+    deterministic space-filling design. A subclass owns its candidate space
+    and objective; it calls `_nominate` to pick a probe and `_learn` to
+    ingest one. Every experience exposes `key()` and `row()`.
+    """
 
     def __init__(
         self,
-        slice_id: str,
-        grid: CandidateGrid,
+        spans: Iterable[float],
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
-        peers_sw_span: float = 2.0,
         buffer_capacity: int = 40,
         priority_decay: float = 0.95,
         subsample: int = 30,
@@ -151,8 +163,6 @@ class SliceAgent:
         nu: float = 2.5,
         design_offset: int = 0,
     ):
-        self.slice_id = slice_id
-        self.grid = grid
         self.rng = rng
         self.hedge = HedgeState(eta=hedge_eta)
         self.hedge_rng = hedge_rng
@@ -162,23 +172,91 @@ class SliceAgent:
         self.noise_var = noise_var
         self.hyperopt_every = hyperopt_every
         self.kappa = kappa
-        svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
-        sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0
-        self._default_scales = default_length_scales(
-            [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)]
-        )
+        self._default_scales = default_length_scales(spans)
         self.params = KernelParams(self._default_scales, 1.0, nu)
         self.gp: GpModel | None = None
         self.fit_count = 0
-        self.last_action: Action | None = None
         self._last_nominees: np.ndarray | None = None
-        # Staggering the design sequence across agents keeps their cold-start
-        # proposals distinct, so the joint capacity clamp does not flatten
-        # every early probe onto the same symmetric point.
         self._design_cursor = design_offset
-        # All-time record of the latest outcome per distinct input, so the
-        # recommendation survives replay-buffer eviction.
-        self.archive: dict[tuple[int, float, float], Experience] = {}
+        self.archive: dict[tuple, object] = {}
+
+    def _warm(self) -> bool:
+        """Whether the surrogate has seen enough data to drive the search."""
+        return self.gp is not None and len(self.buffer) >= self.n_init
+
+    def _next_design(self) -> int:
+        """Current design index; advances the cursor."""
+        self._design_cursor += 1
+        return self._design_cursor - 1
+
+    def _nominate(self, mu: np.ndarray, sigma: np.ndarray, best: float, rows: np.ndarray):
+        """Hedge-selected index among the portfolio's nominees over `rows`.
+
+        The nominee rows are kept so the next `_learn` can settle the bandit.
+        """
+        nominees = portfolio_nominate(mu, sigma, best, self.kappa)
+        self._last_nominees = rows[nominees]
+        return nominees[hedge_select(self.hedge, self.hedge_rng)]
+
+    def _learn(
+        self,
+        exp,
+        target: Callable[[object], float],
+        offset: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
+        """Archive and push one experience, refit the surrogate, settle Hedge.
+
+        `target` prices a stored experience under the current objective;
+        `offset` is a known additive term of the objective over input rows,
+        which the surrogate does not model but the Hedge rewards include.
+        """
+        self.archive[exp.key()] = exp
+        self.buffer.push(exp)
+        sample = self.buffer.sample(self.subsample, self.rng)
+        x = np.stack([e.row() for e in sample])
+        y = np.array([target(e) for e in sample])
+        self.fit_count += 1
+        if self.fit_count % self.hyperopt_every == 0:
+            self.params, self.noise_var = optimize_params(
+                x,
+                y,
+                self.params,
+                self.noise_var,
+                reference=KernelParams(self._default_scales, 1.0, self.params.nu),
+            )
+        self.gp = fit(x, y, self.params, self.noise_var)
+        if self._last_nominees is not None:
+            mu_nom, _ = self.gp.predict(self._last_nominees)
+            if offset is not None:
+                mu_nom = mu_nom + offset(self._last_nominees)
+            hedge_update(self.hedge, -mu_nom)
+            self._last_nominees = None
+
+
+class SliceAgent(PortfolioBo):
+    """Online constrained Bayesian optimizer for one slice's (svrb, sw)."""
+
+    def __init__(
+        self,
+        slice_id: str,
+        grid: CandidateGrid,
+        rng: np.random.Generator,
+        hedge_rng: np.random.Generator,
+        peers_sw_span: float = 2.0,
+        **bo_kwargs,
+    ):
+        svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
+        sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0
+        # A per-agent design_offset staggers the design sequence across
+        # agents, keeping their cold-start proposals distinct, so the joint
+        # capacity clamp does not flatten every early probe onto the same
+        # symmetric point.
+        super().__init__(
+            [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)], rng, hedge_rng, **bo_kwargs
+        )
+        self.slice_id = slice_id
+        self.grid = grid
+        self.last_action: Action | None = None
 
     # -- objective bookkeeping -------------------------------------------------
 
@@ -237,64 +315,36 @@ class SliceAgent:
 
     # -- online loop -----------------------------------------------------------
 
-    def _known(self, svrb: int, sw: float, s: float) -> bool:
-        return (svrb, sw, s) in self.archive
-
     def suggest(self, ctx: AgentContext) -> Action:
         """Propose the next action: space-filling cold start, then portfolio BO.
 
         A nominee whose exact (svrb, sw) was already observed under the
         current peer weights teaches the surrogate nothing, so the probe is
         spent on the next unseen design point instead; the recommendation
-        itself comes from incumbent_action, not from here.
+        itself comes from `recommend`, not from here.
         """
-        if self.gp is None or len(self.buffer) < self.n_init:
-            svrb, sw = design_point(self.grid, self._design_cursor)
-            self._design_cursor += 1
+        if not self._warm():
             self._last_nominees = None
-            return Action(svrb, sw)
+            return Action(*design_point(self.grid, self._next_design()))
 
         pts = self.grid.points()
         queries = np.column_stack([pts, np.full(pts.shape[0], ctx.s)])
         mu, sigma = self.gp.predict(queries)
-        mu_total = mu + 0.5 * ctx.rho * (pts[:, 0] - ctx.z + ctx.y) ** 2
-        best = self._incumbent(ctx)
-        nominees = portfolio_nominate(mu_total, sigma, best, self.kappa)
-        self._last_nominees = queries[nominees]
-        chosen = nominees[hedge_select(self.hedge, self.hedge_rng)]
+        mu_total = mu + proximal_term(pts[:, 0], ctx)
+        chosen = self._nominate(mu_total, sigma, self._incumbent(ctx), queries)
         svrb, sw = int(pts[chosen, 0]), float(pts[chosen, 1])
-        if self._known(svrb, sw, ctx.s):
-            n_pts = pts.shape[0]
-            for _ in range(n_pts):
-                cand = design_point(self.grid, self._design_cursor)
-                self._design_cursor += 1
-                if not self._known(cand[0], cand[1], ctx.s):
+        if (svrb, sw, ctx.s) in self.archive:
+            for _ in range(pts.shape[0]):
+                cand = design_point(self.grid, self._next_design())
+                if (*cand, ctx.s) not in self.archive:
                     return Action(cand[0], cand[1])
         return Action(svrb, sw)
 
     def observe(self, action: Action, perf: PerfVector, ctx: AgentContext, slot: int) -> None:
         """Ingest one probe: push, refit the surrogate, settle hedge rewards."""
-        exp = Experience(GpInput(action.svrb, action.sw, ctx.s), perf, slot)
-        self.archive[(action.svrb, action.sw, ctx.s)] = exp
-        self.buffer.push(exp)
         self.last_action = action
-
-        sample = self.buffer.sample(self.subsample, self.rng)
-        inputs = np.stack([e.input.as_array() for e in sample])
-        targets = np.array([self._target(e, ctx) for e in sample])
-        self.fit_count += 1
-        if self.fit_count % self.hyperopt_every == 0:
-            self.params, self.noise_var = optimize_params(
-                inputs,
-                targets,
-                self.params,
-                self.noise_var,
-                reference=KernelParams(self._default_scales, 1.0, self.params.nu),
-            )
-        self.gp = fit(inputs, targets, self.params, self.noise_var)
-
-        if self._last_nominees is not None:
-            mu_nom, _ = self.gp.predict(self._last_nominees)
-            prox = 0.5 * ctx.rho * (self._last_nominees[:, 0] - ctx.z + ctx.y) ** 2
-            hedge_update(self.hedge, -(mu_nom + prox))
-            self._last_nominees = None
+        self._learn(
+            Experience(GpInput(action.svrb, action.sw, ctx.s), perf, slot),
+            lambda e: self._target(e, ctx),
+            offset=lambda rows: proximal_term(rows[:, 0], ctx),
+        )

@@ -1,14 +1,14 @@
 """Reference baselines, all operating under hard isolation.
 
 * gbo - one global Bayesian optimizer over the joint svRB vector.
-* atlas - independent per-slice Bayesian optimizers whose proposals are
-  rescaled proportionally when they jointly exceed capacity.
+* atlas - one single-slice gbo per slice, oblivious to the others; their
+  proposals are rescaled proportionally when they jointly exceed capacity.
 * exsearch - exhaustive sweep of the noise-free environment; picks the
   cheapest action meeting every SLA. Serves as the hard-isolation optimum.
 
-The Bayesian baselines share the surrogate and acquisition machinery of the
-main agents; only their objectives and candidate grids differ. Sharing
-weights are unused here: hard isolation has no pool to share.
+The Bayesian baselines share the optimizer core of the main agents
+(`agent.PortfolioBo`); only their objectives and candidate grids differ.
+Sharing weights are unused here: hard isolation has no pool to share.
 """
 
 from __future__ import annotations
@@ -19,20 +19,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .acquisition import DEFAULT_KAPPA, HedgeState, hedge_select, hedge_update, portfolio_nominate
-from .agent import barrier_value
+from .agent import PortfolioBo, _radical_inverse, barrier_value
 from .coordinator import clamp_capacity
 from .core import Action, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
-from .gp import (
-    GpModel,
-    KernelParams,
-    ReplayBuffer,
-    default_length_scales,
-    fit,
-    kernel_matrix,
-    optimize_params,
-)
+from .gp import KernelParams, kernel_matrix
 from .netenv import EnvConfig, TrafficProfile, step
 from .vsharing import ground
 
@@ -53,19 +44,20 @@ class GridExperience:
     def key(self) -> tuple:
         return _row_key(self.inputs)
 
+    def row(self) -> np.ndarray:
+        return self.inputs
 
-class GridPortfolioBo:
+
+class GridPortfolioBo(PortfolioBo):
     """Portfolio Bayesian optimizer over a fixed candidate matrix.
 
     The owner supplies a target function at call time so stored observations
     are re-priced under whatever SLA thresholds currently hold.
 
-    Beyond the replay buffer that feeds the surrogate, an all-time archive
-    keeps the latest outcome of every candidate ever probed. The archive
-    backs two behaviors a discrete noise-limited sweep needs: the incumbent
-    recommendation survives buffer eviction, and a nominee that has already
-    been probed is swapped for the next unexplored design point (re-probing
-    a known grid row teaches the optimizer nothing new).
+    The archive backs two behaviors a discrete noise-limited sweep needs:
+    the incumbent recommendation survives buffer eviction, and a nominee
+    that has already been probed is swapped for the next unexplored design
+    point (re-probing a known grid row teaches the optimizer nothing new).
 
     Every training row is a candidate row, so the cross-covariance between
     the candidates and the training sample is kept column by column, keyed
@@ -82,34 +74,11 @@ class GridPortfolioBo:
         candidates: np.ndarray,
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
-        buffer_capacity: int = 40,
-        priority_decay: float = 0.95,
-        subsample: int = 30,
-        n_init: int = 3,
-        noise_var: float = 1e-4,
-        hyperopt_every: int = 5,
-        hedge_eta: float = 1.0,
-        kappa: float = DEFAULT_KAPPA,
-        nu: float = 2.5,
+        **bo_kwargs,
     ):
         self.candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        self.rng = rng
-        self.hedge = HedgeState(eta=hedge_eta)
-        self.hedge_rng = hedge_rng
-        self.buffer = ReplayBuffer(buffer_capacity, priority_decay)
-        self.subsample = subsample
-        self.n_init = n_init
-        self.noise_var = noise_var
-        self.hyperopt_every = hyperopt_every
-        self.kappa = kappa
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
-        self._default_scales = default_length_scales(np.maximum(spans, 1.0))
-        self.params = KernelParams(self._default_scales, 1.0, nu)
-        self.gp: GpModel | None = None
-        self.fit_count = 0
-        self._last_nominees: np.ndarray | None = None
-        self._design_cursor = 0
-        self.archive: dict[tuple, GridExperience] = {}
+        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, **bo_kwargs)
         self._columns: dict[tuple, np.ndarray] = {}  # buffered row key -> kernel column
         self._columns_params: KernelParams | None = None
 
@@ -132,8 +101,7 @@ class GridPortfolioBo:
         return gp.predict(self.candidates, k_star=np.stack([self._columns[k] for k in keys], axis=1))
 
     def _design_index(self) -> int:
-        u = _radical_inverse(self._design_cursor + 1, 2)
-        self._design_cursor += 1
+        u = _radical_inverse(self._next_design() + 1, 2)
         return min(int(u * self.candidates.shape[0]), self.candidates.shape[0] - 1)
 
     def _next_unexplored(self) -> np.ndarray | None:
@@ -155,15 +123,13 @@ class GridPortfolioBo:
         return None
 
     def suggest(self, target_fn: Callable[[GridExperience], float]) -> np.ndarray:
-        if self.gp is None or len(self.buffer) < self.n_init:
+        if not self._warm():
             self._last_nominees = None
             row = self._next_unexplored()
             return row if row is not None else self.candidates[self._design_index()]
         mu, sigma = self._predict_candidates()
         best = min(target_fn(e) for e in self.archive.values())
-        nominees = portfolio_nominate(mu, sigma, best, self.kappa)
-        self._last_nominees = self.candidates[nominees]
-        chosen = self.candidates[nominees[hedge_select(self.hedge, self.hedge_rng)]]
+        chosen = self.candidates[self._nominate(mu, sigma, best, self.candidates)]
         if _row_key(chosen) in self.archive:
             fallback = self._next_unexplored()
             if fallback is not None:
@@ -188,35 +154,7 @@ class GridPortfolioBo:
         target_fn: Callable[[GridExperience], float],
         slot: int,
     ) -> None:
-        exp = GridExperience(np.asarray(inputs, dtype=float), payload, slot)
-        self.archive[exp.key()] = exp
-        self.buffer.push(exp)
-        sample = self.buffer.sample(self.subsample, self.rng)
-        x = np.stack([e.inputs for e in sample])
-        y = np.array([target_fn(e) for e in sample])
-        self.fit_count += 1
-        if self.fit_count % self.hyperopt_every == 0:
-            self.params, self.noise_var = optimize_params(
-                x,
-                y,
-                self.params,
-                self.noise_var,
-                reference=KernelParams(self._default_scales, 1.0, self.params.nu),
-            )
-        self.gp = fit(x, y, self.params, self.noise_var)
-        if self._last_nominees is not None:
-            mu_nom, _ = self.gp.predict(self._last_nominees)
-            hedge_update(self.hedge, -mu_nom)
-            self._last_nominees = None
-
-
-def _radical_inverse(index: int, base: int) -> float:
-    result, f = 0.0, 1.0 / base
-    while index > 0:
-        result += f * (index % base)
-        index //= base
-        f /= base
-    return result
+        self._learn(GridExperience(np.asarray(inputs, dtype=float), payload, slot), target_fn)
 
 
 # -- candidate grids -----------------------------------------------------------
@@ -256,7 +194,11 @@ def enumerate_joint_grid(
 
 
 class GboBaseline:
-    """Single Bayesian optimizer over the joint hard-isolation allocation."""
+    """Single Bayesian optimizer over the joint hard-isolation allocation.
+
+    Over one slice the joint grid is the svRB range itself, which makes this
+    atlas's per-slice optimizer as well.
+    """
 
     def __init__(
         self,
@@ -302,10 +244,7 @@ class GboBaseline:
     ) -> dict[str, Action]:
         """Best joint allocation observed so far (falls back to a suggestion)."""
         target = self._target_fn(specs, cost_params, barrier_coef, violation_penalty)
-        if not self.bo.archive:
-            row = self.bo.suggest(target)
-        else:
-            row = self.bo.incumbent(target)
+        row = self.bo.incumbent(target) if self.bo.archive else self.bo.suggest(target)
         return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
 
     def observe(
@@ -324,66 +263,7 @@ class GboBaseline:
         )
 
 
-# -- independent per-slice optimizer ---------------------------------------------
-
-
-class AtlasAgent:
-    """Per-slice Bayesian optimizer oblivious to the other slices."""
-
-    def __init__(
-        self,
-        slice_id: str,
-        capacity: int,
-        rng: np.random.Generator,
-        hedge_rng: np.random.Generator,
-        min_alive: int = 1,
-        **bo_kwargs,
-    ):
-        self.slice_id = slice_id
-        grid = np.arange(min_alive, capacity + 1, dtype=float)[:, None]
-        self.bo = GridPortfolioBo(grid, rng, hedge_rng, **bo_kwargs)
-
-    def _target_fn(
-        self, spec: SliceSpec, cost_params: CostParams, barrier_coef: float, violation_penalty: float
-    ) -> Callable[[GridExperience], float]:
-        def target(exp: GridExperience) -> float:
-            return cost_params.u_h * float(exp.inputs[0]) + barrier_value(
-                exp.payload, spec, barrier_coef, violation_penalty
-            )
-
-        return target
-
-    def suggest(
-        self, spec: SliceSpec, cost_params: CostParams, barrier_coef: float, violation_penalty: float
-    ) -> int:
-        row = self.bo.suggest(self._target_fn(spec, cost_params, barrier_coef, violation_penalty))
-        return int(row[0])
-
-    def incumbent(
-        self, spec: SliceSpec, cost_params: CostParams, barrier_coef: float, violation_penalty: float
-    ) -> int:
-        """Best svRB count observed so far (falls back to a suggestion)."""
-        target = self._target_fn(spec, cost_params, barrier_coef, violation_penalty)
-        if not self.bo.archive:
-            return int(self.bo.suggest(target)[0])
-        return int(self.bo.incumbent(target)[0])
-
-    def observe(
-        self,
-        svrb: int,
-        perf: PerfVector,
-        spec: SliceSpec,
-        cost_params: CostParams,
-        barrier_coef: float,
-        violation_penalty: float,
-        slot: int,
-    ) -> None:
-        self.bo.observe(
-            np.array([float(svrb)]),
-            perf,
-            self._target_fn(spec, cost_params, barrier_coef, violation_penalty),
-            slot,
-        )
+# -- proportional rescale (atlas) --------------------------------------------------
 
 
 def atlas_scale(

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ScenarioError, SliceOrchError
+from .errors import SliceOrchError
 from .harness import (
     ALGORITHMS,
     dump_oracle,
@@ -67,8 +67,6 @@ def _apply_overrides(scenario, args):
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "slots", None) is not None:
-        if args.slots <= 0:
-            raise ScenarioError(f"slots: must be > 0, got {args.slots}")
         scenario = replace(scenario, slots=args.slots)
     if getattr(args, "algo", None) is not None:
         scenario = replace(scenario, algorithm=args.algo)

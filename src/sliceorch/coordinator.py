@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,13 +142,13 @@ class IterationRecord:
 
 @dataclass
 class SlotOutcome:
-    """Final emitted allocation of one slot plus the loop trace."""
+    """Final emitted allocation of one slot plus the consensus-loop trace, if any."""
 
-    actions: dict[str, Action]
-    perfs: dict[str, PerfVector]
-    iterations: int
-    primal_residual: float
-    trace: list[IterationRecord]
+    actions: dict[str, Action] = field(default_factory=dict)
+    perfs: dict[str, PerfVector] = field(default_factory=dict)
+    iterations: int = 0
+    primal_residual: float = 0.0
+    trace: list[IterationRecord] = field(default_factory=list)
 
 
 def orchestrate_slot(
@@ -161,24 +161,18 @@ def orchestrate_slot(
     barrier_coef: float = 0.5,
     violation_penalty: float | None = None,
     min_alive: int = 1,
-    probe_mode: str = "live",
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
 
-    In "live" mode each iteration broadcasts (z, y, rho) plus the peers'
-    latest sharing weights to every agent simultaneously, collects proposals,
-    clamps them jointly to capacity (live probes must respect the
-    infrastructure bound), probes the environment once, lets agents ingest
-    their own outcomes, then projects and updates duals. Stops when the
-    largest |x_i - z_i| falls within primal_tol or after max_iters. The slot
-    then emits each agent's best known action under the settled consensus
-    (clamped jointly, probed, and fed back like any probe), so the recorded
-    allocation is a recommendation rather than the last exploratory sample.
-
-    In "surrogate" mode the iterations negotiate on the agents' surrogates
-    alone (no environment queries); only the settled allocation is probed,
-    once, at the end of the slot. Cheaper per slot, but agents learn from a
-    single sample per slot.
+    Each iteration broadcasts (z, y, rho) plus the peers' latest sharing
+    weights to every agent simultaneously, collects proposals, fits them
+    jointly to capacity (live probes must respect the infrastructure bound),
+    probes the environment once, lets agents ingest their own outcomes, then
+    projects and updates duals. Stops when the largest |x_i - z_i| falls
+    within primal_tol or after max_iters. The slot then emits each agent's
+    best known action under the settled consensus (clamped jointly, probed,
+    and fed back like any probe), so the recorded allocation is a
+    recommendation rather than the last exploratory sample.
     """
     active = [s for s in specs if s.active]
     order = [s.slice_id for s in active]
@@ -190,8 +184,6 @@ def orchestrate_slot(
         )
     if violation_penalty is None:
         violation_penalty = 10.0 * cost_params.u_h * capacity
-    if probe_mode not in ("live", "surrogate"):
-        raise ValueError(f"probe_mode must be 'live' or 'surrogate', got {probe_mode!r}")
 
     def context(sid: str, s_value: float) -> AgentContext:
         return AgentContext(
@@ -205,14 +197,8 @@ def orchestrate_slot(
             violation_penalty=violation_penalty,
         )
 
-    last_w = {
-        sid: (agents[sid].last_action.sw if agents[sid].last_action is not None else 0.0)
-        for sid in order
-    }
-    trace: list[IterationRecord] = []
-    actions: dict[str, Action] = {}
-    perfs: dict[str, PerfVector] = {}
-    residual = math.inf
+    def peers_sw(weights: Mapping[str, float], sid: str) -> float:
+        return math.fsum(weights[o] for o in order if o != sid)
 
     def settle(x_by_id: Mapping[str, int]) -> float:
         """Project the current proposals, update duals, return the residual."""
@@ -225,55 +211,32 @@ def orchestrate_slot(
             state.y[sid] = float(y_vec[i])
         return float(np.abs(x_vec - z_vec).max())
 
-    iterations = 0
-    if probe_mode == "surrogate":
-        proposals = {}
-        for _ in range(state.max_iters):
-            iterations += 1
-            s_broadcast = {
-                sid: math.fsum(last_w[o] for o in order if o != sid) for sid in order
-            }
-            proposals = {sid: agents[sid].suggest(context(sid, s_broadcast[sid])) for sid in order}
-            last_w = {sid: proposals[sid].sw for sid in order}
-            residual = settle({sid: proposals[sid].svrb for sid in order})
-            trace.append(
-                IterationRecord(
-                    cost=total_cost(proposals.values(), cost_params),
-                    residual=residual,
-                    z=dict(state.z),
-                    y=dict(state.y),
-                )
-            )
-            if residual <= state.primal_tol:
-                break
-        clamped = clamp_capacity(
-            {sid: proposals[sid].svrb for sid in order}, order, capacity, min_alive
-        )
-        actions = {sid: Action(clamped[sid], proposals[sid].sw) for sid in order}
+    def probe(
+        proposals: Mapping[str, Action], fit_capacity: Callable[..., dict[str, int]]
+    ) -> tuple[dict[str, Action], dict[str, PerfVector]]:
+        """Fit the proposals to capacity, probe once, and feed every agent its outcome."""
+        svrbs = {sid: proposals[sid].svrb for sid in order}
+        fitted = fit_capacity(svrbs, order, capacity, min_alive)
+        actions = {sid: Action(fitted[sid], proposals[sid].sw) for sid in order}
         perfs = env.step(actions, active)
+        # Agents learn against the weights that were actually applied.
+        sw = {sid: actions[sid].sw for sid in order}
         for sid in order:
-            s_true = math.fsum(actions[o].sw for o in order if o != sid)
-            agents[sid].observe(actions[sid], perfs[sid], context(sid, s_true), slot)
-        return SlotOutcome(actions, perfs, iterations, residual, trace)
+            agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)), slot)
+        return actions, perfs
 
+    last_w = {
+        sid: (agents[sid].last_action.sw if agents[sid].last_action is not None else 0.0)
+        for sid in order
+    }
+    trace: list[IterationRecord] = []
+    iterations = 0
     for _ in range(state.max_iters):
         iterations += 1
         # Jacobi broadcast: every agent sees the peers' previous-round weights.
-        s_broadcast = {sid: math.fsum(last_w[o] for o in order if o != sid) for sid in order}
-        proposals = {sid: agents[sid].suggest(context(sid, s_broadcast[sid])) for sid in order}
-
-        fitted = spread_capacity(
-            {sid: proposals[sid].svrb for sid in order}, order, capacity, min_alive
-        )
-        actions = {sid: Action(fitted[sid], proposals[sid].sw) for sid in order}
-        perfs = env.step(actions, active)
-
-        # Agents learn against the weights that were actually applied.
-        for sid in order:
-            s_true = math.fsum(actions[o].sw for o in order if o != sid)
-            agents[sid].observe(actions[sid], perfs[sid], context(sid, s_true), slot)
+        proposals = {sid: agents[sid].suggest(context(sid, peers_sw(last_w, sid))) for sid in order}
+        actions, perfs = probe(proposals, spread_capacity)
         last_w = {sid: actions[sid].sw for sid in order}
-
         residual = settle({sid: actions[sid].svrb for sid in order})
         trace.append(
             IterationRecord(
@@ -290,23 +253,11 @@ def orchestrate_slot(
     # probe. The emitted action is observed like any probe, and the consensus
     # state re-anchors on it so the next slot's proximal term pulls the
     # negotiation toward the recommendation.
-    s_broadcast = {sid: math.fsum(last_w[o] for o in order if o != sid) for sid in order}
-    recommended = {
-        sid: (
-            agents[sid].recommend(context(sid, s_broadcast[sid]))
-            if len(agents[sid].archive) > 0
-            else agents[sid].suggest(context(sid, s_broadcast[sid]))
-        )
-        for sid in order
-    }
-    clamped = clamp_capacity(
-        {sid: recommended[sid].svrb for sid in order}, order, capacity, min_alive
-    )
-    actions = {sid: Action(clamped[sid], recommended[sid].sw) for sid in order}
-    perfs = env.step(actions, active)
+    recommended: dict[str, Action] = {}
     for sid in order:
-        s_true = math.fsum(actions[o].sw for o in order if o != sid)
-        agents[sid].observe(actions[sid], perfs[sid], context(sid, s_true), slot)
+        ctx = context(sid, peers_sw(last_w, sid))
+        agent = agents[sid]
+        recommended[sid] = agent.recommend(ctx) if agent.archive else agent.suggest(ctx)
+    actions, perfs = probe(recommended, clamp_capacity)
     residual = settle({sid: actions[sid].svrb for sid in order})
-
     return SlotOutcome(actions, perfs, iterations, residual, trace)

@@ -24,10 +24,10 @@ class SliceSpec:
     active: bool = True
 
     def __post_init__(self) -> None:
-        if self.q_throughput <= 0.0:
-            raise ValueError(f"q_throughput must be > 0, got {self.q_throughput}")
-        if self.q_fps <= 0.0:
-            raise ValueError(f"q_fps must be > 0, got {self.q_fps}")
+        if not (math.isfinite(self.q_throughput) and self.q_throughput > 0.0):
+            raise ValueError(f"q_throughput must be finite and > 0, got {self.q_throughput}")
+        if not (math.isfinite(self.q_fps) and self.q_fps > 0.0):
+            raise ValueError(f"q_fps must be finite and > 0, got {self.q_fps}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class CostParams:
     u_s: float = 1.0  # price per unit sharing weight
 
     def __post_init__(self) -> None:
-        if self.u_h < 0.0 or self.u_s < 0.0:
-            raise ValueError(f"unit prices must be nonnegative, got ({self.u_h}, {self.u_s})")
+        if not all(math.isfinite(u) and u >= 0.0 for u in (self.u_h, self.u_s)):
+            raise ValueError(f"unit prices must be finite and >= 0, got ({self.u_h}, {self.u_s})")
 
 
 def slice_cost(action: Action, params: CostParams) -> float:

@@ -63,6 +63,10 @@ class Experience:
         """Identity of the queried input, for duplicate replacement."""
         return (self.input.svrb, self.input.sw, self.input.peers_sw)
 
+    def row(self) -> np.ndarray:
+        """The queried input as a surrogate training row."""
+        return self.input.as_array()
+
 
 class ReplayBuffer:
     """Fixed-capacity buffer with age-decayed priorities.

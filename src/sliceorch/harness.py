@@ -14,23 +14,23 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from .agent import CandidateGrid, SliceAgent
 from .baselines import (
-    AtlasAgent,
     GboBaseline,
     OracleEntry,
     atlas_scale,
     exsearch_best,
     sweep_dataset,
 )
-from .coordinator import CoordinatorState, orchestrate_slot, resize
+from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, resize
 from .core import Action, CostParams, PerfVector, SliceSpec, normalized_performance, slice_cost
 from .errors import ScenarioError
 from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, TrafficProfile, apply_events
@@ -62,17 +62,16 @@ class AlgoParams:
     violation_penalty: float | None = None  # None: 10 * u_h * capacity
     sw_step: float = 0.1
     min_alive: int = 1
-    probe_mode: str = "live"  # "surrogate" negotiates on the GPs, probing once per slot
     probes_per_slot: int = 15  # baseline BO probe budget, parity with max_iters
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.probe_mode not in ("live", "surrogate"):
-            raise ValueError(
-                f"probe_mode must be 'live' or 'surrogate', got {self.probe_mode!r}"
-            )
         if self.probes_per_slot < 1:
             raise ValueError(f"probes_per_slot must be >= 1, got {self.probes_per_slot}")
+
+
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,10 @@ class Scenario:
     algo: AlgoParams = field(default_factory=AlgoParams)
 
     def __post_init__(self) -> None:
-        if self.slots <= 0:
-            raise ScenarioError(f"slots: must be > 0, got {self.slots}")
+        if not _whole(self.seed) or self.seed < 0:
+            raise ScenarioError(f"seed: must be an integer >= 0, got {self.seed!r}")
+        if not _whole(self.slots) or self.slots <= 0:
+            raise ScenarioError(f"slots: must be an integer > 0, got {self.slots!r}")
         if self.algorithm not in ALGORITHMS:
             raise ScenarioError(
                 f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}"
@@ -101,6 +102,20 @@ class Scenario:
             raise ScenarioError("slices: at least one slice is required")
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"slices: duplicate slice_id in {ids}")
+        need = self.algo.min_alive * self._peak_population()
+        if need > self.env.capacity_h:
+            raise ScenarioError(
+                f"env.capacity_h: {self.env.capacity_h} is below the {need} svRBs that"
+                f" min_alive {self.algo.min_alive} needs for the most slices active at once"
+            )
+
+    def _peak_population(self) -> int:
+        """Most slices active at once over the horizon, events applied."""
+        specs, peak = list(self.slices), 0
+        for slot in sorted({0} | {e.slot for e in self.events if e.slot < self.slots}):
+            specs = apply_events(slot, self.events, specs)
+            peak = max(peak, sum(s.active for s in specs))
+        return peak
 
 
 @dataclass(frozen=True)
@@ -127,64 +142,67 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _build(where: str, cls, **kwargs):
+    """cls(**kwargs), reporting a rejected value under its field path."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Build and validate a Scenario, reporting errors with field paths."""
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario: expected a mapping at the top level")
 
     env_raw = _require(data, "env", "scenario")
-    try:
-        env = EnvConfig(
-            capacity_h=_require(env_raw, "capacity_h", "env"),
-            per_vrb_rate=env_raw.get("per_vrb_rate", 2.1),
-            noise_std=env_raw.get("noise_std", 0.03),
-            isolation_mode=env_raw.get("isolation_mode", "soft"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"env: {exc}") from exc
-
+    env = _build(
+        "env",
+        EnvConfig,
+        capacity_h=_require(env_raw, "capacity_h", "env"),
+        per_vrb_rate=env_raw.get("per_vrb_rate", 2.1),
+        noise_std=env_raw.get("noise_std", 0.03),
+        isolation_mode=env_raw.get("isolation_mode", "soft"),
+    )
     cost_raw = data.get("cost", {})
-    try:
-        cost = CostParams(u_h=cost_raw.get("u_h", 1.0), u_s=cost_raw.get("u_s", 1.0))
-    except ValueError as exc:
-        raise ScenarioError(f"cost: {exc}") from exc
+    cost = _build("cost", CostParams, u_h=cost_raw.get("u_h", 1.0), u_s=cost_raw.get("u_s", 1.0))
 
     slices = []
     for i, raw in enumerate(_require(data, "slices", "scenario")):
         where = f"slices[{i}]"
         profile_raw = _require(raw, "profile", where)
-        try:
-            profile = TrafficProfile(
-                frame_rate=_require(profile_raw, "frame_rate", f"{where}.profile"),
-                frame_size=_require(profile_raw, "frame_size", f"{where}.profile"),
-                burstiness=profile_raw.get("burstiness", 0.0),
+        profile = _build(
+            f"{where}.profile",
+            TrafficProfile,
+            frame_rate=_require(profile_raw, "frame_rate", f"{where}.profile"),
+            frame_size=_require(profile_raw, "frame_size", f"{where}.profile"),
+            burstiness=profile_raw.get("burstiness", 0.0),
+        )
+        slices.append(
+            _build(
+                where,
+                SliceSpec,
+                slice_id=str(_require(raw, "slice_id", where)),
+                q_throughput=_require(raw, "q_throughput", where),
+                q_fps=_require(raw, "q_fps", where),
+                app_profile=profile,
+                active=bool(raw.get("active", True)),
             )
-            slices.append(
-                SliceSpec(
-                    slice_id=str(_require(raw, "slice_id", where)),
-                    q_throughput=_require(raw, "q_throughput", where),
-                    q_fps=_require(raw, "q_fps", where),
-                    app_profile=profile,
-                    active=bool(raw.get("active", True)),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        )
 
     known_ids = {s.slice_id for s in slices}
     events = []
     for i, raw in enumerate(data.get("events", []) or []):
         where = f"events[{i}]"
-        try:
-            ev = DynamicsEvent(
-                slot=_require(raw, "slot", where),
-                kind=_require(raw, "kind", where),
-                slice_id=str(_require(raw, "slice_id", where)),
-                q_throughput=raw.get("q_throughput"),
-                q_fps=raw.get("q_fps"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        ev = _build(
+            where,
+            DynamicsEvent,
+            slot=_require(raw, "slot", where),
+            kind=_require(raw, "kind", where),
+            slice_id=str(_require(raw, "slice_id", where)),
+            q_throughput=raw.get("q_throughput"),
+            q_fps=raw.get("q_fps"),
+        )
         if ev.slice_id not in known_ids:
             raise ScenarioError(f"{where}.slice_id: unknown slice {ev.slice_id!r}")
         events.append(ev)
@@ -195,27 +213,20 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     for key in algo_raw:
         if key not in known_fields:
             raise ScenarioError(f"algo_params.{key}: unknown parameter")
-    try:
-        algo = AlgoParams(**algo_raw)
-    except ValueError as exc:
-        raise ScenarioError(f"algo_params: {exc}") from exc
 
-    try:
-        return Scenario(
-            name=str(_require(data, "name", "scenario")),
-            seed=int(_require(data, "seed", "scenario")),
-            slots=int(_require(data, "slots", "scenario")),
-            algorithm=str(_require(data, "algorithm", "scenario")),
-            env=env,
-            slices=tuple(slices),
-            events=tuple(events),
-            cost=cost,
-            algo=algo,
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"scenario: {exc}") from exc
+    return _build(
+        "scenario",
+        Scenario,
+        name=str(_require(data, "name", "scenario")),
+        seed=_require(data, "seed", "scenario"),
+        slots=_require(data, "slots", "scenario"),
+        algorithm=str(_require(data, "algorithm", "scenario")),
+        env=env,
+        slices=tuple(slices),
+        events=tuple(events),
+        cost=cost,
+        algo=_build("algo_params", AlgoParams, **algo_raw),
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -256,24 +267,13 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data)
 
 
-# -- runners ----------------------------------------------------------------------
-
-
-def _violation_penalty(scenario: Scenario) -> float:
-    if scenario.algo.violation_penalty is not None:
-        return scenario.algo.violation_penalty
-    return 10.0 * scenario.cost.u_h * scenario.env.capacity_h
+# -- policies and the slot loop ------------------------------------------------------
 
 
 def _make_record(
-    slot: int,
-    actions: Mapping[str, Action],
-    perfs: Mapping[str, PerfVector],
-    specs: Sequence[SliceSpec],
-    cost: CostParams,
-    iterations: int,
-    residual: float,
+    slot: int, outcome: SlotOutcome, specs: Sequence[SliceSpec], cost: CostParams
 ) -> SlotRecord:
+    actions, perfs = outcome.actions, outcome.perfs
     spec_by_id = {s.slice_id: s for s in specs}
     per_cost = {sid: slice_cost(a, cost) for sid, a in actions.items()}
     norm = {sid: normalized_performance(perfs[sid], spec_by_id[sid]) for sid in actions}
@@ -285,28 +285,32 @@ def _make_record(
         total_cost=math.fsum(per_cost.values()),
         norm_perf=norm,
         mean_norm_perf=(math.fsum(norm.values()) / len(norm)) if norm else 0.0,
-        admm_iterations=iterations,
-        primal_residual=residual,
+        admm_iterations=outcome.iterations,
+        primal_residual=outcome.primal_residual,
     )
+
+
+_BO_PARAMS = (
+    "buffer_capacity", "priority_decay", "subsample", "n_init",
+    "noise_var", "hyperopt_every", "hedge_eta", "kappa",
+)
 
 
 def _bo_kwargs(p: AlgoParams) -> dict:
-    return dict(
-        buffer_capacity=p.buffer_capacity,
-        priority_decay=p.priority_decay,
-        subsample=p.subsample,
-        n_init=p.n_init,
-        noise_var=p.noise_var,
-        hyperopt_every=p.hyperopt_every,
-        hedge_eta=p.hedge_eta,
-        kappa=p.kappa,
-    )
+    """The AlgoParams fields that configure every Bayesian optimizer."""
+    return {name: getattr(p, name) for name in _BO_PARAMS}
 
 
-def _run_adaslicing(scenario: Scenario) -> list[SlotRecord]:
+# A policy is built once per run from the scenario and its environment, then
+# called on every slot with the slot number and the active slices (possibly
+# none). It keeps its own state across slots and returns the slot's committed
+# allocation.
+Policy = Callable[[int, list[SliceSpec]], SlotOutcome]
+
+
+def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
+    """Per-slice agents negotiating svRBs through the consensus coordinator."""
     p = scenario.algo
-    env = RanEnvironment(scenario.env, substream(scenario.seed, "env"))
-    specs = list(scenario.slices)
     state = CoordinatorState(
         rho=p.rho, primal_tol=p.primal_tol, max_iters=p.max_iters, dual_init=p.dual_init
     )
@@ -314,15 +318,11 @@ def _run_adaslicing(scenario: Scenario) -> list[SlotRecord]:
     peers_span = max(1.0, float(len(scenario.slices) - 1))
     design_offsets = {s.slice_id: i for i, s in enumerate(scenario.slices)}
     agents: dict[str, SliceAgent] = {}
-    penalty = _violation_penalty(scenario)
 
-    records = []
-    for slot in range(scenario.slots):
-        specs = apply_events(slot, scenario.events, specs)
-        active_ids = [s.slice_id for s in specs if s.active]
+    def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
+        active_ids = [s.slice_id for s in active]
         joined = [sid for sid in active_ids if sid not in state.z]
-        left = [sid for sid in state.z if sid not in active_ids]
-        resize(state, joined, left)
+        resize(state, joined, [sid for sid in state.z if sid not in active_ids])
         for sid in joined:
             if sid not in agents:  # departed agents are retained for rejoin
                 agents[sid] = SliceAgent(
@@ -334,160 +334,150 @@ def _run_adaslicing(scenario: Scenario) -> list[SlotRecord]:
                     design_offset=design_offsets[sid],
                     **_bo_kwargs(p),
                 )
-        if not active_ids:
-            records.append(_make_record(slot, {}, {}, specs, scenario.cost, 0, 0.0))
-            continue
-        outcome = orchestrate_slot(
+        if not active:  # an empty slot still retires the departed slices above
+            return SlotOutcome()
+        return orchestrate_slot(
             {sid: agents[sid] for sid in active_ids},
             env,
-            specs,
+            active,
             state,
             scenario.cost,
             slot,
             barrier_coef=p.barrier_coef,
-            violation_penalty=penalty,
+            violation_penalty=p.violation_penalty,  # None: the coordinator's default
             min_alive=p.min_alive,
-            probe_mode=p.probe_mode,
         )
-        records.append(
-            _make_record(
-                slot, outcome.actions, outcome.perfs, specs, scenario.cost,
-                outcome.iterations, outcome.primal_residual,
-            )
-        )
-    return records
+
+    return decide
 
 
-def _run_gbo(scenario: Scenario) -> list[SlotRecord]:
+def _bayesian(
+    scenario: Scenario,
+    env: RanEnvironment,
+    optimizers: Callable[[int, list[SliceSpec]], list[GboBaseline]],
+) -> Policy:
+    """Hard-isolation BO probing: `optimizers` gives the slot's optimizers.
+
+    Each probe merges their proposals, rescales them proportionally when they
+    overflow capacity, and feeds every optimizer the outcome. A joint grid
+    never overflows, so the rescale only ever acts on atlas.
+    """
     p = scenario.algo
-    env = RanEnvironment(replace(scenario.env, isolation_mode="hard"), substream(scenario.seed, "env"))
-    specs = list(scenario.slices)
-    penalty = _violation_penalty(scenario)
-    gbo: GboBaseline | None = None
-    current_ids: tuple[str, ...] = ()
+    capacity = scenario.env.capacity_h
+    penalty = p.violation_penalty
+    if penalty is None:  # the coordinator's default
+        penalty = 10.0 * scenario.cost.u_h * capacity
 
-    records = []
-    for slot in range(scenario.slots):
-        specs = apply_events(slot, scenario.events, specs)
-        active = [s for s in specs if s.active]
-        ids = tuple(s.slice_id for s in active)
-        if not ids:
-            records.append(_make_record(slot, {}, {}, specs, scenario.cost, 0, 0.0))
-            continue
-        if ids != current_ids:
-            # A global optimizer has a fixed joint input space; population
-            # changes force a rebuild from scratch.
-            gbo = GboBaseline(
-                ids,
-                scenario.env.capacity_h,
-                substream(scenario.seed, f"gbo:{slot}"),
-                substream(scenario.seed, f"gbo-hedge:{slot}"),
-                min_alive=p.min_alive,
-                grid_cap=p.grid_cap,
-                **_bo_kwargs(p),
-            )
-            current_ids = ids
-        spec_map = {s.slice_id: s for s in active}
-        for _ in range(p.probes_per_slot - 1):
-            actions = gbo.suggest(spec_map, scenario.cost, p.barrier_coef, penalty)
+    def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
+        if not active:
+            return SlotOutcome()
+        bos = optimizers(slot, active)
+        order = [s.slice_id for s in active]
+        args = ({s.slice_id: s for s in active}, scenario.cost, p.barrier_coef, penalty)
+
+        def probe(propose: Callable[[GboBaseline], dict[str, Action]]) -> SlotOutcome:
+            proposals = {sid: a.svrb for bo in bos for sid, a in propose(bo).items()}
+            applied = atlas_scale(proposals, order, capacity, p.min_alive)
+            actions = {sid: Action(applied[sid], 0.0) for sid in order}
             perfs = env.step(actions, active)
-            gbo.observe(actions, perfs, spec_map, scenario.cost, p.barrier_coef, penalty, slot)
+            for bo in bos:
+                bo.observe(actions, perfs, *args, slot)
+            return SlotOutcome(actions, perfs)
+
+        for _ in range(p.probes_per_slot - 1):
+            probe(lambda bo: bo.suggest(*args))
         # The slot's recorded allocation is the recommendation, not the last
         # exploratory probe.
-        actions = gbo.incumbent(spec_map, scenario.cost, p.barrier_coef, penalty)
-        perfs = env.step(actions, active)
-        gbo.observe(actions, perfs, spec_map, scenario.cost, p.barrier_coef, penalty, slot)
-        records.append(_make_record(slot, actions, perfs, specs, scenario.cost, 0, 0.0))
-    return records
+        return probe(lambda bo: bo.incumbent(*args))
+
+    return decide
 
 
-def _run_atlas(scenario: Scenario) -> list[SlotRecord]:
+def _gbo_baseline(
+    scenario: Scenario, ids: Sequence[str], stream: str, tag: int | str
+) -> GboBaseline:
+    """A GboBaseline over `ids`, drawing from the `stream` substreams of `tag`."""
     p = scenario.algo
-    env = RanEnvironment(replace(scenario.env, isolation_mode="hard"), substream(scenario.seed, "env"))
-    specs = list(scenario.slices)
-    penalty = _violation_penalty(scenario)
-    agents: dict[str, AtlasAgent] = {}
+    return GboBaseline(
+        ids,
+        scenario.env.capacity_h,
+        substream(scenario.seed, f"{stream}:{tag}"),
+        substream(scenario.seed, f"{stream}-hedge:{tag}"),
+        min_alive=p.min_alive,
+        grid_cap=p.grid_cap,
+        **_bo_kwargs(p),
+    )
 
-    records = []
-    for slot in range(scenario.slots):
-        specs = apply_events(slot, scenario.events, specs)
-        active = [s for s in specs if s.active]
-        order = [s.slice_id for s in active]
-        if not order:
-            records.append(_make_record(slot, {}, {}, specs, scenario.cost, 0, 0.0))
-            continue
+
+def _gbo(scenario: Scenario, env: RanEnvironment) -> Policy:
+    """One optimizer over the joint allocation of the active slices."""
+    current: dict[tuple[str, ...], GboBaseline] = {}
+
+    def optimizers(slot: int, active: list[SliceSpec]) -> list[GboBaseline]:
+        ids = tuple(s.slice_id for s in active)
+        if ids not in current:
+            # A global optimizer has a fixed joint input space; population
+            # changes force a rebuild from scratch.
+            current.clear()
+            current[ids] = _gbo_baseline(scenario, ids, "gbo", slot)
+        return [current[ids]]
+
+    return _bayesian(scenario, env, optimizers)
+
+
+def _atlas(scenario: Scenario, env: RanEnvironment) -> Policy:
+    """One single-slice gbo per slice, each oblivious to the others."""
+    agents: dict[str, GboBaseline] = {}
+
+    def optimizers(slot: int, active: list[SliceSpec]) -> list[GboBaseline]:
         for s in active:
             if s.slice_id not in agents:
-                agents[s.slice_id] = AtlasAgent(
-                    s.slice_id,
-                    scenario.env.capacity_h,
-                    substream(scenario.seed, f"atlas:{s.slice_id}"),
-                    substream(scenario.seed, f"atlas-hedge:{s.slice_id}"),
-                    min_alive=p.min_alive,
-                    **_bo_kwargs(p),
-                )
-        spec_map = {s.slice_id: s for s in active}
+                agents[s.slice_id] = _gbo_baseline(scenario, [s.slice_id], "atlas", s.slice_id)
+        return [agents[s.slice_id] for s in active]
 
-        def probe(proposals: dict[str, int]) -> tuple[dict[str, Action], dict[str, PerfVector]]:
-            applied = atlas_scale(proposals, order, scenario.env.capacity_h, p.min_alive)
-            acts = {sid: Action(applied[sid], 0.0) for sid in order}
-            observed = env.step(acts, active)
-            for sid in order:
-                agents[sid].observe(
-                    applied[sid], observed[sid], spec_map[sid], scenario.cost,
-                    p.barrier_coef, penalty, slot,
-                )
-            return acts, observed
-
-        for _ in range(p.probes_per_slot - 1):
-            probe({
-                sid: agents[sid].suggest(spec_map[sid], scenario.cost, p.barrier_coef, penalty)
-                for sid in order
-            })
-        # Record each agent's recommendation, rescaled to fit, rather than
-        # the last exploratory probe.
-        actions, perfs = probe({
-            sid: agents[sid].incumbent(spec_map[sid], scenario.cost, p.barrier_coef, penalty)
-            for sid in order
-        })
-        records.append(_make_record(slot, actions, perfs, specs, scenario.cost, 0, 0.0))
-    return records
+    return _bayesian(scenario, env, optimizers)
 
 
-def _run_exsearch(scenario: Scenario) -> list[SlotRecord]:
+def _exsearch(scenario: Scenario, env: RanEnvironment) -> Policy:
+    """The cheapest allocation meeting every SLA on the noise-free sweep."""
     p = scenario.algo
-    env = RanEnvironment(replace(scenario.env, isolation_mode="hard"), substream(scenario.seed, "env"))
-    specs = list(scenario.slices)
     datasets: dict[tuple[str, ...], list[OracleEntry]] = {}
 
-    records = []
-    for slot in range(scenario.slots):
-        specs = apply_events(slot, scenario.events, specs)
-        active = [s for s in specs if s.active]
+    def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
         ids = tuple(s.slice_id for s in active)
         if not ids:
-            records.append(_make_record(slot, {}, {}, specs, scenario.cost, 0, 0.0))
-            continue
+            return SlotOutcome()
         if ids not in datasets:
             datasets[ids] = sweep_dataset(active, scenario.env, p.min_alive, p.grid_cap)
         best = exsearch_best(datasets[ids], active, scenario.cost)
         actions = {sid: Action(v, 0.0) for sid, v in zip(ids, best.svrbs)}
-        perfs = env.step(actions, active)
-        records.append(_make_record(slot, actions, perfs, specs, scenario.cost, 0, 0.0))
-    return records
+        return SlotOutcome(actions, env.step(actions, active))
+
+    return decide
 
 
-_RUNNERS = {
-    "adaslicing": _run_adaslicing,
-    "gbo": _run_gbo,
-    "atlas": _run_atlas,
-    "exsearch": _run_exsearch,
+_POLICIES: dict[str, Callable[[Scenario, RanEnvironment], Policy]] = {
+    "adaslicing": _adaslicing,
+    "gbo": _gbo,
+    "atlas": _atlas,
+    "exsearch": _exsearch,
 }
 
 
 def run(scenario: Scenario) -> list[SlotRecord]:
     """Execute a scenario deterministically and return one record per slot."""
-    return _RUNNERS[scenario.algorithm](scenario)
+    config = scenario.env
+    if scenario.algorithm != "adaslicing":  # the baselines have no pool to share
+        config = replace(config, isolation_mode="hard")
+    env = RanEnvironment(config, substream(scenario.seed, "env"))
+    decide = _POLICIES[scenario.algorithm](scenario, env)
+    specs = list(scenario.slices)
+    records = []
+    for slot in range(scenario.slots):
+        specs = apply_events(slot, scenario.events, specs)
+        outcome = decide(slot, [s for s in specs if s.active])
+        records.append(_make_record(slot, outcome, specs, scenario.cost))
+    return records
 
 
 # -- summary metrics ---------------------------------------------------------------

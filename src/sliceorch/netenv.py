@@ -34,12 +34,13 @@ class TrafficProfile:
     burstiness: float = 0.0  # >= 0, scale of multiplicative demand jitter
 
     def __post_init__(self) -> None:
-        if self.frame_rate <= 0.0 or self.frame_size <= 0.0:
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.frame_rate, self.frame_size)):
             raise ValueError(
-                f"frame_rate and frame_size must be > 0, got ({self.frame_rate}, {self.frame_size})"
+                f"frame_rate and frame_size must be finite and > 0,"
+                f" got ({self.frame_rate}, {self.frame_size})"
             )
-        if self.burstiness < 0.0:
-            raise ValueError(f"burstiness must be >= 0, got {self.burstiness}")
+        if not (math.isfinite(self.burstiness) and self.burstiness >= 0.0):
+            raise ValueError(f"burstiness must be finite and >= 0, got {self.burstiness}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.capacity_h <= 0:
             raise ValueError(f"capacity_h must be > 0, got {self.capacity_h}")
-        if self.per_vrb_rate <= 0.0:
-            raise ValueError(f"per_vrb_rate must be > 0, got {self.per_vrb_rate}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.per_vrb_rate) and self.per_vrb_rate > 0.0):
+            raise ValueError(f"per_vrb_rate must be finite and > 0, got {self.per_vrb_rate}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.isolation_mode not in ("soft", "hard"):
             raise ValueError(f"isolation_mode must be 'soft' or 'hard', got {self.isolation_mode!r}")
 

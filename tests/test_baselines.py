@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sliceorch import baselines
 from sliceorch.baselines import (
-    AtlasAgent,
     GboBaseline,
     GridPortfolioBo,
     OracleEntry,
@@ -210,27 +209,31 @@ class TestGboBaseline:
 
 
 class TestAtlasAgent:
+    """atlas's per-slice optimizer: a GboBaseline over one slice."""
+
     def make(self, seed=2):
-        return AtlasAgent("a", 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"))
+        return GboBaseline(["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"))
 
     def test_suggestions_stay_in_range(self):
         agent = self.make()
-        svrb = agent.suggest(EASY["a"], CostParams(), 0.5, 120.0)
-        assert 1 <= svrb <= 8
+        np.testing.assert_array_equal(agent.bo.candidates, np.arange(1, 9, dtype=float)[:, None])
+        actions = agent.suggest(EASY, CostParams(), 0.5, 120.0)
+        assert set(actions) == {"a"}
+        assert 1 <= actions["a"].svrb <= 8
 
     def test_incumbent_reprices_on_spec(self):
         agent = self.make()
-        args = (EASY["a"], CostParams(), 0.5, 120.0)
-        agent.observe(2, GOOD, *args, slot=0)
-        agent.observe(5, GOOD, *args, slot=1)
-        assert agent.incumbent(*args) == 2
-        strict = SliceSpec("a", 30.0, 30.0, TrafficProfile(30.0, 0.5))
+        args = (EASY, CostParams(), 0.5, 120.0)
+        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *args, slot=0)
+        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, *args, slot=1)
+        assert agent.incumbent(*args)["a"].svrb == 2
+        strict = {"a": SliceSpec("a", 30.0, 30.0, TrafficProfile(30.0, 0.5))}
         # both observations violate the stricter SLA equally; cost breaks the tie
-        assert agent.incumbent(strict, CostParams(), 0.5, 120.0) == 2
+        assert agent.incumbent(strict, CostParams(), 0.5, 120.0)["a"].svrb == 2
 
     def test_incumbent_without_data_falls_back(self):
         agent = self.make()
-        assert 1 <= agent.incumbent(EASY["a"], CostParams(), 0.5, 120.0) <= 8
+        assert 1 <= agent.incumbent(EASY, CostParams(), 0.5, 120.0)["a"].svrb <= 8
 
 
 class TestAtlasScale:

@@ -205,7 +205,7 @@ class TestResize:
         assert set(state.z) == {"a"}
 
 
-def make_fixture(seed=1, capacity=12, probe_mode="live"):
+def make_fixture(seed=1, capacity=12):
     specs = [
         SliceSpec("s1", 12.0, 10.0, TrafficProfile(30.0, 0.5)),
         SliceSpec("s2", 12.0, 10.0, TrafficProfile(24.0, 0.625)),
@@ -226,12 +226,12 @@ def make_fixture(seed=1, capacity=12, probe_mode="live"):
     }
     state = CoordinatorState()
     resize(state, joined=[s.slice_id for s in specs], left=[])
-    return agents, env, specs, state, probe_mode
+    return agents, env, specs, state
 
 
 class TestOrchestrateSlot:
     def test_live_slot_emits_a_valid_allocation(self):
-        agents, env, specs, state, mode = make_fixture()
+        agents, env, specs, state = make_fixture()
         outcome = orchestrate_slot(agents, env, specs, state, CostParams(), 0)
         assert isinstance(outcome, SlotOutcome)
         assert set(outcome.actions) == {"s1", "s2", "s3"}
@@ -242,45 +242,27 @@ class TestOrchestrateSlot:
         assert outcome.primal_residual >= 0.0
 
     def test_capacity_holds_across_slots(self):
-        agents, env, specs, state, mode = make_fixture()
+        agents, env, specs, state = make_fixture()
         for slot in range(3):
             outcome = orchestrate_slot(agents, env, specs, state, CostParams(), slot)
             assert sum(a.svrb for a in outcome.actions.values()) <= 12
 
     def test_consensus_reanchors_on_the_emission(self):
-        agents, env, specs, state, mode = make_fixture()
+        agents, env, specs, state = make_fixture()
         outcome = orchestrate_slot(agents, env, specs, state, CostParams(), 0)
         assert set(state.z) == set(outcome.actions)
         total_z = sum(state.z.values())
         assert total_z <= 12.0 + 1e-9
 
-    def test_surrogate_mode_probes_once_per_slot(self):
-        agents, env, specs, state, _ = make_fixture(probe_mode="surrogate")
-        before = env.rng.bit_generator.state
-        outcome = orchestrate_slot(
-            agents, env, specs, state, CostParams(), 0, probe_mode="surrogate"
-        )
-        # noise-free stepping consumes no randomness; the single probe is
-        # visible through the agents instead
-        assert all(len(agents[sid].archive) == 1 for sid in outcome.actions)
-        assert env.rng.bit_generator.state == before
-
-    def test_rejects_unknown_probe_mode(self):
-        agents, env, specs, state, _ = make_fixture()
-        with pytest.raises(ValueError, match="probe_mode"):
-            orchestrate_slot(
-                agents, env, specs, state, CostParams(), 0, probe_mode="offline"
-            )
-
     def test_rejects_infeasible_population(self):
-        agents, env, specs, state, _ = make_fixture()
+        agents, env, specs, state = make_fixture()
         with pytest.raises(InfeasibleCapacityError):
             orchestrate_slot(
                 agents, env, specs, state, CostParams(), 0, min_alive=5
             )
 
     def test_inactive_slices_are_skipped(self):
-        agents, env, specs, state, _ = make_fixture()
+        agents, env, specs, state = make_fixture()
         specs = [
             specs[0],
             specs[1],

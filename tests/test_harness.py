@@ -93,7 +93,7 @@ class TestScenarioParsing:
             scenario_from_dict(data)
 
     def test_invalid_algo_parameter_value_is_rejected(self):
-        data = base_dict(algo_params={"probe_mode": "offline"})
+        data = base_dict(algo_params={"probes_per_slot": 0})
         with pytest.raises(ScenarioError, match="algo_params"):
             scenario_from_dict(data)
 
@@ -129,10 +129,6 @@ class TestScenarioParsing:
 
 
 class TestAlgoParams:
-    def test_rejects_unknown_probe_mode(self):
-        with pytest.raises(ValueError, match="probe_mode"):
-            AlgoParams(probe_mode="offline")
-
     def test_rejects_empty_probe_budget(self):
         with pytest.raises(ValueError, match="probes_per_slot"):
             AlgoParams(probes_per_slot=0)
@@ -350,3 +346,38 @@ class TestCli:
             "a_svrb", "b_svrb", "a_throughput", "b_throughput", "a_fps", "b_fps",
         ]
         assert len(rows) - 1 == 15  # joint grid of 2 slices under capacity 6
+
+
+class TestFailureContract:
+    """Bad inputs exit 2 with `ERROR ScenarioError: ...`, from validate and from run."""
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return str(path)
+
+    def rejects(self, argv, field, capsys):
+        assert main(argv) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"ERROR ScenarioError: {field}")
+
+    def rejects_file(self, path, field, tmp_path, capsys):
+        self.rejects(["validate", path], field, capsys)
+        self.rejects(["run", path, "--out", str(tmp_path / "out")], field, capsys)
+
+    def test_negative_seed(self, scenario_file, tmp_path, capsys):
+        argv = ["run", str(scenario_file), "--out", str(tmp_path / "out"), "--seed", "-1"]
+        self.rejects(argv, "seed", capsys)
+        self.rejects_file(self.write(tmp_path, base_dict(seed=-1)), "seed", tmp_path, capsys)
+
+    def test_nan_rate(self, tmp_path, capsys):
+        data = base_dict(env={"capacity_h": 6, "per_vrb_rate": float("nan"), "noise_std": 0.0})
+        self.rejects_file(self.write(tmp_path, data), "env", tmp_path, capsys)
+
+    def test_capacity_below_the_slice_minimum(self, tmp_path, capsys):
+        data = base_dict(env={"capacity_h": 2, "per_vrb_rate": 3.2, "noise_std": 0.0})
+        data["slices"].append(dict(data["slices"][0], slice_id="c"))
+        self.rejects_file(self.write(tmp_path, data), "env.capacity_h", tmp_path, capsys)
+
+    def test_fractional_slots(self, tmp_path, capsys):
+        self.rejects_file(self.write(tmp_path, base_dict(slots=2.5)), "slots", tmp_path, capsys)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sliceorch.harness import ALGORITHMS, load_scenario, run, write_trace_csv
+from sliceorch.harness import ALGORITHMS, load_scenario, run, scenario_from_dict, write_trace_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 HORIZON = {"adaslicing": 11, "exsearch": 11, "atlas": 4, "gbo": 4}
@@ -87,3 +87,47 @@ def test_trace_digest(scenario, algorithm, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(cell), [s.slice_id for s in base.slices], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario, algorithm)]
+
+
+# Every slice leaves at slot 3 and two rejoin at slot 5, so slots 3 and 4 have
+# no active slice. adaslicing must still drop the consensus variables of the
+# departed slices on those slots: the rejoining pair restarts from the
+# initial consensus state instead of resuming its old one.
+EMPTY_POPULATION = {
+    "name": "empty_population",
+    "seed": 1,
+    "slots": 8,
+    "algorithm": "adaslicing",
+    "env": {"capacity_h": 12, "per_vrb_rate": 3.2, "noise_std": 0.0},
+    "slices": [
+        {"slice_id": "slice1", "q_throughput": 12.0, "q_fps": 10.0,
+         "profile": {"frame_rate": 30.0, "frame_size": 0.5}},
+        {"slice_id": "slice2", "q_throughput": 12.0, "q_fps": 10.0,
+         "profile": {"frame_rate": 24.0, "frame_size": 0.625}},
+        {"slice_id": "slice3", "q_throughput": 12.0, "q_fps": 10.0,
+         "profile": {"frame_rate": 32.0, "frame_size": 0.45}},
+    ],
+    "events": [
+        {"slot": 3, "kind": "slice_leave", "slice_id": "slice1"},
+        {"slot": 3, "kind": "slice_leave", "slice_id": "slice2"},
+        {"slot": 3, "kind": "slice_leave", "slice_id": "slice3"},
+        {"slot": 5, "kind": "slice_join", "slice_id": "slice1"},
+        {"slot": 5, "kind": "slice_join", "slice_id": "slice2"},
+    ],
+}
+EMPTY_POPULATION_DIGESTS = {
+    "adaslicing": "e87dd4b718f5e6a07676d03e70f108146200e6fda37ec3842f3662a471b9e8e1",
+    "gbo": "47471dd63c87610a670cc5a53b769bfa828e9d94c221bb3d3182240335765dd5",
+    "atlas": "575a8f8e1cecfb3dcea3138bacfa8e85e148b50284d1af411f2f5a52351f1178",
+    "exsearch": "575a8f8e1cecfb3dcea3138bacfa8e85e148b50284d1af411f2f5a52351f1178",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(EMPTY_POPULATION_DIGESTS))
+def test_empty_population_digest(algorithm, tmp_path):
+    scenario = scenario_from_dict(dict(EMPTY_POPULATION, algorithm=algorithm))
+    records = run(scenario)
+    assert [set(r.actions) for r in records[3:6]] == [set(), set(), {"slice1", "slice2"}]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, [s.slice_id for s in scenario.slices], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EMPTY_POPULATION_DIGESTS[algorithm]
