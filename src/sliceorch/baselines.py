@@ -66,7 +66,9 @@ class GridPortfolioBo(PortfolioBo):
     A row that leaves the subsample but stays in the replay buffer keeps its
     column, since the next refit's sample is likely to draw it again; rows
     evicted from the buffer lose theirs. So the cache holds at most one
-    column per buffered row.
+    column per buffered row, and the columns live in one candidates x
+    buffer-capacity matrix with a slot per buffered row: a prediction
+    gathers its cross-covariance from it in one `np.take`.
     """
 
     def __init__(
@@ -79,7 +81,8 @@ class GridPortfolioBo(PortfolioBo):
         self.candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, **bo_kwargs)
-        self._columns: dict[tuple, np.ndarray] = {}  # buffered row key -> kernel column
+        self._kernel_columns = np.empty((self.candidates.shape[0], self.buffer.capacity))
+        self._columns: dict[tuple, int] = {}  # buffered row key -> its slot in _kernel_columns
         self._columns_params: KernelParams | None = None
 
     def _predict_candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +97,16 @@ class GridPortfolioBo(PortfolioBo):
             self._columns_params = gp.params
         buffered = {e.key() for e in self.buffer.items}
         self._columns = {k: c for k, c in self._columns.items() if k in buffered}
+        free = iter(sorted(set(range(self.buffer.capacity)) - set(self._columns.values())))
         keys = [_row_key(row) for row in gp.x_train]
         for key, row in zip(keys, gp.x_train):
             if key not in self._columns:
-                self._columns[key] = kernel_matrix(self.candidates, row[None, :], gp.params)[:, 0]
-        return gp.predict(self.candidates, k_star=np.stack([self._columns[k] for k in keys], axis=1))
+                slot = self._columns[key] = next(free)
+                self._kernel_columns[:, slot] = kernel_matrix(
+                    self.candidates, row[None, :], gp.params
+                )[:, 0]
+        k_star = np.take(self._kernel_columns, [self._columns[k] for k in keys], axis=1)
+        return gp.predict(self.candidates, k_star=k_star)
 
     def _design_index(self) -> int:
         u = _radical_inverse(self._next_design() + 1, 2)

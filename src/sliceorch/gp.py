@@ -140,20 +140,38 @@ class KernelParams:
             raise ValueError(f"nu must be one of 0.5, 1.5, 2.5, got {self.nu}")
 
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern cross-covariance between row sets `a` (m,d) and `b` (n,d)."""
-    scales = np.asarray(params.length_scales, dtype=float)
-    diff = (a[:, None, :] - b[None, :, :]) / scales
-    r = np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", diff, diff), 0.0))
-    if params.nu == 0.5:
-        base = np.exp(-r)
-    elif params.nu == 1.5:
+def _scaled_distance(diff: np.ndarray, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension differences over the length scales, and their norm r."""
+    scaled = diff / np.asarray(params.length_scales, dtype=float)
+    return scaled, np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
+
+
+def _matern(r: np.ndarray, nu: float, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unit-variance Matern shape k(r), and with `slope` also g(r) = -k'(r) / r.
+
+    g is what the likelihood gradient needs: d k / d log l_k = g(r) (diff_k / l_k)^2.
+    At nu = 0.5 it diverges at r = 0, where every diff_k is 0; it is taken as 0 there.
+    """
+    if nu == 0.5:
+        shape = np.exp(-r)
+        g = np.divide(shape, r, out=np.zeros_like(r), where=r > 0.0) if slope else None
+    elif nu == 1.5:
         t = math.sqrt(3.0) * r
-        base = (1.0 + t) * np.exp(-t)
+        decay = np.exp(-t)
+        shape = (1.0 + t) * decay
+        g = 3.0 * decay if slope else None
     else:
         t = math.sqrt(5.0) * r
-        base = (1.0 + t + t * t / 3.0) * np.exp(-t)
-    return params.signal_var * base
+        decay = np.exp(-t)
+        shape = (1.0 + t + t * t / 3.0) * decay
+        g = (5.0 / 3.0) * (1.0 + t) * decay if slope else None
+    return shape, g
+
+
+def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Matern cross-covariance between row sets `a` (m,d) and `b` (n,d)."""
+    _, r = _scaled_distance(a[:, None, :] - b[None, :, :], params)
+    return params.signal_var * _matern(r, params.nu)[0]
 
 
 def _chol_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,20 +269,23 @@ class TrainingSet:
     """GP training rows as float arrays, with targets standardized once.
 
     The hyperparameter search evaluates the likelihood of the same data at
-    many hyperparameters; building this once keeps the conversion and the
-    standardization out of every evaluation.
+    many hyperparameters; building this once keeps the conversion, the
+    standardization and the pairwise row differences `diff` (n, n, d) out of
+    every evaluation. kernel_matrix(x, x, .) subtracts the rows the same way
+    before it scales them, so a Gram built from `diff` has the same bits.
     """
 
     x: np.ndarray
     y_std: np.ndarray
     y_mean: float
     y_scale: float
+    diff: np.ndarray
 
     @classmethod
     def build(cls, inputs: np.ndarray, targets: Sequence[float] | np.ndarray) -> "TrainingSet":
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         y_std, y_mean, y_scale = _standardize(np.asarray(targets, dtype=float))
-        return cls(x, y_std, y_mean, y_scale)
+        return cls(x, y_std, y_mean, y_scale, x[:, None, :] - x[None, :, :])
 
 
 def fit(
@@ -301,14 +322,33 @@ def fit(
     )
 
 
-def log_marginal_likelihood(data: TrainingSet, params: KernelParams, noise_var: float) -> float:
-    """Log marginal likelihood of the standardized targets under the kernel."""
-    chol, _ = _chol_with_jitter(_noisy_gram(data.x, params, noise_var))
-    alpha = _cho_solve(chol, data.y_std)
+def log_marginal_likelihood(
+    data: TrainingSet, params: KernelParams, noise_var: float
+) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood of the standardized targets, and its gradient.
+
+    The gradient is taken in the search's coordinates theta = (log l_1 ..
+    log l_d, log signal_var, log noise_var) and reuses the one factor of the
+    Gram K: d/d theta_j = 1/2 tr((alpha alpha^T - K^-1) dK/d theta_j)
+    (Rasmussen & Williams, GPML, eq. 5.9). Jitter added to factor K is held
+    constant, so it adds nothing to dK.
+    """
+    scaled, r = _scaled_distance(data.diff, params)
+    shape, slope = _matern(r, params.nu, slope=True)
     n = data.x.shape[0]
-    return float(
+    gram = params.signal_var * shape
+    gram.flat[:: n + 1] += noise_var
+    chol, _ = _chol_with_jitter(gram)
+    alpha = _cho_solve(chol, data.y_std)
+    value = float(
         -0.5 * data.y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
     )
+    w = np.outer(alpha, alpha) - _POTRS(chol, np.eye(n), lower=1)[0]
+    grad = np.empty(len(params.length_scales) + 2)
+    grad[:-2] = 0.5 * params.signal_var * np.einsum("ab,abk->k", w * slope, scaled * scaled)
+    grad[-2] = 0.5 * params.signal_var * np.vdot(w, shape)
+    grad[-1] = 0.5 * noise_var * np.trace(w)
+    return value, grad
 
 
 def optimize_params(
@@ -323,7 +363,8 @@ def optimize_params(
 
     Multi-start local search in log space: one start from the current
     hyperparameters, one from the reference (dimension-span) defaults.
-    Deterministic given the data.
+    L-BFGS-B takes the likelihood's analytic gradient, so each step costs one
+    evaluation. Deterministic given the data.
     """
     data = TrainingSet.build(inputs, targets)
     d = data.x.shape[1]
@@ -339,12 +380,13 @@ def optimize_params(
             float(vals[d + 1]),
         )
 
-    def negative_lml(theta: np.ndarray) -> float:
+    def negative_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
             p, nv = unpack(theta)
-            return -log_marginal_likelihood(data, p, nv)
+            value, grad = log_marginal_likelihood(data, p, nv)
+            return -value, -grad
         except (GpFitError, FloatingPointError, ValueError):
-            return 1e12
+            return 1e12, np.zeros(d + 2)
 
     bounds = [(math.log(1e-2), math.log(1e3))] * d + [
         (math.log(1e-4), math.log(1e4)),
@@ -356,6 +398,7 @@ def optimize_params(
         res = minimize(
             negative_lml,
             np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
             options={"maxiter": max_iter},

@@ -66,8 +66,14 @@ class AlgoParams:
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.probes_per_slot < 1:
-            raise ValueError(f"probes_per_slot must be >= 1, got {self.probes_per_slot}")
+        for name in ("buffer_capacity", "subsample", "hyperopt_every", "probes_per_slot"):
+            value = getattr(self, name)
+            if not _whole(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (math.isfinite(self.hedge_eta) and self.hedge_eta > 0.0):
+            raise ValueError(f"hedge_eta must be finite and > 0, got {self.hedge_eta}")
+        if not 0.0 < self.sw_step <= 1.0:
+            raise ValueError(f"sw_step must lie in (0, 1], got {self.sw_step}")
 
 
 def _whole(value) -> bool:

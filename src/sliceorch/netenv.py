@@ -11,6 +11,7 @@ can never use more than its own svRBs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -53,8 +54,9 @@ class EnvConfig:
     isolation_mode: str = "soft"  # "soft" or "hard"
 
     def __post_init__(self) -> None:
-        if self.capacity_h <= 0:
-            raise ValueError(f"capacity_h must be > 0, got {self.capacity_h}")
+        capacity = self.capacity_h
+        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity <= 0:
+            raise ValueError(f"capacity_h must be an integer > 0, got {capacity!r}")
         if not (math.isfinite(self.per_vrb_rate) and self.per_vrb_rate > 0.0):
             raise ValueError(f"per_vrb_rate must be finite and > 0, got {self.per_vrb_rate}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
+from scipy.optimize import check_grad
 
 from sliceorch import gp
 from sliceorch.core import PerfVector
@@ -152,8 +153,8 @@ class TestHyperopt:
         init = KernelParams((3.0, 3.0), 1.0, 2.5)
         tuned, noise = optimize_params(x, y, init, 1e-2)
         data = TrainingSet.build(x, y)
-        before = log_marginal_likelihood(data, init, 1e-2)
-        after = log_marginal_likelihood(data, tuned, noise)
+        before = log_marginal_likelihood(data, init, 1e-2)[0]
+        after = log_marginal_likelihood(data, tuned, noise)[0]
         assert after >= before - 1e-6
 
     def test_deterministic(self):
@@ -167,6 +168,66 @@ class TestHyperopt:
 
     def test_default_length_scales_half_span(self):
         assert default_length_scales([10.0, 1.0, 0.0]) == (5.0, 0.5, 1e-2)
+
+
+def unpack_theta(theta, nu):
+    """Kernel hyperparameters and noise variance at log-space theta."""
+    v = np.exp(theta)
+    return KernelParams(tuple(float(s) for s in v[:-2]), float(v[-2]), nu), float(v[-1])
+
+
+def gradient_error(data, theta, nu):
+    """check_grad's finite-difference error over the gradient's norm."""
+
+    def value(t):
+        return log_marginal_likelihood(data, *unpack_theta(t, nu))[0]
+
+    def grad(t):
+        return log_marginal_likelihood(data, *unpack_theta(t, nu))[1]
+
+    return check_grad(value, grad, theta) / np.linalg.norm(grad(theta))
+
+
+class TestLikelihoodGradient:
+    """The analytic gradient of the log marginal likelihood against finite differences."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matches_finite_differences_on_random_data(self, nu):
+        rng = np.random.default_rng(31)
+        for i in range(30):
+            n, d = int(rng.integers(2, 16)), int(rng.integers(1, 4))
+            x = rng.uniform(0.0, 5.0, size=(n, d))
+            if i % 2:
+                x[1] = x[0]  # a duplicate row: r = 0 off the diagonal
+            log_scales = rng.uniform(-1.0, 1.5, size=d)
+            theta = np.array([*log_scales, rng.uniform(-0.7, 0.7), rng.uniform(-7.0, -2.0)])
+            assert gradient_error(TrainingSet.build(x, rng.standard_normal(n)), theta, nu) <= 1e-4
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matches_finite_differences_through_jitter(self, nu):
+        # Duplicate rows and a noise too small to register: the Gram is
+        # singular and factors only with jitter. Finite differences measure a
+        # slope only if every point check_grad evaluates gets the same jitter.
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.5, 2.0], [2.5, 2.0], [4.0, 1.0]])
+        y = np.array([1.0, 1.0, -1.0, 4.0, 4.0, 0.5])
+        theta = np.log([1.5, 0.8, 10**-3.5, 1e-300])
+        jitters = set()
+        for t in [theta] + [theta + math.sqrt(np.finfo(float).eps) * e for e in np.eye(4)]:
+            params, noise_var = unpack_theta(t, nu)
+            jitters.add(gp._chol_with_jitter(kernel_matrix(x, x, params) + noise_var * np.eye(6))[1])
+        assert len(jitters) == 1 and jitters.pop() > 0.0
+        assert gradient_error(TrainingSet.build(x, y), theta, nu) <= 1e-4
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_search_never_ends_below_its_start(self, nu):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 6.0, size=(12, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(12)
+        init = KernelParams((3.0, 3.0), 1.0, nu)
+        tuned, noise = optimize_params(x, y, init, 1e-2)
+        data = TrainingSet.build(x, y)
+        after = log_marginal_likelihood(data, tuned, noise)[0]
+        assert after >= log_marginal_likelihood(data, init, 1e-2)[0]
 
 
 def reference_chol_with_jitter(gram):
@@ -274,7 +335,7 @@ class TestLapackPath:
                 with pytest.raises(GpFitError):
                     log_marginal_likelihood(TrainingSet.build(x, y), params, noise_var)
                 continue
-            assert log_marginal_likelihood(TrainingSet.build(x, y), params, noise_var) == expected
+            assert log_marginal_likelihood(TrainingSet.build(x, y), params, noise_var)[0] == expected
 
     def test_fit_matches_the_reference_factorization(self):
         rng = np.random.default_rng(23)

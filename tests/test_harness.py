@@ -381,3 +381,23 @@ class TestFailureContract:
 
     def test_fractional_slots(self, tmp_path, capsys):
         self.rejects_file(self.write(tmp_path, base_dict(slots=2.5)), "slots", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("buffer_capacity", 0),
+            ("subsample", 0),
+            ("hyperopt_every", 0),
+            ("hedge_eta", 0),
+            ("sw_step", 0),
+        ],
+    )
+    def test_degenerate_algo_param(self, name, value, tmp_path, capsys):
+        data = base_dict(algorithm="adaslicing", algo_params={name: value})
+        self.rejects_file(self.write(tmp_path, data), f"algo_params: {name}", tmp_path, capsys)
+
+    def test_fractional_capacity(self, tmp_path, capsys):
+        data = base_dict(
+            algorithm="adaslicing", env={"capacity_h": 12.5, "per_vrb_rate": 3.2, "noise_std": 0.0}
+        )
+        self.rejects_file(self.write(tmp_path, data), "env: capacity_h", tmp_path, capsys)

@@ -27,14 +27,14 @@ JOINT_GRID_HORIZON = 2  # gbo on 4 or more slices
 
 DIGESTS = {
     ("default.yaml", "adaslicing"): "b815e5656d55fba16da344771268352dd7f2aa01d1cb2d626c0ec7575873f390",
-    ("default.yaml", "gbo"): "b3348c5570beb4e73b5b6cf613dfb91aa634206af5f738c18c0db9666fb05f44",
+    ("default.yaml", "gbo"): "3f3e26aab6581f29370d7f08bb936521a21019d46867edbdc92559bf684579e8",
     ("default.yaml", "atlas"): "9e84b445e449020fac73a8b01b9ad321ae0401c81160a85ba2b8e0e1f6b7a725",
     ("default.yaml", "exsearch"): "a53773d3a0b4d62042b55c2164804a04dfd363cc9dc5949236fb78680bf98b24",
     ("dynamics_leave_rejoin.yaml", "adaslicing"): "cad45a91c3a99163906c7706f33d3736c7b40fa382ca12979b7a02620cc3ba04",
-    ("dynamics_leave_rejoin.yaml", "gbo"): "b3348c5570beb4e73b5b6cf613dfb91aa634206af5f738c18c0db9666fb05f44",
+    ("dynamics_leave_rejoin.yaml", "gbo"): "3f3e26aab6581f29370d7f08bb936521a21019d46867edbdc92559bf684579e8",
     ("dynamics_leave_rejoin.yaml", "atlas"): "9e84b445e449020fac73a8b01b9ad321ae0401c81160a85ba2b8e0e1f6b7a725",
     ("dynamics_leave_rejoin.yaml", "exsearch"): "9e920872f4b50d79b81e40ccef0668271d69d217aa90fe2009b017b0c6caf0a5",
-    ("noisy.yaml", "adaslicing"): "2223506dce6b57f8f6365060aa88c1b3d85e6b5a3017e8bfb20426865fb4c5fb",
+    ("noisy.yaml", "adaslicing"): "44569d0b4963e5d652315cefa2d01e87c9b7e0a70009e829dc7b08e54a8d0691",
     ("noisy.yaml", "gbo"): "09ade975380b24fc4f5a81fcc3114817c4e4d88599f8d4dfecda6521ffb0952e",
     ("noisy.yaml", "atlas"): "56259e6f873d27394dcd25840d09998e75038ec8363e15842672f160c52c333f",
     ("noisy.yaml", "exsearch"): "4ea4d58d4d7aa9a11bf4265891a9ba82751fbd376fd6d9710fc042e58cb5b94a",
@@ -47,15 +47,15 @@ DIGESTS = {
     ("scale/slices_2.yaml", "atlas"): "dc69327a075a16bc211f4820fb7120019c0eb4d6238647095dd74848a0e874b9",
     ("scale/slices_2.yaml", "exsearch"): "c15f56c2f6b728aa96f4d4a06ac76e32e7dcb3d0d9b9082272b25bed4af1079b",
     ("scale/slices_3.yaml", "adaslicing"): "b815e5656d55fba16da344771268352dd7f2aa01d1cb2d626c0ec7575873f390",
-    ("scale/slices_3.yaml", "gbo"): "b3348c5570beb4e73b5b6cf613dfb91aa634206af5f738c18c0db9666fb05f44",
+    ("scale/slices_3.yaml", "gbo"): "3f3e26aab6581f29370d7f08bb936521a21019d46867edbdc92559bf684579e8",
     ("scale/slices_3.yaml", "atlas"): "9e84b445e449020fac73a8b01b9ad321ae0401c81160a85ba2b8e0e1f6b7a725",
     ("scale/slices_3.yaml", "exsearch"): "a53773d3a0b4d62042b55c2164804a04dfd363cc9dc5949236fb78680bf98b24",
-    ("scale/slices_4.yaml", "adaslicing"): "8d27dace72c82582909b2f43cef68fa62a77080ab8c69b5891af120b07d09129",
+    ("scale/slices_4.yaml", "adaslicing"): "0961666cb19f692710c344f50f30a0c892c2fc9e7962652ee08233ac3e7b1e19",
     ("scale/slices_4.yaml", "gbo"): "93d00711b3e536fbfd232fbd3de63d86cb16da318e1a3575754145f82b90b410",
     ("scale/slices_4.yaml", "atlas"): "36c7f1358f208787cd9c762c103663a650fceae936599a0e0aae2de8b37f701e",
     ("scale/slices_4.yaml", "exsearch"): "8b2b6eac941de5b55b7f2742dc067d9dfbfee94f01965151899e69d28a6271b5",
-    ("scale/slices_5.yaml", "adaslicing"): "c50e4e49c340f85f1359de7af4bce43e0d07b313e9c933e3bb88591f7d2df8b7",
-    ("scale/slices_5.yaml", "gbo"): "e679f4de2c9bb8076fa628dee17d45a3f566c37de3afe3f11b56405465bb5c4e",
+    ("scale/slices_5.yaml", "adaslicing"): "0e97600675c61dcbece90fc381d467f544eebca6d5204e6c770b18ade203b9a1",
+    ("scale/slices_5.yaml", "gbo"): "18ae6450821af438ad2ffd9d4712dd16c4ba500dd0d6873e0a99536aa83c363b",
     ("scale/slices_5.yaml", "atlas"): "3a713acee2ce3f2c3ab42c6d17e0f97c8d32ee69b765daa62f01c3c935383cbc",
     ("scale/slices_5.yaml", "exsearch"): "e68de80b8dd2a7cfdc024f0a6204dabb7614459fdc6b0a8e3cbe5b721197597f",
     ("sla_change.yaml", "adaslicing"): "1e2c69ff85f7596bc7d03750b8f24db6377403246296f9d0afb680ac4a9b08cd",
@@ -117,7 +117,7 @@ EMPTY_POPULATION = {
 }
 EMPTY_POPULATION_DIGESTS = {
     "adaslicing": "e87dd4b718f5e6a07676d03e70f108146200e6fda37ec3842f3662a471b9e8e1",
-    "gbo": "47471dd63c87610a670cc5a53b769bfa828e9d94c221bb3d3182240335765dd5",
+    "gbo": "973e06549511ccb19893e0e58a3eb52f2e62b19bab889aee9d13e2048a58fcf7",
     "atlas": "575a8f8e1cecfb3dcea3138bacfa8e85e148b50284d1af411f2f5a52351f1178",
     "exsearch": "575a8f8e1cecfb3dcea3138bacfa8e85e148b50284d1af411f2f5a52351f1178",
 }
