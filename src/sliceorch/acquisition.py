@@ -29,24 +29,32 @@ def _normal_pdf(d: np.ndarray) -> np.ndarray:
     return np.exp(-(d**2) / 2.0) / _SQRT_2PI
 
 
-def ei(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
-    """Expected improvement below the incumbent best."""
+def _ei_pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
+    """Expected improvement and probability of improvement below the best.
+
+    Both read one standardized improvement d = (best - mu) / sigma and one
+    ndtr(d); a candidate with sigma = 0 is deterministic and gets its plain
+    improvement, and an indicator, instead.
+    """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu
+    random = sigma > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(sigma > 0.0, improve / sigma, 0.0)
-    exact = np.maximum(improve, 0.0)  # deterministic candidate: improvement or nothing
-    return np.where(sigma > 0.0, improve * ndtr(d) + sigma * _normal_pdf(d), exact)
+        d = np.where(random, improve / sigma, 0.0)
+    cdf = ndtr(d)
+    expected = np.where(random, improve * cdf + sigma * _normal_pdf(d), np.maximum(improve, 0.0))
+    return expected, np.where(random, cdf, (mu < best).astype(float))
+
+
+def ei(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
+    """Expected improvement below the incumbent best."""
+    return _ei_pi(mu, sigma, best)[0]
 
 
 def pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     """Probability of improving on the incumbent best."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(sigma > 0.0, (best - mu) / sigma, 0.0)
-    return np.where(sigma > 0.0, ndtr(d), (mu < best).astype(float))
+    return _ei_pi(mu, sigma, best)[1]
 
 
 def lcb(mu: np.ndarray, sigma: np.ndarray, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
@@ -59,11 +67,12 @@ def portfolio_nominate(
 ) -> np.ndarray:
     """Each acquisition's favorite candidate index, in PORTFOLIO order.
 
-    Ties resolve to the first (lowest-index) candidate, so callers get
-    lexicographic tie-breaking for free by ordering their grids.
+    EI and PI share one standardized improvement and one ndtr. Ties resolve
+    to the first (lowest-index) candidate, so callers get lexicographic
+    tie-breaking for free by ordering their grids.
     """
-    scores = np.stack([ei(mu, sigma, best), pi(mu, sigma, best), -lcb(mu, sigma, kappa)])
-    return scores.argmax(axis=1)
+    expected, probability = _ei_pi(mu, sigma, best)
+    return np.array([expected.argmax(), probability.argmax(), (-lcb(mu, sigma, kappa)).argmax()])
 
 
 @dataclass

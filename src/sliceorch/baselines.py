@@ -66,9 +66,10 @@ class GridPortfolioBo(PortfolioBo):
     A row that leaves the subsample but stays in the replay buffer keeps its
     column, since the next refit's sample is likely to draw it again; rows
     evicted from the buffer lose theirs. So the cache holds at most one
-    column per buffered row, and the columns live in one candidates x
-    buffer-capacity matrix with a slot per buffered row: a prediction
-    gathers its cross-covariance from it in one `np.take`.
+    column per buffered row, and the columns live in one column-major
+    candidates x buffer-capacity matrix with a slot per buffered row: a new
+    column is one contiguous store, and a prediction gathers its
+    cross-covariance as one contiguous copy per training row.
     """
 
     def __init__(
@@ -81,7 +82,9 @@ class GridPortfolioBo(PortfolioBo):
         self.candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, **bo_kwargs)
-        self._kernel_columns = np.empty((self.candidates.shape[0], self.buffer.capacity))
+        self._kernel_columns = np.empty(
+            (self.candidates.shape[0], self.buffer.capacity), order="F"
+        )
         self._columns: dict[tuple, int] = {}  # buffered row key -> its slot in _kernel_columns
         self._columns_params: KernelParams | None = None
 
@@ -105,7 +108,7 @@ class GridPortfolioBo(PortfolioBo):
                 self._kernel_columns[:, slot] = kernel_matrix(
                     self.candidates, row[None, :], gp.params
                 )[:, 0]
-        k_star = np.take(self._kernel_columns, [self._columns[k] for k in keys], axis=1)
+        k_star = self._kernel_columns[:, [self._columns[k] for k in keys]]
         return gp.predict(self.candidates, k_star=k_star)
 
     def _design_index(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
 from .core import PerfVector
@@ -24,10 +24,11 @@ from .errors import GpFitError
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
-# LAPACK's float64 Cholesky factorization and solve, called directly: at a
-# few dozen training rows, scipy.linalg.cholesky/cho_solve spend longer on
-# argument handling than LAPACK spends on the arithmetic.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
+# LAPACK's float64 Cholesky factorization, solve and triangular inverse,
+# called directly: at a few dozen training rows, scipy.linalg.cholesky/
+# cho_solve spend longer on argument handling than LAPACK spends on the
+# arithmetic.
+_POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty((0, 0)),))
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,13 @@ def _noisy_gram(x: np.ndarray, params: KernelParams, noise_var: float) -> np.nda
 
 @dataclass
 class GpModel:
-    """Fitted exact-GP posterior (or the bare prior when x_train is None)."""
+    """Fitted exact-GP posterior (or the bare prior when x_train is None).
+
+    `w` is [L^-T | alpha], n x (n + 1), for the Cholesky factor L of the
+    training Gram and alpha = K^-1 y_std: k_star @ w holds the whitened
+    cross-covariance L^-1 k_star^T (transposed) in its first n columns and
+    the standardized posterior mean in its last (GPML, Alg. 2.1).
+    """
 
     params: KernelParams
     noise_var: float
@@ -221,12 +228,17 @@ class GpModel:
     y_mean: float = 0.0
     y_scale: float = 1.0
     chol: np.ndarray | None = None
-    alpha: np.ndarray | None = None
+    w: np.ndarray | None = None
     jitter: float = 0.0
 
     @classmethod
     def prior(cls, params: KernelParams, noise_var: float = 0.0) -> "GpModel":
         return cls(params=params, noise_var=noise_var)
+
+    @property
+    def alpha(self) -> np.ndarray | None:
+        """K^-1 y_std, the last column of `w`."""
+        return None if self.w is None else self.w[:, -1]
 
     @property
     def prior_var(self) -> float:
@@ -238,9 +250,13 @@ class GpModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the query rows.
 
-        `k_star`, when given, must equal kernel_matrix(x_query, x_train,
-        params); callers that cache kernel columns pass it to skip the
-        recomputation.
+        The cross-covariance k_star = kernel_matrix(x_query, x_train, params)
+        is multiplied by the cached `w` in one product, whose last column is
+        the mean and whose other columns, squared and summed, are the
+        variance explained by the data. An inf or NaN in k_star carries into
+        the product and raises ValueError. `k_star`, when given, must equal
+        that kernel matrix; callers that cache kernel columns pass it to skip
+        the recomputation.
         """
         x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
         if self.x_train is None:
@@ -249,11 +265,13 @@ class GpModel:
             return mu, sigma
         if k_star is None:
             k_star = kernel_matrix(x_query, self.x_train, self.params)
-        mu_std = k_star @ self.alpha
-        v = solve_triangular(self.chol, k_star.T, lower=True)
-        var_std = self.params.signal_var - np.einsum("nm,nm->m", v, v)
+        out = k_star @ self.w
+        if not np.isfinite(out).all():
+            raise ValueError("cross-covariance must not contain infs or NaNs")
+        n = self.w.shape[0]
+        var_std = self.params.signal_var - np.einsum("mn,mn->m", out[:, :n], out[:, :n])
         sigma = self.y_scale * np.sqrt(np.clip(var_std, 0.0, None))
-        return self.y_mean + self.y_scale * mu_std, sigma
+        return self.y_mean + self.y_scale * out[:, n], sigma
 
 
 def _standardize(targets: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -310,6 +328,13 @@ def fit(
     data = TrainingSet.build(x, y)
     chol, jitter = _chol_with_jitter(_noisy_gram(data.x, params, noise_var))
     alpha = _cho_solve(chol, data.y_std)
+    chol_inv, info = _TRTRI(chol, lower=1)
+    if info != 0:
+        raise GpFitError(f"inverting the Cholesky factor failed (trtri info {info})")
+    n = data.x.shape[0]
+    w = np.empty((n, n + 1))
+    w[:, :n] = chol_inv.T
+    w[:, n] = alpha
     return GpModel(
         params=params,
         noise_var=noise_var,
@@ -317,7 +342,7 @@ def fit(
         y_mean=data.y_mean,
         y_scale=data.y_scale,
         chol=chol,
-        alpha=alpha,
+        w=w,
         jitter=jitter,
     )
 

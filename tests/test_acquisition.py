@@ -84,6 +84,22 @@ class TestPortfolio:
         nominees = portfolio_nominate(mu, sigma, best=1.5)
         assert list(nominees) == [1, 1, 1]
 
+    def test_fused_nominees_equal_the_separate_acquisitions(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            mu = rng.normal(2.0, 1.5, size=n).round(int(rng.integers(0, 3)))  # rounding makes ties
+            sigma = rng.uniform(0.0, 2.0, size=n)
+            sigma[rng.random(n) < 0.3] = 0.0
+            best = float(rng.normal(2.0, 1.0))
+            kappa = float(rng.uniform(0.0, 3.0))
+            expected = [
+                ei(mu, sigma, best).argmax(),
+                pi(mu, sigma, best).argmax(),
+                lcb(mu, sigma, kappa).argmin(),
+            ]
+            assert list(portfolio_nominate(mu, sigma, best, kappa)) == expected
+
 
 class TestHedge:
     def test_uniform_at_the_start(self):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import check_grad
 
 from sliceorch import gp
@@ -354,6 +354,64 @@ class TestLapackPath:
             assert model.jitter == ref_jitter
             assert np.array_equal(model.chol, ref_chol)
             assert np.array_equal(model.alpha, cho_solve((ref_chol, True), y_std))
+
+
+def reference_predict(model, queries):
+    """Posterior mean, and the standardized variance clipped at 0, through a triangular solve."""
+    k_star = kernel_matrix(queries, model.x_train, model.params)
+    v = solve_triangular(model.chol, k_star.T, lower=True)
+    var_std = model.params.signal_var - np.einsum("nm,nm->m", v, v)
+    mu = model.y_mean + model.y_scale * (k_star @ model.alpha)
+    return mu, np.clip(var_std, 0.0, None), k_star
+
+
+class TestPredictProduct:
+    """predict's one product with the cached [L^-T | alpha] against a triangular solve."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matches_the_triangular_solve(self, nu):
+        rng = np.random.default_rng(int(nu * 10))
+        jittered = 0
+        for case in range(100):
+            n = int(rng.integers(1, 30))
+            d = int(rng.integers(1, 4))
+            x = rng.integers(0, 6, size=(n, d)).astype(float)  # grid rows, with repeats
+            y = rng.uniform(-5.0, 40.0, size=n)
+            params, noise_var = random_params(rng, d)
+            params = KernelParams(params.length_scales, params.signal_var, nu)
+            if case % 4 == 0:  # a duplicated row and no noise: only jitter factors the Gram
+                x = np.vstack([x, x[:1]])
+                y = np.append(y, y[0] + 1.0)
+                noise_var = 0.0
+            try:
+                model = fit(x, y, params, noise_var)
+            except GpFitError:
+                continue
+            jittered += model.jitter > 0.0
+            queries = np.vstack([x, rng.uniform(-1.0, 6.0, size=(50, d))])
+            mu, sigma = model.predict(queries)
+            mu_ref, var_ref, k_star = reference_predict(model, queries)
+            mean_bound = 1e-12 * model.y_scale * (np.abs(k_star) @ np.abs(model.alpha))
+            assert np.all(np.abs(mu - mu_ref) <= mean_bound)
+            var = (sigma / model.y_scale) ** 2
+            assert np.all(np.abs(var - var_ref) <= 1e-12 * params.signal_var)
+        assert jittered > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cross_covariance_raises(self, bad):
+        x = np.array([[0.0], [1.0], [2.5]])
+        model = fit(x, np.array([1.0, -1.0, 4.0]), KernelParams((1.0,), 1.0, 2.5), 1e-3)
+        queries = np.array([[0.5], [1.5], [3.0]])
+        k_star = kernel_matrix(queries, x, model.params)
+        k_star[1, 2] = bad
+        with pytest.raises(ValueError):
+            model.predict(queries, k_star=k_star)
+
+    def test_failed_inverse_raises_gp_fit_error(self, monkeypatch):
+        monkeypatch.setattr(gp, "_TRTRI", lambda chol, lower: (chol, 1))
+        with pytest.raises(GpFitError):
+            fit(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), KernelParams((1.0,), 1.0, 2.5), 1e-3)
 
 
 def exp_at(svrb, slot=0):
