@@ -23,7 +23,8 @@ from .agent import PortfolioBo, _radical_inverse, barrier_value
 from .coordinator import clamp_capacity
 from .core import Action, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
-from .gp import KernelParams, kernel_matrix
+from .gp import KernelLattice, KernelParams
+from .gp import kernel_matrix  # noqa: F401  unused; tests/test_baselines.py patches this name
 from .netenv import EnvConfig, TrafficProfile, step
 from .vsharing import ground
 
@@ -82,6 +83,7 @@ class GridPortfolioBo(PortfolioBo):
         self.candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, **bo_kwargs)
+        self._lattice = KernelLattice(self.candidates)
         self._kernel_columns = np.empty(
             (self.candidates.shape[0], self.buffer.capacity), order="F"
         )
@@ -91,8 +93,9 @@ class GridPortfolioBo(PortfolioBo):
     def _predict_candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """gp.predict(candidates), reusing the cached kernel columns.
 
-        Each column is kernel_matrix(candidates, row), which equals the
-        matching column of the full cross-covariance bit for bit.
+        Each column is kernel_matrix(candidates, row), taken from the
+        candidates' KernelLattice, which equals the matching column of the
+        full cross-covariance bit for bit.
         """
         gp = self.gp
         if gp.params != self._columns_params:
@@ -105,9 +108,7 @@ class GridPortfolioBo(PortfolioBo):
         for key, row in zip(keys, gp.x_train):
             if key not in self._columns:
                 slot = self._columns[key] = next(free)
-                self._kernel_columns[:, slot] = kernel_matrix(
-                    self.candidates, row[None, :], gp.params
-                )[:, 0]
+                self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
         k_star = self._kernel_columns[:, [self._columns[k] for k in keys]]
         return gp.predict(self.candidates, k_star=k_star)
 

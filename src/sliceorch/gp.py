@@ -30,6 +30,12 @@ _JITTER_MAX = 1e-4
 # arithmetic.
 _POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty((0, 0)),))
 
+# Kernel entries and posterior weights below sqrt(tiny) (about 1.5e-154) are
+# set to 0: a product of two of them would be subnormal, and the CPU handles
+# subnormal arithmetic about ten times slower. It happens once a length
+# scale nears its 1e-2 bound and neighbouring grid rows decorrelate.
+SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class GpInput:
@@ -141,10 +147,19 @@ class KernelParams:
             raise ValueError(f"nu must be one of 0.5, 1.5, 2.5, got {self.nu}")
 
 
+def _norm(scaled: np.ndarray) -> np.ndarray:
+    """Euclidean norm r over the last axis of an (m, n, d) array.
+
+    Every kernel path calls this one einsum, so they all sum the d squares
+    in the same order and agree bit for bit.
+    """
+    return np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
+
+
 def _scaled_distance(diff: np.ndarray, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension differences over the length scales, and their norm r."""
     scaled = diff / np.asarray(params.length_scales, dtype=float)
-    return scaled, np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
+    return scaled, _norm(scaled)
 
 
 def _matern(r: np.ndarray, nu: float, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -169,10 +184,50 @@ def _matern(r: np.ndarray, nu: float, slope: bool = False) -> tuple[np.ndarray, 
     return shape, g
 
 
+def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Matern covariance at scaled differences (m, n, d), flushed below SQRT_TINY."""
+    k = params.signal_var * _matern(_norm(scaled), params.nu)[0]
+    k[k < SQRT_TINY] = 0.0
+    return k
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern cross-covariance between row sets `a` (m,d) and `b` (n,d)."""
-    _, r = _scaled_distance(a[:, None, :] - b[None, :, :], params)
-    return params.signal_var * _matern(r, params.nu)[0]
+    """Matern cross-covariance between row sets `a` (m,d) and `b` (n,d).
+
+    Entries below SQRT_TINY are 0.
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    return _covariance(diff / np.asarray(params.length_scales, dtype=float), params)
+
+
+class KernelLattice:
+    """Kernel columns over one fixed candidate matrix, from per-dimension tables.
+
+    A grid's rows take few distinct values per dimension (the levels), so
+    the scaled differences to a row are looked up instead of computed per
+    candidate: `column` fills a (d, V) table with (level - row_d) / l_d and
+    gathers it through a flat (m, d) index built once here. The gathered
+    differences are the ones kernel_matrix computes, and both pass them
+    through `_covariance`, so a column equals
+    kernel_matrix(candidates, row[None, :], params)[:, 0] bit for bit.
+    """
+
+    def __init__(self, candidates: np.ndarray):
+        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+        levels = [np.unique(candidates[:, k]) for k in range(candidates.shape[1])]
+        width = max(len(v) for v in levels)
+        # Short dimensions repeat their last level; the gather never reads it.
+        self._levels = np.array([np.pad(v, (0, width - len(v)), mode="edge") for v in levels])
+        self._index = np.stack(
+            [k * width + np.searchsorted(v, candidates[:, k]) for k, v in enumerate(levels)],
+            axis=1,
+        )
+
+    def column(self, row: np.ndarray, params: KernelParams) -> np.ndarray:
+        """kernel_matrix(candidates, row[None, :], params)[:, 0]."""
+        scale = np.asarray(params.length_scales, dtype=float)[:, None]
+        table = (self._levels - np.asarray(row, dtype=float)[:, None]) / scale
+        return _covariance(table.ravel()[self._index][:, None, :], params)[:, 0]
 
 
 def _chol_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -290,7 +345,9 @@ class TrainingSet:
     many hyperparameters; building this once keeps the conversion, the
     standardization and the pairwise row differences `diff` (n, n, d) out of
     every evaluation. kernel_matrix(x, x, .) subtracts the rows the same way
-    before it scales them, so a Gram built from `diff` has the same bits.
+    before it scales them, so a Gram built from `diff` has the same bits
+    wherever kernel_matrix's entry is at least SQRT_TINY; kernel_matrix sets
+    the smaller ones to 0, and the likelihood's Gram keeps them.
     """
 
     x: np.ndarray
@@ -335,6 +392,7 @@ def fit(
     w = np.empty((n, n + 1))
     w[:, :n] = chol_inv.T
     w[:, n] = alpha
+    w[np.abs(w) < SQRT_TINY] = 0.0
     return GpModel(
         params=params,
         noise_var=noise_var,

@@ -66,18 +66,37 @@ class AlgoParams:
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        for name in ("buffer_capacity", "subsample", "hyperopt_every", "probes_per_slot"):
+        for name in (
+            "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
+            "min_alive", "probes_per_slot", "grid_cap",
+        ):
             value = getattr(self, name)
             if not _whole(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.hedge_eta) and self.hedge_eta > 0.0):
-            raise ValueError(f"hedge_eta must be finite and > 0, got {self.hedge_eta}")
-        if not 0.0 < self.sw_step <= 1.0:
-            raise ValueError(f"sw_step must lie in (0, 1], got {self.sw_step}")
+        for name in ("rho", "hedge_eta"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("primal_tol", "noise_var", "kappa", "barrier_coef", "violation_penalty"):
+            value = getattr(self, name)
+            if name == "violation_penalty" and value is None:
+                continue
+            if not (_finite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not _finite(self.dual_init):
+            raise ValueError(f"dual_init must be finite, got {self.dual_init!r}")
+        for name in ("priority_decay", "sw_step"):
+            value = getattr(self, name)
+            if not (_finite(value) and 0.0 < value <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
 
 def _whole(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,33 @@ class TestCrossKernelCache:
         assert len(bo.archive) > bo.buffer.capacity  # rows were evicted
 
 
+def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
+    """Lattice columns are computed only for rows new to the cache."""
+    computed = []
+    original = baselines.KernelLattice.column
+
+    def counting(self, row, params):
+        computed.append((tuple(row.tolist()), params))
+        return original(self, row, params)
+
+    monkeypatch.setattr(baselines.KernelLattice, "column", counting)
+    grid = np.asarray(enumerate_joint_grid(3, 12), dtype=float)
+    bo = make_bo(grid, buffer_capacity=8, subsample=6, hyperopt_every=3)
+    weights = np.array([1.0, -0.5, 2.0])
+    reused = 0
+    for slot in range(30):
+        row = bo.suggest(payload_target)
+        bo.observe(row, float(row @ weights + np.sin(row.sum())), payload_target, slot)
+        if bo.gp is None:
+            continue
+        computed.clear()
+        bo._predict_candidates()
+        reused += len(computed) < bo.gp.x_train.shape[0]
+        assert len(set(computed)) == len(computed)
+        assert all(params == bo.gp.params for _, params in computed)
+    assert reused > 0
+
+
 class TestGboBaseline:
     def make(self, seed=2):
         return GboBaseline(

@@ -8,12 +8,15 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import check_grad
 
 from sliceorch import gp
+from sliceorch.agent import CandidateGrid
+from sliceorch.baselines import enumerate_joint_grid
 from sliceorch.core import PerfVector
 from sliceorch.errors import GpFitError
 from sliceorch.gp import (
     Experience,
     GpInput,
     GpModel,
+    KernelLattice,
     KernelParams,
     ReplayBuffer,
     TrainingSet,
@@ -416,6 +419,59 @@ class TestPredictProduct:
 
 def exp_at(svrb, slot=0):
     return Experience(GpInput(float(svrb), 0.0, 0.0), PerfVector(1.0, 1.0), slot)
+
+
+def log_uniform(rng, low, high, size=None):
+    return np.exp(rng.uniform(math.log(low), math.log(high), size=size))
+
+
+class TestLatticeColumns:
+    """KernelLattice's columns against kernel_matrix, bit for bit."""
+
+    GRIDS = [np.asarray(enumerate_joint_grid(k, 12), dtype=float) for k in range(1, 5)] + [
+        np.asarray(enumerate_joint_grid(5, 24), dtype=float),  # gbo's grid on scale/slices_5
+        CandidateGrid.for_capacity(12).points(),  # svRB x sw, sw on a 0.1 lattice
+    ]
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_equals_the_kernel_matrix_column(self, nu):
+        rng = np.random.default_rng(int(nu * 10) + 41)
+        for grid in self.GRIDS:
+            lattice = KernelLattice(grid)
+            d = grid.shape[1]
+            for case in range(12):
+                scales = log_uniform(rng, 1e-2, 1e3, size=d)
+                if case < 2:  # the search's bounds themselves
+                    scales = np.full(d, (1e-2, 1e3)[case])
+                params = KernelParams(
+                    tuple(float(v) for v in scales), float(log_uniform(rng, 1e-4, 1e4)), nu
+                )
+                row = grid[rng.integers(grid.shape[0])]
+                expected = kernel_matrix(grid, row[None, :], params)[:, 0]
+                assert np.array_equal(lattice.column(row, params), expected)
+
+
+class TestSubnormalFlush:
+    """At the 1e-2 length-scale bound no kernel entry or weight is subnormal."""
+
+    def test_fit_at_the_length_scale_bound(self):
+        rng = np.random.default_rng(9)
+        grid = np.asarray(enumerate_joint_grid(5, 24), dtype=float)
+        # Probes cluster as the search closes in: neighbours one svRB apart
+        # put second-order products of tiny kernel entries into w.
+        near = np.flatnonzero(np.abs(grid - 4.0).max(axis=1) <= 1.0)
+        far = np.setdiff1d(np.arange(grid.shape[0]), near)
+        x = grid[np.concatenate([rng.choice(near, 20, replace=False), rng.choice(far, 10, replace=False)])]
+        params = KernelParams((0.01,) * 5, 1.0, 2.5)
+        tiny = np.finfo(float).tiny
+        raw = gp._matern(gp._scaled_distance(grid[:, None, :] - x[None, :, :], params)[1], 2.5)[0]
+        assert np.any((raw > 0.0) & (raw < tiny))  # unflushed, the grid's kernel is subnormal
+        model = fit(x, rng.uniform(-5.0, 40.0, size=30), params, 1e-4)
+        k_star = kernel_matrix(grid, x, params)
+        for values in (np.abs(model.w), k_star):
+            assert not np.any((values > 0.0) & (values < gp.SQRT_TINY))
+        mu, sigma = model.predict(grid, k_star=k_star)
+        assert np.isfinite(mu).all() and np.isfinite(sigma).all()
 
 
 class TestReplayBuffer:

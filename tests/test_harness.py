@@ -390,6 +390,19 @@ class TestFailureContract:
             ("hyperopt_every", 0),
             ("hedge_eta", 0),
             ("sw_step", 0),
+            ("rho", -1.0),
+            ("primal_tol", -1.0),
+            ("max_iters", 0),
+            ("dual_init", float("nan")),
+            ("priority_decay", 0.0),
+            ("n_init", 0),
+            ("noise_var", -1.0),
+            ("kappa", -1.0),
+            ("barrier_coef", -1.0),
+            ("violation_penalty", -1.0),
+            ("min_alive", 0),
+            ("probes_per_slot", 0),
+            ("grid_cap", 0),
         ],
     )
     def test_degenerate_algo_param(self, name, value, tmp_path, capsys):

@@ -89,6 +89,25 @@ def test_trace_digest(scenario, algorithm, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario, algorithm)]
 
 
+# gbo on the 5-slice rung for 6 slots, with the seed of the first `joint`
+# benchmark cell of perfbench seed 2 (cell_seed(2, 0, 0)). 30 of its 90 GP
+# fits have a length scale below 0.02, next to the search's 1e-2 bound, where
+# kernel entries and posterior weights fall below sqrt(tiny) and are flushed
+# to 0. It holds the flushed posterior to the bits over three times as many
+# fits as the 2-slot gbo cell on this rung.
+BOUND_CELL = ("scale/slices_5.yaml", "gbo", 6, 1214313641)
+BOUND_CELL_DIGEST = "3d40705b4284db4195d6123b5c88bde39b70d59bc5deabc87d03ba6a1cc289fb"
+
+
+def test_joint_grid_cell_at_the_length_scale_bound(tmp_path):
+    scenario, algorithm, slots, seed = BOUND_CELL
+    base = load_scenario(SCENARIO_DIR / scenario)
+    cell = replace(base, algorithm=algorithm, slots=slots, seed=seed)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(cell), [s.slice_id for s in base.slices], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BOUND_CELL_DIGEST
+
+
 # Every slice leaves at slot 3 and two rejoin at slot 5, so slots 3 and 4 have
 # no active slice. adaslicing must still drop the consensus variables of the
 # departed slices on those slots: the rejoining pair restarts from the
