@@ -30,7 +30,7 @@ class SliceSpec:
             raise ValueError(f"q_fps must be finite and > 0, got {self.q_fps}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One slice's orchestrated resources: guaranteed svRBs plus sharing weight."""
 
@@ -44,7 +44,7 @@ class Action:
             raise ValueError(f"sw must lie in [0, 1], got {self.sw}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerfVector:
     """Delivered performance of one slice over one orchestration slot."""
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .core import PerfVector
 from .errors import GpFitError
@@ -35,6 +35,14 @@ _POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty
 # subnormal arithmetic about ten times slower. It happens once a length
 # scale nears its 1e-2 bound and neighbouring grid rows decorrelate.
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+# scipy.optimize.minimize(method="L-BFGS-B")'s defaults: memory (maxcor),
+# factr = ftol / eps, gtol, line-search steps and evaluation limit (maxfun).
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
 
 
 @dataclass(frozen=True)
@@ -434,6 +442,54 @@ def log_marginal_likelihood(
     return value, grad
 
 
+def _lbfgsb_minimize(
+    fun_and_grad, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, float]:
+    """Minimize over the box [lower, upper] with scipy's L-BFGS-B core, `setulb`.
+
+    Step for step what minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B",
+    bounds=..., options={"maxiter": max_iter}) does, without the function
+    wrapper and result objects it builds around the same core: the start is
+    clipped into the box and evaluated once, `setulb` is re-entered with the
+    values of the last point evaluated, a point is evaluated again only when
+    `setulb` asks at one that differs from it, and the search stops on the
+    max_iter-th new iterate. Returns minimize's res.x and res.fun.
+    """
+    m, n = _LBFGSB_M, x0.size
+    x = np.clip(x0, lower, upper)
+    x_seen = x.copy()
+    f_seen, g_seen = fun_and_grad(x_seen)
+    evaluations, iterations = 1, 0
+    nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        # setulb gets its own copy of g each call, as minimize's loop does.
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                       wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:  # FG: f and g wanted at x
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fun_and_grad(x_seen)
+                evaluations += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # NEW_X: an iteration finished
+            iterations += 1
+            if iterations >= max_iter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif evaluations > _LBFGSB_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, f
+
+
 def optimize_params(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -447,11 +503,13 @@ def optimize_params(
     Multi-start local search in log space: one start from the current
     hyperparameters, one from the reference (dimension-span) defaults.
     L-BFGS-B takes the likelihood's analytic gradient, so each step costs one
-    evaluation. Deterministic given the data.
+    evaluation. Deterministic given the data. When no evaluation succeeds,
+    `init` and `noise_var` come back unchanged.
     """
     data = TrainingSet.build(inputs, targets)
     d = data.x.shape[1]
     reference = reference or init
+    succeeded = False
 
     def pack(p: KernelParams, nv: float) -> np.ndarray:
         return np.log(np.array([*p.length_scales, p.signal_var, max(nv, 1e-8)]))
@@ -464,31 +522,23 @@ def optimize_params(
         )
 
     def negative_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal succeeded
         try:
             p, nv = unpack(theta)
             value, grad = log_marginal_likelihood(data, p, nv)
-            return -value, -grad
         except (GpFitError, FloatingPointError, ValueError):
             return 1e12, np.zeros(d + 2)
+        succeeded = True
+        return -value, -grad
 
-    bounds = [(math.log(1e-2), math.log(1e3))] * d + [
-        (math.log(1e-4), math.log(1e4)),
-        (math.log(1e-8), math.log(1e-1)),
-    ]
-    starts = [pack(init, noise_var), pack(reference, 1e-4)]
+    lower = np.array([math.log(1e-2)] * d + [math.log(1e-4), math.log(1e-8)])
+    upper = np.array([math.log(1e3)] * d + [math.log(1e4), math.log(1e-1)])
     best_theta, best_val = None, math.inf
-    for theta0 in starts:
-        res = minimize(
-            negative_lml,
-            np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": max_iter},
-        )
-        if res.fun < best_val:
-            best_theta, best_val = res.x, res.fun
-    if best_theta is None or not math.isfinite(best_val):
+    for theta0 in (pack(init, noise_var), pack(reference, 1e-4)):
+        theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, max_iter)
+        if value < best_val:
+            best_theta, best_val = theta, value
+    if not succeeded or best_theta is None or not math.isfinite(best_val):
         return init, noise_var
     return unpack(best_theta)
 

@@ -143,7 +143,7 @@ class Scenario:
         return peak
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
     """Emitted allocation and delivered performance of one slot."""
 

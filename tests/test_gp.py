@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import check_grad
+from scipy.optimize import check_grad, minimize
 
 from sliceorch import gp
 from sliceorch.agent import CandidateGrid
@@ -472,6 +472,73 @@ class TestSubnormalFlush:
             assert not np.any((values > 0.0) & (values < gp.SQRT_TINY))
         mu, sigma = model.predict(grid, k_star=k_star)
         assert np.isfinite(mu).all() and np.isfinite(sigma).all()
+
+
+class TestSearchDriver:
+    """gp's loop over L-BFGS-B's core against scipy.optimize.minimize, bit for bit."""
+
+    LOWER = (math.log(1e-2), math.log(1e-4), math.log(1e-8))
+    UPPER = (math.log(1e3), math.log(1e4), math.log(1e-1))
+
+    @staticmethod
+    def objective(data, nu, visited):
+        """The search's negative likelihood, recording every point it is asked at."""
+
+        def fun(theta):
+            visited.append(theta.tobytes())
+            try:
+                value, grad = log_marginal_likelihood(data, *unpack_theta(theta, nu))
+            except (GpFitError, FloatingPointError, ValueError):
+                return 1e12, np.zeros(theta.size)
+            return -value, -grad
+
+        return fun
+
+    def assert_same_search(self, data, nu, theta0, max_iter):
+        """Same result bits and the same evaluated points; returns minimize's result."""
+        d = data.x.shape[1]
+        lower = np.array([self.LOWER[0]] * d + list(self.LOWER[1:]))
+        upper = np.array([self.UPPER[0]] * d + list(self.UPPER[1:]))
+        ours, theirs = [], []
+        x, f = gp._lbfgsb_minimize(self.objective(data, nu, ours), theta0, lower, upper, max_iter)
+        res = minimize(
+            self.objective(data, nu, theirs), theta0, jac=True, method="L-BFGS-B",
+            bounds=list(zip(lower, upper)), options={"maxiter": max_iter},
+        )
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(f).tobytes() == np.float64(res.fun).tobytes()
+        assert ours == theirs and len(ours) == res.nfev
+        return res
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matches_minimize_on_random_problems(self, nu):
+        rng = np.random.default_rng(int(nu * 10) + 7)
+        iteration_stops = 0
+        for case in range(16):
+            n, d = int(rng.integers(2, 31)), int(rng.integers(1, 6))
+            x = rng.uniform(0.0, 12.0, size=(n, d)).round(1)
+            y = np.sin(x.sum(axis=1)) + 0.3 * rng.standard_normal(n)
+            theta0 = np.concatenate([rng.uniform(-6.0, 9.0, size=d), rng.uniform(-11.0, 11.0, size=2)])
+            if case % 4 == 0:  # every coordinate outside its bounds
+                theta0 = np.array([-7.0] * d + [11.0, 1.0])
+            max_iter = int(rng.integers(1, 16)) if case % 2 else 15
+            res = self.assert_same_search(TrainingSet.build(x, y), nu, theta0, max_iter)
+            iteration_stops += res.nit == max_iter and res.status == 1
+        assert iteration_stops > 0  # some runs stopped on max_iter, not on convergence
+
+    def test_matches_minimize_when_every_evaluation_fails(self):
+        data = TrainingSet.build(np.array([[0.0], [1.0], [2.0]]), [1.0, math.nan, 2.0])
+        res = self.assert_same_search(data, 2.5, np.array([0.5, 0.0, -4.0]), 15)
+        assert res.fun == 1e12
+
+
+class TestHyperoptFallback:
+    def test_failed_search_returns_init_unchanged(self):
+        # A NaN target makes every likelihood evaluation raise; init's length
+        # scale lies below the search's 1e-2 bound, so the clipped start differs.
+        init = KernelParams((5e-3,), 2.0, 2.5)
+        x = np.array([[0.0], [1.0], [2.0]])
+        assert optimize_params(x, [1.0, math.nan, 2.0], init, 1e-4) == (init, 1e-4)
 
 
 class TestReplayBuffer:
