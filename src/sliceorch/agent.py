@@ -22,13 +22,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .acquisition import (
-    DEFAULT_KAPPA,
     HedgeState,
     hedge_select,
     hedge_update,
     portfolio_nominate,
 )
-from .core import Action, CostParams, PerfVector, SliceSpec, slice_cost
+from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec, slice_cost
 from .gp import (
     Experience,
     GpInput,
@@ -51,8 +50,8 @@ class AgentContext:
     s: float  # aggregated sharing weight of the other slices
     spec: SliceSpec  # current SLA thresholds
     cost_params: CostParams
-    barrier_coef: float = 0.5
-    violation_penalty: float = 120.0
+    barrier_coef: float
+    violation_penalty: float
 
 
 def sla_margin(perf: PerfVector, spec: SliceSpec) -> float:
@@ -144,7 +143,8 @@ class PortfolioBo:
     the Hedge bandit over the acquisition portfolio, and a cursor into a
     deterministic space-filling design. A subclass owns its candidate space
     and objective; it calls `_nominate` to pick a probe and `_learn` to
-    ingest one. Every experience exposes `key()` and `row()`.
+    ingest one. Every experience exposes `key()` and `row()`. All settings
+    come from the scenario's `AlgoParams`.
     """
 
     def __init__(
@@ -152,28 +152,20 @@ class PortfolioBo:
         spans: Iterable[float],
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
-        buffer_capacity: int = 40,
-        priority_decay: float = 0.95,
-        subsample: int = 30,
-        n_init: int = 3,
-        noise_var: float = 1e-4,
-        hyperopt_every: int = 5,
-        hedge_eta: float = 1.0,
-        kappa: float = DEFAULT_KAPPA,
-        nu: float = 2.5,
+        algo: AlgoParams,
         design_offset: int = 0,
     ):
         self.rng = rng
-        self.hedge = HedgeState(eta=hedge_eta)
+        self.hedge = HedgeState(eta=algo.hedge_eta)
         self.hedge_rng = hedge_rng
-        self.buffer = ReplayBuffer(buffer_capacity, priority_decay)
-        self.subsample = subsample
-        self.n_init = n_init
-        self.noise_var = noise_var
-        self.hyperopt_every = hyperopt_every
-        self.kappa = kappa
-        self._default_scales = default_length_scales(spans)
-        self.params = KernelParams(self._default_scales, 1.0, nu)
+        self.buffer = ReplayBuffer(algo.buffer_capacity, algo.priority_decay)
+        self.subsample = algo.subsample
+        self.n_init = algo.n_init
+        self.noise_var = algo.noise_var
+        self.hyperopt_every = algo.hyperopt_every
+        self.kappa = algo.kappa
+        self._default_params = KernelParams(default_length_scales(spans))
+        self.params = self._default_params
         self.gp: GpModel | None = None
         self.fit_count = 0
         self._last_nominees: np.ndarray | None = None
@@ -222,7 +214,7 @@ class PortfolioBo:
                 y,
                 self.params,
                 self.noise_var,
-                reference=KernelParams(self._default_scales, 1.0, self.params.nu),
+                reference=self._default_params,
             )
         self.gp = fit(x, y, self.params, self.noise_var)
         if self._last_nominees is not None:
@@ -242,8 +234,9 @@ class SliceAgent(PortfolioBo):
         grid: CandidateGrid,
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
+        algo: AlgoParams,
         peers_sw_span: float = 2.0,
-        **bo_kwargs,
+        design_offset: int = 0,
     ):
         svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
         sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0
@@ -251,9 +244,8 @@ class SliceAgent(PortfolioBo):
         # agents, keeping their cold-start proposals distinct, so the joint
         # capacity clamp does not flatten every early probe onto the same
         # symmetric point.
-        super().__init__(
-            [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)], rng, hedge_rng, **bo_kwargs
-        )
+        spans = [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)]
+        super().__init__(spans, rng, hedge_rng, algo, design_offset)
         self.slice_id = slice_id
         self.grid = grid
         self.last_action: Action | None = None

@@ -6,9 +6,10 @@
 * exsearch - exhaustive sweep of the noise-free environment; picks the
   cheapest action meeting every SLA. Serves as the hard-isolation optimum.
 
-The Bayesian baselines share the optimizer core of the main agents
-(`agent.PortfolioBo`); only their objectives and candidate grids differ.
-Sharing weights are unused here: hard isolation has no pool to share.
+Both Bayesian baselines are `GridPortfolioBo`, which shares the optimizer
+core of the main agents (`agent.PortfolioBo`); only its objective and
+candidate grid differ. Sharing weights are unused here: hard isolation has
+no pool to share.
 """
 
 from __future__ import annotations
@@ -21,12 +22,47 @@ import numpy as np
 
 from .agent import PortfolioBo, _radical_inverse, barrier_value
 from .coordinator import clamp_capacity
-from .core import Action, CostParams, PerfVector, SliceSpec
+from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
 from .gp import KernelLattice, KernelParams
-from .gp import kernel_matrix  # noqa: F401  unused; tests/test_baselines.py patches this name
 from .netenv import EnvConfig, TrafficProfile, step
 from .vsharing import ground
+
+
+# -- candidate grids -----------------------------------------------------------
+
+
+def joint_grid_size(n_slices: int, capacity: int, min_alive: int = 1) -> int:
+    """Number of integer vectors with x_i >= min_alive and sum <= capacity."""
+    slack = capacity - n_slices * min_alive
+    if slack < 0:
+        return 0
+    return math.comb(slack + n_slices, n_slices)
+
+
+def enumerate_joint_grid(
+    n_slices: int, capacity: int, min_alive: int = 1, grid_cap: int = 10**6
+) -> list[tuple[int, ...]]:
+    """All joint svRB vectors within capacity, in lexicographic order."""
+    size = joint_grid_size(n_slices, capacity, min_alive)
+    if size > grid_cap:
+        raise GridCapExceededError(
+            f"joint grid has {size} actions, over the cap of {grid_cap}"
+        )
+
+    def rec(remaining: int, budget: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        reserve = (remaining - 1) * min_alive
+        for v in range(min_alive, budget - reserve + 1):
+            for tail in rec(remaining - 1, budget - v):
+                yield (v, *tail)
+
+    return list(rec(n_slices, capacity))
+
+
+# -- the grid optimizer (gbo and atlas) ------------------------------------------
 
 
 def _row_key(row: np.ndarray) -> tuple:
@@ -35,10 +71,11 @@ def _row_key(row: np.ndarray) -> tuple:
 
 @dataclass
 class GridExperience:
-    """One joint observation for a grid optimizer; payload stays raw."""
+    """One joint observation; the raw per-slice performance is kept so it
+    can be re-priced under whatever SLA thresholds hold later."""
 
     inputs: np.ndarray
-    payload: object
+    perfs: dict[str, PerfVector]
     slot: int
     priority: float = 1.0
 
@@ -50,10 +87,14 @@ class GridExperience:
 
 
 class GridPortfolioBo(PortfolioBo):
-    """Portfolio Bayesian optimizer over a fixed candidate matrix.
+    """Portfolio Bayesian optimizer over the joint hard-isolation allocation.
 
-    The owner supplies a target function at call time so stored observations
-    are re-priced under whatever SLA thresholds currently hold.
+    Candidates are every joint svRB vector of `slice_ids` within capacity.
+    Over one slice that grid is the svRB range itself, which makes this
+    atlas's per-slice optimizer as well as gbo's global one. An observation
+    is priced as u_h * sum(svRB) plus each slice's SLA barrier, under the
+    specs and prices passed with each call, so stored observations are
+    re-priced under whatever SLA thresholds currently hold.
 
     The archive backs two behaviors a discrete noise-limited sweep needs:
     the incumbent recommendation survives buffer eviction, and a nominee
@@ -75,14 +116,19 @@ class GridPortfolioBo(PortfolioBo):
 
     def __init__(
         self,
-        candidates: np.ndarray,
+        slice_ids: Sequence[str],
+        capacity: int,
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
-        **bo_kwargs,
+        algo: AlgoParams,
     ):
-        self.candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+        self.slice_ids = list(slice_ids)
+        self.candidates = np.asarray(
+            enumerate_joint_grid(len(self.slice_ids), capacity, algo.min_alive, algo.grid_cap),
+            dtype=float,
+        )
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
-        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, **bo_kwargs)
+        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo)
         self._lattice = KernelLattice(self.candidates)
         self._kernel_columns = np.empty(
             (self.candidates.shape[0], self.buffer.capacity), order="F"
@@ -134,144 +180,69 @@ class GridPortfolioBo(PortfolioBo):
                 return row
         return None
 
-    def suggest(self, target_fn: Callable[[GridExperience], float]) -> np.ndarray:
+    def _pricer(
+        self, specs: Mapping[str, SliceSpec], cost: CostParams,
+        barrier_coef: float, penalty: float,
+    ) -> Callable[[GridExperience], float]:
+        def price(exp: GridExperience) -> float:
+            barriers = sum(
+                barrier_value(exp.perfs[sid], specs[sid], barrier_coef, penalty)
+                for sid in self.slice_ids
+            )
+            return cost.u_h * float(exp.inputs.sum()) + barriers
+
+        return price
+
+    def _actions(self, row: np.ndarray) -> dict[str, Action]:
+        return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
+
+    def suggest(
+        self, specs: Mapping[str, SliceSpec], cost: CostParams,
+        barrier_coef: float, penalty: float,
+    ) -> dict[str, Action]:
         if not self._warm():
             self._last_nominees = None
             row = self._next_unexplored()
-            return row if row is not None else self.candidates[self._design_index()]
+            return self._actions(row if row is not None else self.candidates[self._design_index()])
         mu, sigma = self._predict_candidates()
-        best = min(target_fn(e) for e in self.archive.values())
+        price = self._pricer(specs, cost, barrier_coef, penalty)
+        best = min(price(e) for e in self.archive.values())
         chosen = self.candidates[self._nominate(mu, sigma, best, self.candidates)]
         if _row_key(chosen) in self.archive:
             fallback = self._next_unexplored()
             if fallback is not None:
-                return fallback
-        return chosen
-
-    def incumbent(self, target_fn: Callable[[GridExperience], float]) -> np.ndarray:
-        """Best row ever observed, re-priced under the current target.
-
-        Requires at least one observation; ties go to the lexicographically
-        smallest row.
-        """
-        if not self.archive:
-            raise ValueError("incumbent requested before any observation")
-        best = min(self.archive.values(), key=lambda e: (target_fn(e), e.key()))
-        return best.inputs.copy()
-
-    def observe(
-        self,
-        inputs: np.ndarray,
-        payload: object,
-        target_fn: Callable[[GridExperience], float],
-        slot: int,
-    ) -> None:
-        self._learn(GridExperience(np.asarray(inputs, dtype=float), payload, slot), target_fn)
-
-
-# -- candidate grids -----------------------------------------------------------
-
-
-def joint_grid_size(n_slices: int, capacity: int, min_alive: int = 1) -> int:
-    """Number of integer vectors with x_i >= min_alive and sum <= capacity."""
-    slack = capacity - n_slices * min_alive
-    if slack < 0:
-        return 0
-    return math.comb(slack + n_slices, n_slices)
-
-
-def enumerate_joint_grid(
-    n_slices: int, capacity: int, min_alive: int = 1, grid_cap: int = 10**6
-) -> list[tuple[int, ...]]:
-    """All joint svRB vectors within capacity, in lexicographic order."""
-    size = joint_grid_size(n_slices, capacity, min_alive)
-    if size > grid_cap:
-        raise GridCapExceededError(
-            f"joint grid has {size} actions, over the cap of {grid_cap}"
-        )
-
-    def rec(remaining: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        reserve = (remaining - 1) * min_alive
-        for v in range(min_alive, budget - reserve + 1):
-            for tail in rec(remaining - 1, budget - v):
-                yield (v, *tail)
-
-    return list(rec(n_slices, capacity))
-
-
-# -- global joint optimizer ------------------------------------------------------
-
-
-class GboBaseline:
-    """Single Bayesian optimizer over the joint hard-isolation allocation.
-
-    Over one slice the joint grid is the svRB range itself, which makes this
-    atlas's per-slice optimizer as well.
-    """
-
-    def __init__(
-        self,
-        slice_ids: Sequence[str],
-        capacity: int,
-        rng: np.random.Generator,
-        hedge_rng: np.random.Generator,
-        min_alive: int = 1,
-        grid_cap: int = 10**6,
-        **bo_kwargs,
-    ):
-        self.slice_ids = list(slice_ids)
-        grid = np.asarray(
-            enumerate_joint_grid(len(self.slice_ids), capacity, min_alive, grid_cap), dtype=float
-        )
-        self.bo = GridPortfolioBo(grid, rng, hedge_rng, **bo_kwargs)
-
-    def _target_fn(
-        self, specs: Mapping[str, SliceSpec], cost_params: CostParams,
-        barrier_coef: float, violation_penalty: float,
-    ) -> Callable[[GridExperience], float]:
-        def target(exp: GridExperience) -> float:
-            cost = cost_params.u_h * float(exp.inputs.sum())
-            perfs: Mapping[str, PerfVector] = exp.payload
-            penalty = sum(
-                barrier_value(perfs[sid], specs[sid], barrier_coef, violation_penalty)
-                for sid in self.slice_ids
-            )
-            return cost + penalty
-
-        return target
-
-    def suggest(
-        self, specs: Mapping[str, SliceSpec], cost_params: CostParams,
-        barrier_coef: float, violation_penalty: float,
-    ) -> dict[str, Action]:
-        row = self.bo.suggest(self._target_fn(specs, cost_params, barrier_coef, violation_penalty))
-        return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
+                return self._actions(fallback)
+        return self._actions(chosen)
 
     def incumbent(
-        self, specs: Mapping[str, SliceSpec], cost_params: CostParams,
-        barrier_coef: float, violation_penalty: float,
+        self, specs: Mapping[str, SliceSpec], cost: CostParams,
+        barrier_coef: float, penalty: float,
     ) -> dict[str, Action]:
-        """Best joint allocation observed so far (falls back to a suggestion)."""
-        target = self._target_fn(specs, cost_params, barrier_coef, violation_penalty)
-        row = self.bo.incumbent(target) if self.bo.archive else self.bo.suggest(target)
-        return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
+        """Best allocation ever observed, re-priced under the current specs.
+
+        Ties go to the lexicographically smallest row; with nothing observed
+        yet it is a suggestion.
+        """
+        if not self.archive:
+            return self.suggest(specs, cost, barrier_coef, penalty)
+        price = self._pricer(specs, cost, barrier_coef, penalty)
+        best = min(self.archive.values(), key=lambda e: (price(e), e.key()))
+        return self._actions(best.inputs)
 
     def observe(
         self,
         actions: Mapping[str, Action],
         perfs: Mapping[str, PerfVector],
         specs: Mapping[str, SliceSpec],
-        cost_params: CostParams,
+        cost: CostParams,
         barrier_coef: float,
-        violation_penalty: float,
+        penalty: float,
         slot: int,
     ) -> None:
         row = np.array([actions[sid].svrb for sid in self.slice_ids], dtype=float)
-        self.bo.observe(
-            row, dict(perfs), self._target_fn(specs, cost_params, barrier_coef, violation_penalty), slot
+        self._learn(
+            GridExperience(row, dict(perfs), slot),
+            self._pricer(specs, cost, barrier_coef, penalty),
         )
 
 

@@ -158,8 +158,8 @@ def orchestrate_slot(
     state: CoordinatorState,
     cost_params: CostParams,
     slot: int,
-    barrier_coef: float = 0.5,
-    violation_penalty: float | None = None,
+    barrier_coef: float,
+    violation_penalty: float,
     min_alive: int = 1,
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
@@ -182,8 +182,6 @@ def orchestrate_slot(
         raise InfeasibleCapacityError(
             f"{len(order)} slices at minimum {min_alive} svRBs exceed capacity {capacity}"
         )
-    if violation_penalty is None:
-        violation_penalty = 10.0 * cost_params.u_h * capacity
 
     def context(sid: str, s_value: float) -> AgentContext:
         return AgentContext(

@@ -1,4 +1,5 @@
-"""Shared vocabulary: slices, actions, delivered performance, and cost.
+"""Shared vocabulary: slices, actions, delivered performance, cost, and the
+algorithms' tunables.
 
 All types are immutable values; the operations on them are pure functions.
 """
@@ -6,6 +7,7 @@ All types are immutable values; the operations on them are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -66,6 +68,72 @@ class CostParams:
     def __post_init__(self) -> None:
         if not all(math.isfinite(u) and u >= 0.0 for u in (self.u_h, self.u_s)):
             raise ValueError(f"unit prices must be finite and >= 0, got ({self.u_h}, {self.u_s})")
+
+
+@dataclass(frozen=True)
+class AlgoParams:
+    """Tunables of the orchestration algorithms; defaults suit the bundled scenarios."""
+
+    rho: float = 2.0
+    primal_tol: float = 0.5
+    max_iters: int = 15
+    dual_init: float = -5.0
+    buffer_capacity: int = 40
+    priority_decay: float = 0.95
+    subsample: int = 30
+    n_init: int = 3
+    noise_var: float = 1e-4
+    hyperopt_every: int = 5
+    hedge_eta: float = 1.0
+    kappa: float = 1.96
+    # The log barrier turns into a bonus once the margin exceeds 1. Kept
+    # at 0.5 so that bonus stays worth less than one resource block and
+    # recommendations do not creep past the cheapest feasible allocation.
+    barrier_coef: float = 0.5
+    violation_penalty: float | None = None  # None: see `penalty`
+    sw_step: float = 0.1
+    min_alive: int = 1
+    probes_per_slot: int = 15  # baseline BO probe budget, parity with max_iters
+    grid_cap: int = 10**6
+
+    def __post_init__(self) -> None:
+        for name in (
+            "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
+            "min_alive", "probes_per_slot", "grid_cap",
+        ):
+            value = getattr(self, name)
+            if not _whole(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("rho", "hedge_eta"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("primal_tol", "noise_var", "kappa", "barrier_coef", "violation_penalty"):
+            value = getattr(self, name)
+            if name == "violation_penalty" and value is None:
+                continue
+            if not (_finite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not _finite(self.dual_init):
+            raise ValueError(f"dual_init must be finite, got {self.dual_init!r}")
+        for name in ("priority_decay", "sw_step"):
+            value = getattr(self, name)
+            if not (_finite(value) and 0.0 < value <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+
+    def penalty(self, cost: CostParams, capacity: int) -> float:
+        """The SLA violation penalty; unset, it is 10 * u_h * capacity."""
+        if self.violation_penalty is None:
+            return 10.0 * cost.u_h * capacity
+        return self.violation_penalty
+
+
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def slice_cost(action: Action, params: CostParams) -> float:

@@ -87,21 +87,21 @@ class ReplayBuffer:
     """Fixed-capacity buffer with age-decayed priorities.
 
     Every push decays all retained priorities by `decay` (one aging step per
-    arriving experience), inserts the newcomer at maximal priority, and evicts
-    the oldest entry once full. Re-observing an input already in the buffer
-    replaces the stale entry instead of appending a duplicate: repeats carry
-    no new information but would crowd out the diversity the surrogate needs.
+    arriving experience), inserts the newcomer at priority 1, and evicts the
+    oldest entry once full. Re-observing an input already in the buffer (same
+    `key()`) replaces the stale entry instead of appending a duplicate: repeats
+    carry no new information but would crowd out the diversity the surrogate
+    needs.
     Sampling is proportional to priority, without replacement.
     """
 
-    def __init__(self, capacity: int, decay: float = 0.95, max_priority: float = 1.0):
+    def __init__(self, capacity: int, decay: float = 0.95):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {decay}")
         self.capacity = capacity
         self.decay = decay
-        self.max_priority = max_priority
         self._items: deque = deque()
 
     def __len__(self) -> int:
@@ -115,15 +115,14 @@ class ReplayBuffer:
     def push(self, item) -> None:
         for old in self._items:
             old.priority *= self.decay
-        key = item.key() if hasattr(item, "key") else None
-        if key is not None:
-            for i, old in enumerate(self._items):
-                if hasattr(old, "key") and old.key() == key:
-                    del self._items[i]
-                    break
+        key = item.key()
+        for i, old in enumerate(self._items):
+            if old.key() == key:
+                del self._items[i]
+                break
         if len(self._items) == self.capacity:
             self._items.popleft()
-        item.priority = self.max_priority
+        item.priority = 1.0
         self._items.append(item)
 
     def sample(self, n: int, rng: np.random.Generator) -> list:

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -24,79 +23,28 @@ import yaml
 
 from .agent import CandidateGrid, SliceAgent
 from .baselines import (
-    GboBaseline,
+    GridPortfolioBo,
     OracleEntry,
     atlas_scale,
     exsearch_best,
     sweep_dataset,
 )
 from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, resize
-from .core import Action, CostParams, PerfVector, SliceSpec, normalized_performance, slice_cost
+from .core import (
+    Action,
+    AlgoParams,
+    CostParams,
+    PerfVector,
+    SliceSpec,
+    _whole,
+    normalized_performance,
+    slice_cost,
+)
 from .errors import ScenarioError
 from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, TrafficProfile, apply_events
 from .rng import substream
 
 ALGORITHMS = ("adaslicing", "gbo", "atlas", "exsearch")
-
-
-@dataclass(frozen=True)
-class AlgoParams:
-    """Tunables of the orchestration algorithms; defaults suit the bundled scenarios."""
-
-    rho: float = 2.0
-    primal_tol: float = 0.5
-    max_iters: int = 15
-    dual_init: float = -5.0
-    buffer_capacity: int = 40
-    priority_decay: float = 0.95
-    subsample: int = 30
-    n_init: int = 3
-    noise_var: float = 1e-4
-    hyperopt_every: int = 5
-    hedge_eta: float = 1.0
-    kappa: float = 1.96
-    # The log barrier turns into a bonus once the margin exceeds 1. Kept
-    # at 0.5 so that bonus stays worth less than one resource block and
-    # recommendations do not creep past the cheapest feasible allocation.
-    barrier_coef: float = 0.5
-    violation_penalty: float | None = None  # None: 10 * u_h * capacity
-    sw_step: float = 0.1
-    min_alive: int = 1
-    probes_per_slot: int = 15  # baseline BO probe budget, parity with max_iters
-    grid_cap: int = 10**6
-
-    def __post_init__(self) -> None:
-        for name in (
-            "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
-            "min_alive", "probes_per_slot", "grid_cap",
-        ):
-            value = getattr(self, name)
-            if not _whole(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("rho", "hedge_eta"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("primal_tol", "noise_var", "kappa", "barrier_coef", "violation_penalty"):
-            value = getattr(self, name)
-            if name == "violation_penalty" and value is None:
-                continue
-            if not (_finite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not _finite(self.dual_init):
-            raise ValueError(f"dual_init must be finite, got {self.dual_init!r}")
-        for name in ("priority_decay", "sw_step"):
-            value = getattr(self, name)
-            if not (_finite(value) and 0.0 < value <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-
-
-def _whole(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -315,17 +263,6 @@ def _make_record(
     )
 
 
-_BO_PARAMS = (
-    "buffer_capacity", "priority_decay", "subsample", "n_init",
-    "noise_var", "hyperopt_every", "hedge_eta", "kappa",
-)
-
-
-def _bo_kwargs(p: AlgoParams) -> dict:
-    """The AlgoParams fields that configure every Bayesian optimizer."""
-    return {name: getattr(p, name) for name in _BO_PARAMS}
-
-
 # A policy is built once per run from the scenario and its environment, then
 # called on every slot with the slot number and the active slices (possibly
 # none). It keeps its own state across slots and returns the slot's committed
@@ -340,6 +277,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
         rho=p.rho, primal_tol=p.primal_tol, max_iters=p.max_iters, dual_init=p.dual_init
     )
     grid = CandidateGrid.for_capacity(scenario.env.capacity_h, p.min_alive, p.sw_step)
+    penalty = p.penalty(scenario.cost, scenario.env.capacity_h)
     peers_span = max(1.0, float(len(scenario.slices) - 1))
     design_offsets = {s.slice_id: i for i, s in enumerate(scenario.slices)}
     agents: dict[str, SliceAgent] = {}
@@ -355,9 +293,9 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
                     grid,
                     substream(scenario.seed, f"agent:{sid}"),
                     substream(scenario.seed, f"hedge:{sid}"),
+                    p,
                     peers_sw_span=peers_span,
                     design_offset=design_offsets[sid],
-                    **_bo_kwargs(p),
                 )
         if not active:  # an empty slot still retires the departed slices above
             return SlotOutcome()
@@ -368,8 +306,8 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
             state,
             scenario.cost,
             slot,
-            barrier_coef=p.barrier_coef,
-            violation_penalty=p.violation_penalty,  # None: the coordinator's default
+            p.barrier_coef,
+            penalty,
             min_alive=p.min_alive,
         )
 
@@ -379,7 +317,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
 def _bayesian(
     scenario: Scenario,
     env: RanEnvironment,
-    optimizers: Callable[[int, list[SliceSpec]], list[GboBaseline]],
+    optimizers: Callable[[int, list[SliceSpec]], list[GridPortfolioBo]],
 ) -> Policy:
     """Hard-isolation BO probing: `optimizers` gives the slot's optimizers.
 
@@ -389,9 +327,7 @@ def _bayesian(
     """
     p = scenario.algo
     capacity = scenario.env.capacity_h
-    penalty = p.violation_penalty
-    if penalty is None:  # the coordinator's default
-        penalty = 10.0 * scenario.cost.u_h * capacity
+    penalty = p.penalty(scenario.cost, capacity)
 
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
         if not active:
@@ -400,7 +336,7 @@ def _bayesian(
         order = [s.slice_id for s in active]
         args = ({s.slice_id: s for s in active}, scenario.cost, p.barrier_coef, penalty)
 
-        def probe(propose: Callable[[GboBaseline], dict[str, Action]]) -> SlotOutcome:
+        def probe(propose: Callable[[GridPortfolioBo], dict[str, Action]]) -> SlotOutcome:
             proposals = {sid: a.svrb for bo in bos for sid, a in propose(bo).items()}
             applied = atlas_scale(proposals, order, capacity, p.min_alive)
             actions = {sid: Action(applied[sid], 0.0) for sid in order}
@@ -418,33 +354,30 @@ def _bayesian(
     return decide
 
 
-def _gbo_baseline(
+def _grid_bo(
     scenario: Scenario, ids: Sequence[str], stream: str, tag: int | str
-) -> GboBaseline:
-    """A GboBaseline over `ids`, drawing from the `stream` substreams of `tag`."""
-    p = scenario.algo
-    return GboBaseline(
+) -> GridPortfolioBo:
+    """A grid optimizer over `ids`, drawing from the `stream` substreams of `tag`."""
+    return GridPortfolioBo(
         ids,
         scenario.env.capacity_h,
         substream(scenario.seed, f"{stream}:{tag}"),
         substream(scenario.seed, f"{stream}-hedge:{tag}"),
-        min_alive=p.min_alive,
-        grid_cap=p.grid_cap,
-        **_bo_kwargs(p),
+        scenario.algo,
     )
 
 
 def _gbo(scenario: Scenario, env: RanEnvironment) -> Policy:
     """One optimizer over the joint allocation of the active slices."""
-    current: dict[tuple[str, ...], GboBaseline] = {}
+    current: dict[tuple[str, ...], GridPortfolioBo] = {}
 
-    def optimizers(slot: int, active: list[SliceSpec]) -> list[GboBaseline]:
+    def optimizers(slot: int, active: list[SliceSpec]) -> list[GridPortfolioBo]:
         ids = tuple(s.slice_id for s in active)
         if ids not in current:
             # A global optimizer has a fixed joint input space; population
             # changes force a rebuild from scratch.
             current.clear()
-            current[ids] = _gbo_baseline(scenario, ids, "gbo", slot)
+            current[ids] = _grid_bo(scenario, ids, "gbo", slot)
         return [current[ids]]
 
     return _bayesian(scenario, env, optimizers)
@@ -452,12 +385,12 @@ def _gbo(scenario: Scenario, env: RanEnvironment) -> Policy:
 
 def _atlas(scenario: Scenario, env: RanEnvironment) -> Policy:
     """One single-slice gbo per slice, each oblivious to the others."""
-    agents: dict[str, GboBaseline] = {}
+    agents: dict[str, GridPortfolioBo] = {}
 
-    def optimizers(slot: int, active: list[SliceSpec]) -> list[GboBaseline]:
+    def optimizers(slot: int, active: list[SliceSpec]) -> list[GridPortfolioBo]:
         for s in active:
             if s.slice_id not in agents:
-                agents[s.slice_id] = _gbo_baseline(scenario, [s.slice_id], "atlas", s.slice_id)
+                agents[s.slice_id] = _grid_bo(scenario, [s.slice_id], "atlas", s.slice_id)
         return [agents[s.slice_id] for s in active]
 
     return _bayesian(scenario, env, optimizers)

@@ -15,7 +15,7 @@ from sliceorch.agent import (
     scalarize,
     sla_margin,
 )
-from sliceorch.core import Action, CostParams, PerfVector, SliceSpec
+from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from sliceorch.gp import Experience, GpInput
 from sliceorch.netenv import TrafficProfile
 from sliceorch.rng import substream
@@ -34,10 +34,11 @@ def make_ctx(z=4.0, y=0.0, rho=2.0, s=0.0, coef=0.5, penalty=120.0, spec=SPEC):
     )
 
 
-def make_agent(**kwargs):
+def make_agent(design_offset=0, **algo):
     grid = CandidateGrid.for_capacity(12)
     return SliceAgent(
-        "s1", grid, substream(1, "agent:s1"), substream(1, "hedge:s1"), **kwargs
+        "s1", grid, substream(1, "agent:s1"), substream(1, "hedge:s1"), AlgoParams(**algo),
+        design_offset=design_offset,
     )
 
 

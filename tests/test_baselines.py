@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sliceorch import baselines
 from sliceorch.baselines import (
-    GboBaseline,
     GridPortfolioBo,
     OracleEntry,
     atlas_scale,
@@ -16,7 +15,7 @@ from sliceorch.baselines import (
     joint_grid_size,
     sweep_dataset,
 )
-from sliceorch.core import Action, CostParams, PerfVector, SliceSpec
+from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from sliceorch.errors import (
     GridCapExceededError,
     InfeasibleCapacityError,
@@ -58,75 +57,10 @@ class TestJointGrid:
             enumerate_joint_grid(3, 12, grid_cap=100)
 
 
-def make_bo(candidates, seed=3, **kwargs):
+def make_bo(ids=("a",), capacity=8, seed=3, **algo):
     return GridPortfolioBo(
-        np.asarray(candidates, dtype=float),
-        substream(seed, "bo"),
-        substream(seed, "bo-hedge"),
-        **kwargs,
+        list(ids), capacity, substream(seed, "bo"), substream(seed, "bo-hedge"), AlgoParams(**algo)
     )
-
-
-def payload_target(exp):
-    return float(exp.payload)
-
-
-def row_sum_target(exp):
-    return float(exp.inputs.sum())
-
-
-class TestGridPortfolioBo:
-    def test_cold_start_explores_fresh_rows(self):
-        bo = make_bo([[float(i)] for i in range(8)])
-        seen = set()
-        for slot in range(4):
-            row = bo.suggest(payload_target)
-            key = tuple(row.tolist())
-            assert key not in seen
-            seen.add(key)
-            bo.observe(row, 1.0, payload_target, slot)
-        assert bo.gp is not None
-
-    def test_reobservation_replaces_the_archive_entry(self):
-        bo = make_bo([[0.0], [1.0]])
-        row = np.array([1.0])
-        bo.observe(row, 5.0, payload_target, slot=0)
-        bo.observe(row, 2.0, payload_target, slot=4)
-        assert len(bo.archive) == 1
-        entry = next(iter(bo.archive.values()))
-        assert entry.payload == 2.0
-        assert entry.slot == 4
-
-    def test_exhausted_grid_still_suggests(self):
-        bo = make_bo([[0.0], [1.0], [2.0]], n_init=1)
-        for slot, v in enumerate([0.0, 1.0, 2.0]):
-            bo.observe(np.array([v]), v, payload_target, slot)
-        row = bo.suggest(payload_target)
-        assert tuple(row.tolist()) in bo.archive
-
-    def test_incumbent_requires_an_observation(self):
-        bo = make_bo([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            bo.incumbent(payload_target)
-
-    def test_incumbent_follows_the_current_target(self):
-        bo = make_bo([[1.0], [2.0]])
-        bo.observe(np.array([1.0]), 10.0, payload_target, 0)
-        bo.observe(np.array([2.0]), 1.0, payload_target, 1)
-        assert bo.incumbent(payload_target)[0] == 2.0
-        assert bo.incumbent(row_sum_target)[0] == 1.0
-
-    def test_suggestions_are_seed_stable(self):
-        grid = [[float(i), float(i % 3)] for i in range(10)]
-        rng = np.random.default_rng(11)
-        rows_a, rows_b = [], []
-        for rows, seed in [(rows_a, 5), (rows_b, 5)]:
-            bo = make_bo(grid, seed=seed)
-            for slot in range(6):
-                row = bo.suggest(row_sum_target)
-                rows.append(tuple(row.tolist()))
-                bo.observe(row, float(rng.uniform()), row_sum_target, slot)
-        assert rows_a == rows_b
 
 
 GOOD = PerfVector(20.0, 20.0)
@@ -135,33 +69,86 @@ EASY = {
     "a": SliceSpec("a", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
     "b": SliceSpec("b", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
 }
+ARGS = (EASY, CostParams(), 0.5, 120.0)
+
+
+class TestGridPortfolioBo:
+    def test_cold_start_explores_fresh_rows(self):
+        bo = make_bo()
+        seen = set()
+        for slot in range(4):
+            actions = bo.suggest(*ARGS)
+            assert actions["a"].svrb not in seen
+            seen.add(actions["a"].svrb)
+            bo.observe(actions, {"a": GOOD}, *ARGS, slot)
+        assert bo.gp is not None
+
+    def test_reobservation_replaces_the_archive_entry(self):
+        bo = make_bo(capacity=2)
+        actions = {"a": Action(1, 0.0)}
+        bo.observe(actions, {"a": BAD}, *ARGS, slot=0)
+        bo.observe(actions, {"a": GOOD}, *ARGS, slot=4)
+        assert len(bo.archive) == 1
+        entry = next(iter(bo.archive.values()))
+        assert entry.perfs == {"a": GOOD}
+        assert entry.slot == 4
+
+    def test_exhausted_grid_still_suggests(self):
+        bo = make_bo(capacity=3, n_init=1)
+        for slot, v in enumerate([1, 2, 3]):
+            bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, *ARGS, slot)
+        actions = bo.suggest(*ARGS)
+        assert (float(actions["a"].svrb),) in bo.archive
+
+    def test_incumbent_follows_the_current_target(self):
+        bo = make_bo(capacity=2)
+        bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, *ARGS, 0)
+        bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *ARGS, 1)
+        assert bo.incumbent(*ARGS)["a"].svrb == 2
+        # priced dear enough and without a violation penalty, the cheap row wins
+        assert bo.incumbent(EASY, CostParams(u_h=100.0), 0.5, 0.0)["a"].svrb == 1
+
+    def test_suggestions_are_seed_stable(self):
+        runs = []
+        for _ in range(2):
+            bo = make_bo(("a", "b"), 6, seed=5)
+            rng = np.random.default_rng(11)
+            rows = []
+            for slot in range(6):
+                actions = bo.suggest(*ARGS)
+                rows.append((actions["a"].svrb, actions["b"].svrb))
+                perfs = {sid: PerfVector(*rng.uniform(0.0, 3.0, 2)) for sid in "ab"}
+                bo.observe(actions, perfs, *ARGS, slot)
+            runs.append(rows)
+        assert runs[0] == runs[1]
+
+
+THREE = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abc"}
+THREE_ARGS = (THREE, CostParams(), 0.5, 120.0)
+
+
+def varied_perfs(actions):
+    """Performance that varies smoothly with the allocation, SLA met or not."""
+    total = sum(a.svrb for a in actions.values())
+    return {
+        sid: PerfVector(w * actions[sid].svrb + 1.0 + np.sin(total), 1.0 + w * actions[sid].svrb)
+        for sid, w in zip("abc", (1.0, 0.5, 2.0))
+    }
 
 
 class TestCrossKernelCache:
-    def test_cached_prediction_equals_plain_predict(self, monkeypatch):
+    def test_cached_prediction_equals_plain_predict(self):
         """Bit-identical across hyperparameter searches and buffer evictions."""
-        columns_computed = []
-        original = baselines.kernel_matrix
-
-        def counting(a, b, params):
-            columns_computed.append(b.shape[0])
-            return original(a, b, params)
-
-        monkeypatch.setattr(baselines, "kernel_matrix", counting)
-        grid = np.asarray(enumerate_joint_grid(3, 12), dtype=float)
-        bo = make_bo(grid, buffer_capacity=8, subsample=6, hyperopt_every=3)
-        weights = np.array([1.0, -0.5, 2.0])
-        searches = reused = 0
+        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        searches = 0
         for slot in range(30):
-            row = bo.suggest(payload_target)
+            actions = bo.suggest(*THREE_ARGS)
             params = bo.params
-            bo.observe(row, float(row @ weights + np.sin(row.sum())), payload_target, slot)
+            bo.observe(actions, varied_perfs(actions), *THREE_ARGS, slot)
             if bo.gp is None:
                 continue
             searches += bo.params != params
-            columns_computed.clear()
             mu, sigma = bo._predict_candidates()
-            reused += sum(columns_computed) < bo.gp.x_train.shape[0]
             mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
             assert np.array_equal(mu, mu_ref)
             assert np.array_equal(sigma, sigma_ref)
@@ -169,7 +156,6 @@ class TestCrossKernelCache:
             assert set(bo._columns) <= buffered
             assert len(bo._columns) <= len(bo.buffer)
         assert searches > 0
-        assert reused > 0
         assert len(bo.archive) > bo.buffer.capacity  # rows were evicted
 
 
@@ -183,13 +169,11 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
         return original(self, row, params)
 
     monkeypatch.setattr(baselines.KernelLattice, "column", counting)
-    grid = np.asarray(enumerate_joint_grid(3, 12), dtype=float)
-    bo = make_bo(grid, buffer_capacity=8, subsample=6, hyperopt_every=3)
-    weights = np.array([1.0, -0.5, 2.0])
+    bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
     reused = 0
     for slot in range(30):
-        row = bo.suggest(payload_target)
-        bo.observe(row, float(row @ weights + np.sin(row.sum())), payload_target, slot)
+        actions = bo.suggest(*THREE_ARGS)
+        bo.observe(actions, varied_perfs(actions), *THREE_ARGS, slot)
         if bo.gp is None:
             continue
         computed.clear()
@@ -201,66 +185,67 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
 
 
 class TestGboBaseline:
+    """gbo's optimizer: one GridPortfolioBo over the joint allocation."""
+
     def make(self, seed=2):
-        return GboBaseline(
-            ["a", "b"], 6, substream(seed, "gbo"), substream(seed, "gbo-hedge")
+        return GridPortfolioBo(
+            ["a", "b"], 6, substream(seed, "gbo"), substream(seed, "gbo-hedge"), AlgoParams()
         )
 
     def test_suggestions_live_on_the_joint_grid(self):
         gbo = self.make()
-        actions = gbo.suggest(EASY, CostParams(), 0.5, 120.0)
+        actions = gbo.suggest(*ARGS)
         assert set(actions) == {"a", "b"}
         assert sum(a.svrb for a in actions.values()) <= 6
         assert all(a.sw == 0.0 for a in actions.values())
 
     def test_incumbent_prefers_cheap_feasible_rows(self):
         gbo = self.make()
-        args = (EASY, CostParams(), 0.5, 120.0)
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *args, slot=0)
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, *args, slot=1)
-        incumbent = gbo.incumbent(*args)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=0)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=1)
+        incumbent = gbo.incumbent(*ARGS)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 1, "b": 1}
 
     def test_incumbent_avoids_violations(self):
         gbo = self.make()
-        args = (EASY, CostParams(), 0.5, 120.0)
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, *args, slot=0)
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *args, slot=1)
-        incumbent = gbo.incumbent(*args)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, *ARGS, slot=0)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=1)
+        incumbent = gbo.incumbent(*ARGS)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 3, "b": 3}
 
     def test_incumbent_without_data_falls_back_to_a_suggestion(self):
         gbo = self.make()
-        actions = gbo.incumbent(EASY, CostParams(), 0.5, 120.0)
+        actions = gbo.incumbent(*ARGS)
         assert sum(a.svrb for a in actions.values()) <= 6
 
 
 class TestAtlasAgent:
-    """atlas's per-slice optimizer: a GboBaseline over one slice."""
+    """atlas's per-slice optimizer: a GridPortfolioBo over one slice."""
 
     def make(self, seed=2):
-        return GboBaseline(["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"))
+        return GridPortfolioBo(
+            ["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"), AlgoParams()
+        )
 
     def test_suggestions_stay_in_range(self):
         agent = self.make()
-        np.testing.assert_array_equal(agent.bo.candidates, np.arange(1, 9, dtype=float)[:, None])
-        actions = agent.suggest(EASY, CostParams(), 0.5, 120.0)
+        np.testing.assert_array_equal(agent.candidates, np.arange(1, 9, dtype=float)[:, None])
+        actions = agent.suggest(*ARGS)
         assert set(actions) == {"a"}
         assert 1 <= actions["a"].svrb <= 8
 
     def test_incumbent_reprices_on_spec(self):
         agent = self.make()
-        args = (EASY, CostParams(), 0.5, 120.0)
-        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *args, slot=0)
-        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, *args, slot=1)
-        assert agent.incumbent(*args)["a"].svrb == 2
+        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *ARGS, slot=0)
+        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, *ARGS, slot=1)
+        assert agent.incumbent(*ARGS)["a"].svrb == 2
         strict = {"a": SliceSpec("a", 30.0, 30.0, TrafficProfile(30.0, 0.5))}
         # both observations violate the stricter SLA equally; cost breaks the tie
         assert agent.incumbent(strict, CostParams(), 0.5, 120.0)["a"].svrb == 2
 
     def test_incumbent_without_data_falls_back(self):
         agent = self.make()
-        assert 1 <= agent.incumbent(EASY, CostParams(), 0.5, 120.0)["a"].svrb <= 8
+        assert 1 <= agent.incumbent(*ARGS)["a"].svrb <= 8
 
 
 class TestAtlasScale:

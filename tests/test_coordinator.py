@@ -17,7 +17,7 @@ from sliceorch.coordinator import (
     resize,
     spread_capacity,
 )
-from sliceorch.core import CostParams, SliceSpec
+from sliceorch.core import AlgoParams, CostParams, SliceSpec
 from sliceorch.errors import InfeasibleCapacityError
 from sliceorch.netenv import EnvConfig, RanEnvironment, TrafficProfile
 from sliceorch.rng import substream
@@ -220,6 +220,7 @@ def make_fixture(seed=1, capacity=12):
             grid,
             substream(seed, f"agent:{s.slice_id}"),
             substream(seed, f"hedge:{s.slice_id}"),
+            AlgoParams(),
             design_offset=i,
         )
         for i, s in enumerate(specs)
@@ -229,10 +230,16 @@ def make_fixture(seed=1, capacity=12):
     return agents, env, specs, state
 
 
+def slot_args(slot, capacity=12):
+    """orchestrate_slot's arguments after `state`, at the scenario defaults."""
+    algo, cost = AlgoParams(), CostParams()
+    return cost, slot, algo.barrier_coef, algo.penalty(cost, capacity)
+
+
 class TestOrchestrateSlot:
     def test_live_slot_emits_a_valid_allocation(self):
         agents, env, specs, state = make_fixture()
-        outcome = orchestrate_slot(agents, env, specs, state, CostParams(), 0)
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
         assert isinstance(outcome, SlotOutcome)
         assert set(outcome.actions) == {"s1", "s2", "s3"}
         assert sum(a.svrb for a in outcome.actions.values()) <= 12
@@ -244,12 +251,12 @@ class TestOrchestrateSlot:
     def test_capacity_holds_across_slots(self):
         agents, env, specs, state = make_fixture()
         for slot in range(3):
-            outcome = orchestrate_slot(agents, env, specs, state, CostParams(), slot)
+            outcome = orchestrate_slot(agents, env, specs, state, *slot_args(slot))
             assert sum(a.svrb for a in outcome.actions.values()) <= 12
 
     def test_consensus_reanchors_on_the_emission(self):
         agents, env, specs, state = make_fixture()
-        outcome = orchestrate_slot(agents, env, specs, state, CostParams(), 0)
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
         assert set(state.z) == set(outcome.actions)
         total_z = sum(state.z.values())
         assert total_z <= 12.0 + 1e-9
@@ -258,7 +265,7 @@ class TestOrchestrateSlot:
         agents, env, specs, state = make_fixture()
         with pytest.raises(InfeasibleCapacityError):
             orchestrate_slot(
-                agents, env, specs, state, CostParams(), 0, min_alive=5
+                agents, env, specs, state, *slot_args(0), min_alive=5
             )
 
     def test_inactive_slices_are_skipped(self):
@@ -269,5 +276,5 @@ class TestOrchestrateSlot:
             SliceSpec("s3", 12.0, 10.0, TrafficProfile(32.0, 0.45), active=False),
         ]
         resize(state, joined=[], left=["s3"])
-        outcome = orchestrate_slot(agents, env, specs, state, CostParams(), 0)
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
         assert set(outcome.actions) == {"s1", "s2"}

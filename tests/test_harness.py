@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from sliceorch.agent import PortfolioBo, SliceAgent
+from sliceorch.baselines import GridPortfolioBo
 from sliceorch.cli import main
+from sliceorch.core import CostParams
 from sliceorch.errors import ScenarioError
 from sliceorch.harness import (
     AlgoParams,
@@ -132,6 +135,36 @@ class TestAlgoParams:
     def test_rejects_empty_probe_budget(self):
         with pytest.raises(ValueError, match="probes_per_slot"):
             AlgoParams(probes_per_slot=0)
+
+    def test_penalty_defaults_to_ten_capacities_of_svrb(self):
+        assert AlgoParams().penalty(CostParams(u_h=2.0), 12) == 240.0
+        assert AlgoParams(violation_penalty=7.0).penalty(CostParams(u_h=2.0), 12) == 7.0
+
+    @pytest.mark.parametrize(
+        "algorithm, kind, count",
+        [("adaslicing", SliceAgent, 2), ("gbo", GridPortfolioBo, 1), ("atlas", GridPortfolioBo, 2)],
+    )
+    def test_scenario_settings_reach_every_optimizer(self, algorithm, kind, count, monkeypatch):
+        built = []
+        original = PortfolioBo.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(PortfolioBo, "__init__", recording)
+        settings = {
+            "buffer_capacity": 7, "subsample": 4, "n_init": 2, "hedge_eta": 0.3, "kappa": 0.7,
+        }
+        run(scenario_from_dict(base_dict(algorithm=algorithm, slots=2, algo_params=settings)))
+        assert len(built) == count
+        for bo in built:
+            assert type(bo) is kind
+            assert bo.buffer.capacity == 7
+            assert bo.subsample == 4
+            assert bo.n_init == 2
+            assert bo.hedge.eta == 0.3
+            assert bo.kappa == 0.7
 
 
 class TestDigest:
