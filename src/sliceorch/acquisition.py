@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-DEFAULT_KAPPA = 1.96
 PORTFOLIO = ("ei", "pi", "lcb")
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -57,13 +56,13 @@ def pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     return _ei_pi(mu, sigma, best)[1]
 
 
-def lcb(mu: np.ndarray, sigma: np.ndarray, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
+def lcb(mu: np.ndarray, sigma: np.ndarray, kappa: float) -> np.ndarray:
     """Lower confidence bound; smaller is more promising."""
     return np.asarray(mu, dtype=float) - kappa * np.asarray(sigma, dtype=float)
 
 
 def portfolio_nominate(
-    mu: np.ndarray, sigma: np.ndarray, best: float, kappa: float = DEFAULT_KAPPA
+    mu: np.ndarray, sigma: np.ndarray, best: float, kappa: float
 ) -> np.ndarray:
     """Each acquisition's favorite candidate index, in PORTFOLIO order.
 
@@ -79,8 +78,8 @@ def portfolio_nominate(
 class HedgeState:
     """Cumulative gains and softmax temperature of the acquisition bandit."""
 
+    eta: float
     gains: np.ndarray = field(default_factory=lambda: np.zeros(len(PORTFOLIO)))
-    eta: float = 1.0
 
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=float)

@@ -27,7 +27,7 @@ from .acquisition import (
     hedge_update,
     portfolio_nominate,
 )
-from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec, slice_cost
+from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .gp import (
     Experience,
     GpInput,
@@ -49,9 +49,6 @@ class AgentContext:
     rho: float  # proximal weight
     s: float  # aggregated sharing weight of the other slices
     spec: SliceSpec  # current SLA thresholds
-    cost_params: CostParams
-    barrier_coef: float
-    violation_penalty: float
 
 
 def sla_margin(perf: PerfVector, spec: SliceSpec) -> float:
@@ -86,15 +83,6 @@ def proximal_term(svrb: float, ctx: AgentContext) -> float:
     return 0.5 * ctx.rho * (svrb - ctx.z + ctx.y) ** 2
 
 
-def scalarize(action: Action, perf: PerfVector, ctx: AgentContext) -> float:
-    """Full per-slice objective: cost + consensus proximal + SLA barrier."""
-    return (
-        slice_cost(action, ctx.cost_params)
-        + proximal_term(action.svrb, ctx)
-        + barrier_value(perf, ctx.spec, ctx.barrier_coef, ctx.violation_penalty)
-    )
-
-
 @dataclass(frozen=True)
 class CandidateGrid:
     """Discrete action space: integer svRBs times a sharing-weight lattice."""
@@ -103,7 +91,7 @@ class CandidateGrid:
     sw_values: tuple[float, ...]
 
     @classmethod
-    def for_capacity(cls, capacity_h: int, min_alive: int = 1, sw_step: float = 0.1) -> "CandidateGrid":
+    def for_capacity(cls, capacity_h: int, min_alive: int, sw_step: float) -> "CandidateGrid":
         svrbs = tuple(range(min_alive, capacity_h + 1))
         n_steps = int(round(1.0 / sw_step))
         sws = tuple(round(i * sw_step, 10) for i in range(n_steps + 1))
@@ -144,7 +132,9 @@ class PortfolioBo:
     deterministic space-filling design. A subclass owns its candidate space
     and objective; it calls `_nominate` to pick a probe and `_learn` to
     ingest one. Every experience exposes `key()` and `row()`. All settings
-    come from the scenario's `AlgoParams`.
+    come from the scenario's `AlgoParams`; the run's prices, the barrier
+    coefficient and the resolved SLA violation penalty are fixed at
+    construction, so the objective is priced the same way on every call.
     """
 
     def __init__(
@@ -153,8 +143,13 @@ class PortfolioBo:
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
+        cost: CostParams,
+        penalty: float,
         design_offset: int = 0,
     ):
+        self.cost = cost
+        self.barrier_coef = algo.barrier_coef
+        self.penalty = penalty
         self.rng = rng
         self.hedge = HedgeState(eta=algo.hedge_eta)
         self.hedge_rng = hedge_rng
@@ -235,6 +230,8 @@ class SliceAgent(PortfolioBo):
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
+        cost: CostParams,
+        penalty: float,
         peers_sw_span: float = 2.0,
         design_offset: int = 0,
     ):
@@ -245,7 +242,7 @@ class SliceAgent(PortfolioBo):
         # capacity clamp does not flatten every early probe onto the same
         # symmetric point.
         spans = [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)]
-        super().__init__(spans, rng, hedge_rng, algo, design_offset)
+        super().__init__(spans, rng, hedge_rng, algo, cost, penalty, design_offset)
         self.slice_id = slice_id
         self.grid = grid
         self.last_action: Action | None = None
@@ -254,8 +251,8 @@ class SliceAgent(PortfolioBo):
 
     def _target(self, exp: Experience, ctx: AgentContext) -> float:
         """Cost + barrier for a stored experience, priced at current thresholds."""
-        cost = ctx.cost_params.u_h * exp.input.svrb + ctx.cost_params.u_s * exp.input.sw
-        return cost + barrier_value(exp.observed, ctx.spec, ctx.barrier_coef, ctx.violation_penalty)
+        cost = self.cost.u_h * exp.input.svrb + self.cost.u_s * exp.input.sw
+        return cost + barrier_value(exp.observed, ctx.spec, self.barrier_coef, self.penalty)
 
     def _incumbent(self, ctx: AgentContext) -> float:
         """Best full objective over everything observed, under the current context."""

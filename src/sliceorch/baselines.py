@@ -32,7 +32,7 @@ from .vsharing import ground
 # -- candidate grids -----------------------------------------------------------
 
 
-def joint_grid_size(n_slices: int, capacity: int, min_alive: int = 1) -> int:
+def joint_grid_size(n_slices: int, capacity: int, min_alive: int) -> int:
     """Number of integer vectors with x_i >= min_alive and sum <= capacity."""
     slack = capacity - n_slices * min_alive
     if slack < 0:
@@ -41,7 +41,7 @@ def joint_grid_size(n_slices: int, capacity: int, min_alive: int = 1) -> int:
 
 
 def enumerate_joint_grid(
-    n_slices: int, capacity: int, min_alive: int = 1, grid_cap: int = 10**6
+    n_slices: int, capacity: int, min_alive: int, grid_cap: int
 ) -> list[tuple[int, ...]]:
     """All joint svRB vectors within capacity, in lexicographic order."""
     size = joint_grid_size(n_slices, capacity, min_alive)
@@ -92,9 +92,10 @@ class GridPortfolioBo(PortfolioBo):
     Candidates are every joint svRB vector of `slice_ids` within capacity.
     Over one slice that grid is the svRB range itself, which makes this
     atlas's per-slice optimizer as well as gbo's global one. An observation
-    is priced as u_h * sum(svRB) plus each slice's SLA barrier, under the
-    specs and prices passed with each call, so stored observations are
-    re-priced under whatever SLA thresholds currently hold.
+    is priced as u_h * sum(svRB) plus each slice's SLA barrier, at the
+    prices fixed at construction and under the specs passed with each call,
+    so stored observations are re-priced under whatever SLA thresholds
+    currently hold.
 
     The archive backs two behaviors a discrete noise-limited sweep needs:
     the incumbent recommendation survives buffer eviction, and a nominee
@@ -121,6 +122,8 @@ class GridPortfolioBo(PortfolioBo):
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
+        cost: CostParams,
+        penalty: float,
     ):
         self.slice_ids = list(slice_ids)
         self.candidates = np.asarray(
@@ -128,7 +131,7 @@ class GridPortfolioBo(PortfolioBo):
             dtype=float,
         )
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
-        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo)
+        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, penalty)
         self._lattice = KernelLattice(self.candidates)
         self._kernel_columns = np.empty(
             (self.candidates.shape[0], self.buffer.capacity), order="F"
@@ -180,32 +183,26 @@ class GridPortfolioBo(PortfolioBo):
                 return row
         return None
 
-    def _pricer(
-        self, specs: Mapping[str, SliceSpec], cost: CostParams,
-        barrier_coef: float, penalty: float,
-    ) -> Callable[[GridExperience], float]:
+    def _pricer(self, specs: Mapping[str, SliceSpec]) -> Callable[[GridExperience], float]:
         def price(exp: GridExperience) -> float:
             barriers = sum(
-                barrier_value(exp.perfs[sid], specs[sid], barrier_coef, penalty)
+                barrier_value(exp.perfs[sid], specs[sid], self.barrier_coef, self.penalty)
                 for sid in self.slice_ids
             )
-            return cost.u_h * float(exp.inputs.sum()) + barriers
+            return self.cost.u_h * float(exp.inputs.sum()) + barriers
 
         return price
 
     def _actions(self, row: np.ndarray) -> dict[str, Action]:
         return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
 
-    def suggest(
-        self, specs: Mapping[str, SliceSpec], cost: CostParams,
-        barrier_coef: float, penalty: float,
-    ) -> dict[str, Action]:
+    def suggest(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:
         if not self._warm():
             self._last_nominees = None
             row = self._next_unexplored()
             return self._actions(row if row is not None else self.candidates[self._design_index()])
         mu, sigma = self._predict_candidates()
-        price = self._pricer(specs, cost, barrier_coef, penalty)
+        price = self._pricer(specs)
         best = min(price(e) for e in self.archive.values())
         chosen = self.candidates[self._nominate(mu, sigma, best, self.candidates)]
         if _row_key(chosen) in self.archive:
@@ -214,18 +211,15 @@ class GridPortfolioBo(PortfolioBo):
                 return self._actions(fallback)
         return self._actions(chosen)
 
-    def incumbent(
-        self, specs: Mapping[str, SliceSpec], cost: CostParams,
-        barrier_coef: float, penalty: float,
-    ) -> dict[str, Action]:
+    def incumbent(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:
         """Best allocation ever observed, re-priced under the current specs.
 
         Ties go to the lexicographically smallest row; with nothing observed
         yet it is a suggestion.
         """
         if not self.archive:
-            return self.suggest(specs, cost, barrier_coef, penalty)
-        price = self._pricer(specs, cost, barrier_coef, penalty)
+            return self.suggest(specs)
+        price = self._pricer(specs)
         best = min(self.archive.values(), key=lambda e: (price(e), e.key()))
         return self._actions(best.inputs)
 
@@ -234,23 +228,17 @@ class GridPortfolioBo(PortfolioBo):
         actions: Mapping[str, Action],
         perfs: Mapping[str, PerfVector],
         specs: Mapping[str, SliceSpec],
-        cost: CostParams,
-        barrier_coef: float,
-        penalty: float,
         slot: int,
     ) -> None:
         row = np.array([actions[sid].svrb for sid in self.slice_ids], dtype=float)
-        self._learn(
-            GridExperience(row, dict(perfs), slot),
-            self._pricer(specs, cost, barrier_coef, penalty),
-        )
+        self._learn(GridExperience(row, dict(perfs), slot), self._pricer(specs))
 
 
 # -- proportional rescale (atlas) --------------------------------------------------
 
 
 def atlas_scale(
-    proposals: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int = 1
+    proposals: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int
 ) -> dict[str, int]:
     """Proportionally rescale over-capacity proposals to fit the budget.
 
@@ -281,8 +269,8 @@ class OracleEntry:
 def sweep_dataset(
     specs: Sequence[SliceSpec],
     config: EnvConfig,
-    min_alive: int = 1,
-    grid_cap: int = 10**6,
+    min_alive: int,
+    grid_cap: int,
 ) -> list[OracleEntry]:
     """Evaluate every joint action on the noise-free hard-isolation environment."""
     active = [s for s in specs if s.active]

@@ -27,10 +27,10 @@ from .netenv import RanEnvironment
 class CoordinatorState:
     """Consensus variables and loop settings, persisted across slots."""
 
-    rho: float = 2.0
-    primal_tol: float = 0.5
-    max_iters: int = 15
-    dual_init: float = -5.0
+    rho: float
+    primal_tol: float
+    max_iters: int
+    dual_init: float
     z: dict[str, float] = field(default_factory=dict)
     y: dict[str, float] = field(default_factory=dict)
 
@@ -59,7 +59,7 @@ def dual_update(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def clamp_capacity(
-    svrbs: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int = 1
+    svrbs: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int
 ) -> dict[str, int]:
     """Deterministically shrink a joint allocation until sum <= capacity.
 
@@ -82,7 +82,7 @@ def clamp_capacity(
 
 
 def spread_capacity(
-    svrbs: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int = 1
+    svrbs: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int
 ) -> dict[str, int]:
     """Fit over-capacity proposals by shifting every slice down equally.
 
@@ -158,9 +158,7 @@ def orchestrate_slot(
     state: CoordinatorState,
     cost_params: CostParams,
     slot: int,
-    barrier_coef: float,
-    violation_penalty: float,
-    min_alive: int = 1,
+    min_alive: int,
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
 
@@ -190,9 +188,6 @@ def orchestrate_slot(
             rho=state.rho,
             s=s_value,
             spec=spec_by_id[sid],
-            cost_params=cost_params,
-            barrier_coef=barrier_coef,
-            violation_penalty=violation_penalty,
         )
 
     def peers_sw(weights: Mapping[str, float], sid: str) -> float:
@@ -250,12 +245,11 @@ def orchestrate_slot(
     # Emission: record each agent's recommendation, not the last exploratory
     # probe. The emitted action is observed like any probe, and the consensus
     # state re-anchors on it so the next slot's proximal term pulls the
-    # negotiation toward the recommendation.
-    recommended: dict[str, Action] = {}
-    for sid in order:
-        ctx = context(sid, peers_sw(last_w, sid))
-        agent = agents[sid]
-        recommended[sid] = agent.recommend(ctx) if agent.archive else agent.suggest(ctx)
+    # negotiation toward the recommendation. Every agent observed at least
+    # once above, so each has an archive to recommend from.
+    recommended = {
+        sid: agents[sid].recommend(context(sid, peers_sw(last_w, sid))) for sid in order
+    }
     actions, perfs = probe(recommended, clamp_capacity)
     residual = settle({sid: actions[sid].svrb for sid in order})
     return SlotOutcome(actions, perfs, iterations, residual, trace)

@@ -1,6 +1,6 @@
 """Gaussian-process surrogate and priority replay buffer for the slice agents.
 
-Exact GP regression with a Matern kernel over anisotropic (per-dimension)
+Exact GP regression with a Matern 5/2 kernel over anisotropic (per-dimension)
 length scales, zero prior mean over standardized targets. The training window
 comes from a small replay buffer whose priorities decay with age, so the
 surrogate tracks a drifting environment instead of averaging over history.
@@ -95,7 +95,7 @@ class ReplayBuffer:
     Sampling is proportional to priority, without replacement.
     """
 
-    def __init__(self, capacity: int, decay: float = 0.95):
+    def __init__(self, capacity: int, decay: float):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if not 0.0 < decay <= 1.0:
@@ -139,19 +139,16 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Matern kernel hyperparameters with one length scale per input dimension."""
+    """Matern 5/2 kernel hyperparameters with one length scale per input dimension."""
 
     length_scales: tuple[float, ...]
     signal_var: float = 1.0
-    nu: float = 2.5
 
     def __post_init__(self) -> None:
         if any(l <= 0.0 for l in self.length_scales):
             raise ValueError(f"length scales must be > 0, got {self.length_scales}")
         if self.signal_var <= 0.0:
             raise ValueError(f"signal_var must be > 0, got {self.signal_var}")
-        if self.nu not in (0.5, 1.5, 2.5):
-            raise ValueError(f"nu must be one of 0.5, 1.5, 2.5, got {self.nu}")
 
 
 def _norm(scaled: np.ndarray) -> np.ndarray:
@@ -169,31 +166,21 @@ def _scaled_distance(diff: np.ndarray, params: KernelParams) -> tuple[np.ndarray
     return scaled, _norm(scaled)
 
 
-def _matern(r: np.ndarray, nu: float, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unit-variance Matern shape k(r), and with `slope` also g(r) = -k'(r) / r.
+def _matern(r: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unit-variance Matern 5/2 shape k(r), and with `slope` also g(r) = -k'(r) / r.
 
     g is what the likelihood gradient needs: d k / d log l_k = g(r) (diff_k / l_k)^2.
-    At nu = 0.5 it diverges at r = 0, where every diff_k is 0; it is taken as 0 there.
     """
-    if nu == 0.5:
-        shape = np.exp(-r)
-        g = np.divide(shape, r, out=np.zeros_like(r), where=r > 0.0) if slope else None
-    elif nu == 1.5:
-        t = math.sqrt(3.0) * r
-        decay = np.exp(-t)
-        shape = (1.0 + t) * decay
-        g = 3.0 * decay if slope else None
-    else:
-        t = math.sqrt(5.0) * r
-        decay = np.exp(-t)
-        shape = (1.0 + t + t * t / 3.0) * decay
-        g = (5.0 / 3.0) * (1.0 + t) * decay if slope else None
+    t = math.sqrt(5.0) * r
+    decay = np.exp(-t)
+    shape = (1.0 + t + t * t / 3.0) * decay
+    g = (5.0 / 3.0) * (1.0 + t) * decay if slope else None
     return shape, g
 
 
 def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
     """Matern covariance at scaled differences (m, n, d), flushed below SQRT_TINY."""
-    k = params.signal_var * _matern(_norm(scaled), params.nu)[0]
+    k = params.signal_var * _matern(_norm(scaled))[0]
     k[k < SQRT_TINY] = 0.0
     return k
 
@@ -389,13 +376,13 @@ def fit(
         )
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    data = TrainingSet.build(x, y)
-    chol, jitter = _chol_with_jitter(_noisy_gram(data.x, params, noise_var))
-    alpha = _cho_solve(chol, data.y_std)
+    y_std, y_mean, y_scale = _standardize(y)
+    chol, jitter = _chol_with_jitter(_noisy_gram(x, params, noise_var))
+    alpha = _cho_solve(chol, y_std)
     chol_inv, info = _TRTRI(chol, lower=1)
     if info != 0:
         raise GpFitError(f"inverting the Cholesky factor failed (trtri info {info})")
-    n = data.x.shape[0]
+    n = x.shape[0]
     w = np.empty((n, n + 1))
     w[:, :n] = chol_inv.T
     w[:, n] = alpha
@@ -403,9 +390,9 @@ def fit(
     return GpModel(
         params=params,
         noise_var=noise_var,
-        x_train=data.x,
-        y_mean=data.y_mean,
-        y_scale=data.y_scale,
+        x_train=x,
+        y_mean=y_mean,
+        y_scale=y_scale,
         chol=chol,
         w=w,
         jitter=jitter,
@@ -424,7 +411,7 @@ def log_marginal_likelihood(
     constant, so it adds nothing to dK.
     """
     scaled, r = _scaled_distance(data.diff, params)
-    shape, slope = _matern(r, params.nu, slope=True)
+    shape, slope = _matern(r, slope=True)
     n = data.x.shape[0]
     gram = params.signal_var * shape
     gram.flat[:: n + 1] += noise_var
@@ -516,7 +503,7 @@ def optimize_params(
     def unpack(theta: np.ndarray) -> tuple[KernelParams, float]:
         vals = np.exp(theta)
         return (
-            KernelParams(tuple(float(v) for v in vals[:d]), float(vals[d]), init.nu),
+            KernelParams(tuple(float(v) for v in vals[:d]), float(vals[d])),
             float(vals[d + 1]),
         )
 

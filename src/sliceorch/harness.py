@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -75,6 +75,10 @@ class Scenario:
             raise ScenarioError("slices: at least one slice is required")
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"slices: duplicate slice_id in {ids}")
+        for i, ev in enumerate(self.events):
+            if ev.slice_id not in ids:
+                raise ScenarioError(f"events[{i}].slice_id: unknown slice {ev.slice_id!r}")
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.slot)))
         need = self.algo.min_alive * self._peak_population()
         if need > self.env.capacity_h:
             raise ScenarioError(
@@ -108,122 +112,72 @@ class SlotRecord:
 
 # -- scenario i/o ---------------------------------------------------------------
 
+# A scenario file holds one mapping per dataclass, keyed by its field names,
+# and a field left out takes its dataclass default. What differs by field:
+_FILE_KEYS = {"app_profile": "profile", "algo": "algo_params"}  # field -> file key
+_FILE_REQUIRED = {"app_profile"}  # optional in code, required in a file
+_SECTIONS = {
+    "env": EnvConfig, "cost": CostParams, "app_profile": TrafficProfile, "algo": AlgoParams,
+}
+_LISTS = {"slices": SliceSpec, "events": DynamicsEvent}
+_COERCE = {"name": str, "algorithm": str, "slice_id": str, "active": bool}
 
-def _require(mapping: Mapping, key: str, where: str):
-    if key not in mapping:
-        raise ScenarioError(f"{where}.{key}: missing required field")
-    return mapping[key]
 
-
-def _build(where: str, cls, **kwargs):
-    """cls(**kwargs), reporting a rejected value under its field path."""
+def _build(where: str, cls, raw):
+    """cls from one mapping of a scenario file, reporting problems by field path."""
+    if not isinstance(raw, Mapping):
+        raise ScenarioError(f"{where}: expected a mapping, got {type(raw).__name__}")
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    for key in raw:
+        if key not in by_key:
+            raise ScenarioError(f"{where}.{key}: unknown field")
+    kwargs = {}
+    for key, f in by_key.items():
+        if key not in raw:
+            if f.name in _FILE_REQUIRED or (f.default is MISSING and f.default_factory is MISSING):
+                raise ScenarioError(f"{where}.{key}: missing required field")
+            continue
+        path = key if cls is Scenario else f"{where}.{key}"  # `env`, not `scenario.env`
+        value = raw[key]
+        if f.name in _SECTIONS:  # a null section or list reads as empty
+            value = _build(path, _SECTIONS[f.name], {} if value is None else value)
+        elif f.name in _LISTS:
+            value = _build_each(path, _LISTS[f.name], [] if value is None else value)
+        elif f.name in _COERCE:
+            value = _COERCE[f.name](value)
+        kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _build_each(where: str, cls, raw) -> tuple:
+    """One cls per entry of a scenario-file list."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list, got {type(raw).__name__}")
+    return tuple(_build(f"{where}[{i}]", cls, item) for i, item in enumerate(raw))
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Build and validate a Scenario, reporting errors with field paths."""
-    if not isinstance(data, Mapping):
-        raise ScenarioError("scenario: expected a mapping at the top level")
+    return _build("scenario", Scenario, data)
 
-    env_raw = _require(data, "env", "scenario")
-    env = _build(
-        "env",
-        EnvConfig,
-        capacity_h=_require(env_raw, "capacity_h", "env"),
-        per_vrb_rate=env_raw.get("per_vrb_rate", 2.1),
-        noise_std=env_raw.get("noise_std", 0.03),
-        isolation_mode=env_raw.get("isolation_mode", "soft"),
-    )
-    cost_raw = data.get("cost", {})
-    cost = _build("cost", CostParams, u_h=cost_raw.get("u_h", 1.0), u_s=cost_raw.get("u_s", 1.0))
 
-    slices = []
-    for i, raw in enumerate(_require(data, "slices", "scenario")):
-        where = f"slices[{i}]"
-        profile_raw = _require(raw, "profile", where)
-        profile = _build(
-            f"{where}.profile",
-            TrafficProfile,
-            frame_rate=_require(profile_raw, "frame_rate", f"{where}.profile"),
-            frame_size=_require(profile_raw, "frame_size", f"{where}.profile"),
-            burstiness=profile_raw.get("burstiness", 0.0),
-        )
-        slices.append(
-            _build(
-                where,
-                SliceSpec,
-                slice_id=str(_require(raw, "slice_id", where)),
-                q_throughput=_require(raw, "q_throughput", where),
-                q_fps=_require(raw, "q_fps", where),
-                app_profile=profile,
-                active=bool(raw.get("active", True)),
-            )
-        )
-
-    known_ids = {s.slice_id for s in slices}
-    events = []
-    for i, raw in enumerate(data.get("events", []) or []):
-        where = f"events[{i}]"
-        ev = _build(
-            where,
-            DynamicsEvent,
-            slot=_require(raw, "slot", where),
-            kind=_require(raw, "kind", where),
-            slice_id=str(_require(raw, "slice_id", where)),
-            q_throughput=raw.get("q_throughput"),
-            q_fps=raw.get("q_fps"),
-        )
-        if ev.slice_id not in known_ids:
-            raise ScenarioError(f"{where}.slice_id: unknown slice {ev.slice_id!r}")
-        events.append(ev)
-    events.sort(key=lambda e: e.slot)
-
-    algo_raw = data.get("algo_params", {}) or {}
-    known_fields = {f.name for f in fields(AlgoParams)}
-    for key in algo_raw:
-        if key not in known_fields:
-            raise ScenarioError(f"algo_params.{key}: unknown parameter")
-
-    return _build(
-        "scenario",
-        Scenario,
-        name=str(_require(data, "name", "scenario")),
-        seed=_require(data, "seed", "scenario"),
-        slots=_require(data, "slots", "scenario"),
-        algorithm=str(_require(data, "algorithm", "scenario")),
-        env=env,
-        slices=tuple(slices),
-        events=tuple(events),
-        cost=cost,
-        algo=_build("algo_params", AlgoParams, **algo_raw),
-    )
+def _to_dict(value):
+    """The scenario-file form of a value: dataclasses as mappings, tuples as lists."""
+    if is_dataclass(value):
+        return {
+            _FILE_KEYS.get(f.name, f.name): _to_dict(getattr(value, f.name)) for f in fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_to_dict(v) for v in value]
+    return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form, stable for hashing and round-trips."""
-    return {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "slots": scenario.slots,
-        "algorithm": scenario.algorithm,
-        "env": asdict(scenario.env),
-        "cost": asdict(scenario.cost),
-        "slices": [
-            {
-                "slice_id": s.slice_id,
-                "q_throughput": s.q_throughput,
-                "q_fps": s.q_fps,
-                "active": s.active,
-                "profile": asdict(s.app_profile) if s.app_profile else None,
-            }
-            for s in scenario.slices
-        ],
-        "events": [asdict(e) for e in scenario.events],
-        "algo_params": asdict(scenario.algo),
-    }
+    return _to_dict(scenario)
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -294,6 +248,8 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
                     substream(scenario.seed, f"agent:{sid}"),
                     substream(scenario.seed, f"hedge:{sid}"),
                     p,
+                    scenario.cost,
+                    penalty,
                     peers_sw_span=peers_span,
                     design_offset=design_offsets[sid],
                 )
@@ -306,9 +262,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
             state,
             scenario.cost,
             slot,
-            p.barrier_coef,
-            penalty,
-            min_alive=p.min_alive,
+            p.min_alive,
         )
 
     return decide
@@ -327,14 +281,13 @@ def _bayesian(
     """
     p = scenario.algo
     capacity = scenario.env.capacity_h
-    penalty = p.penalty(scenario.cost, capacity)
 
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
         if not active:
             return SlotOutcome()
         bos = optimizers(slot, active)
         order = [s.slice_id for s in active]
-        args = ({s.slice_id: s for s in active}, scenario.cost, p.barrier_coef, penalty)
+        specs = {s.slice_id: s for s in active}
 
         def probe(propose: Callable[[GridPortfolioBo], dict[str, Action]]) -> SlotOutcome:
             proposals = {sid: a.svrb for bo in bos for sid, a in propose(bo).items()}
@@ -342,14 +295,14 @@ def _bayesian(
             actions = {sid: Action(applied[sid], 0.0) for sid in order}
             perfs = env.step(actions, active)
             for bo in bos:
-                bo.observe(actions, perfs, *args, slot)
+                bo.observe(actions, perfs, specs, slot)
             return SlotOutcome(actions, perfs)
 
         for _ in range(p.probes_per_slot - 1):
-            probe(lambda bo: bo.suggest(*args))
+            probe(lambda bo: bo.suggest(specs))
         # The slot's recorded allocation is the recommendation, not the last
         # exploratory probe.
-        return probe(lambda bo: bo.incumbent(*args))
+        return probe(lambda bo: bo.incumbent(specs))
 
     return decide
 
@@ -358,12 +311,15 @@ def _grid_bo(
     scenario: Scenario, ids: Sequence[str], stream: str, tag: int | str
 ) -> GridPortfolioBo:
     """A grid optimizer over `ids`, drawing from the `stream` substreams of `tag`."""
+    capacity = scenario.env.capacity_h
     return GridPortfolioBo(
         ids,
-        scenario.env.capacity_h,
+        capacity,
         substream(scenario.seed, f"{stream}:{tag}"),
         substream(scenario.seed, f"{stream}-hedge:{tag}"),
         scenario.algo,
+        scenario.cost,
+        scenario.algo.penalty(scenario.cost, capacity),
     )
 
 

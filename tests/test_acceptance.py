@@ -24,7 +24,7 @@ from sliceorch.acquisition import (
 )
 from sliceorch.baselines import exsearch_best, sweep_dataset
 from sliceorch.coordinator import project_consensus
-from sliceorch.core import Action, CostParams, slice_cost, total_cost
+from sliceorch.core import Action, AlgoParams, CostParams, slice_cost, total_cost
 from sliceorch.gp import KernelParams, fit, kernel_matrix
 from sliceorch.harness import (
     Scenario,
@@ -138,7 +138,6 @@ def test_criterion_4_gp_matches_dense_solves():
         params = KernelParams(
             tuple(rng.uniform(0.5, 3.0, d)),
             float(rng.uniform(0.5, 4.0)),
-            float(rng.choice([0.5, 1.5, 2.5])),
         )
         noise_var = float(rng.uniform(1e-6, 1e-2))
         queries = rng.uniform(-3.0, 3.0, (7, d))
@@ -153,7 +152,7 @@ def test_criterion_4_gp_matches_dense_solves():
     # posterior uncertainty can never exceed the prior's
     x = np.linspace(-3.0, 3.0, 6)[:, None]
     y = np.sin(x[:, 0])
-    params = KernelParams((1.0,), 2.0, 2.5)
+    params = KernelParams((1.0,), 2.0)
     model = fit(x, y, params, 1e-4)
     _, sigma = model.predict(np.linspace(-5.0, 5.0, 100)[:, None])
     shrinks = bool(np.all(sigma**2 <= model.prior_var + 1e-12))
@@ -180,12 +179,12 @@ def test_criterion_5_acquisition_identities():
         for kappa in (0.0, 0.5, 1.96, 3.0)
     )
 
-    state = HedgeState()
+    state = HedgeState(eta=AlgoParams().hedge_eta)
     sums_ok = True
     for _ in range(50):
         hedge_update(state, rng.normal(size=3))
         sums_ok = sums_ok and abs(hedge_probabilities(state).sum() - 1.0) <= 1e-12
-    concentrated = HedgeState()
+    concentrated = HedgeState(eta=AlgoParams().hedge_eta)
     rounds = 0
     while hedge_probabilities(concentrated)[0] <= 0.99 and rounds < 200:
         hedge_update(concentrated, np.array([1.0, 0.0, 0.0]))
@@ -205,7 +204,9 @@ def test_criterion_6_converges_to_the_exhaustive_optimum():
     started = time.perf_counter()
     scenario = load_scenario(SCENARIO_DIR / "default.yaml")
     ids = [s.slice_id for s in scenario.slices]
-    dataset = sweep_dataset(scenario.slices, scenario.env)
+    dataset = sweep_dataset(
+        scenario.slices, scenario.env, scenario.algo.min_alive, scenario.algo.grid_cap
+    )
     optimum = scenario.cost.u_h * sum(exsearch_best(dataset, scenario.slices, scenario.cost).svrbs)
 
     seeds = range(10)

@@ -12,7 +12,6 @@ from sliceorch.agent import (
     barrier_value,
     design_point,
     proximal_term,
-    scalarize,
     sla_margin,
 )
 from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
@@ -21,24 +20,23 @@ from sliceorch.netenv import TrafficProfile
 from sliceorch.rng import substream
 
 
+ALGO = AlgoParams()
 SPEC = SliceSpec("s1", 12.0, 10.0, TrafficProfile(30.0, 0.5))
 
 GOOD = PerfVector(12.8, 25.6)  # margin 0.8 against SPEC
 BAD = PerfVector(9.6, 19.2)  # margin -2.4 against SPEC
 
 
-def make_ctx(z=4.0, y=0.0, rho=2.0, s=0.0, coef=0.5, penalty=120.0, spec=SPEC):
-    return AgentContext(
-        z=z, y=y, rho=rho, s=s, spec=spec, cost_params=CostParams(),
-        barrier_coef=coef, violation_penalty=penalty,
-    )
+def make_ctx(z=4.0, y=0.0, rho=2.0, s=0.0, spec=SPEC):
+    return AgentContext(z=z, y=y, rho=rho, s=s, spec=spec)
 
 
 def make_agent(design_offset=0, **algo):
-    grid = CandidateGrid.for_capacity(12)
+    params = AlgoParams(**algo)
+    grid = CandidateGrid.for_capacity(12, params.min_alive, params.sw_step)
     return SliceAgent(
-        "s1", grid, substream(1, "agent:s1"), substream(1, "hedge:s1"), AlgoParams(**algo),
-        design_offset=design_offset,
+        "s1", grid, substream(1, "agent:s1"), substream(1, "hedge:s1"), params,
+        CostParams(), params.penalty(CostParams(), 12), design_offset=design_offset,
     )
 
 
@@ -67,39 +65,41 @@ class TestObjective:
         ctx = make_ctx(z=4.0, y=1.0, rho=2.0)
         assert proximal_term(6.0, ctx) == pytest.approx(0.5 * 2.0 * 9.0)
 
+    # The agent's full objective: its priced target (cost + barrier) plus the
+    # consensus proximal term.
     def test_scalarize_sums_the_three_parts(self):
-        ctx = make_ctx(z=4.0, y=0.0, coef=1.0)
-        value = scalarize(Action(4, 0.0), GOOD, ctx)
+        agent, ctx = make_agent(barrier_coef=1.0), make_ctx(z=4.0, y=0.0)
+        value = agent._target(entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
         assert value == pytest.approx(4.223143551314209, abs=1e-12)
 
     def test_scalarize_includes_sharing_price(self):
-        ctx = make_ctx(z=4.0, y=0.0, coef=1.0)
-        with_w = scalarize(Action(4, 0.3), GOOD, ctx)
-        without = scalarize(Action(4, 0.0), GOOD, ctx)
+        agent, ctx = make_agent(barrier_coef=1.0), make_ctx(z=4.0, y=0.0)
+        with_w = agent._target(entry(4, 0.3, 0.0, GOOD), ctx) + proximal_term(4, ctx)
+        without = agent._target(entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
         assert with_w == pytest.approx(without + 0.3)
 
 
 class TestGrid:
     def test_capacity_grid_shape(self):
-        grid = CandidateGrid.for_capacity(12)
+        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
         assert grid.svrb_values == tuple(range(1, 13))
         assert grid.sw_values == tuple(round(i * 0.1, 10) for i in range(11))
         assert grid.points().shape == (132, 2)
 
     def test_points_are_svrb_major(self):
-        pts = CandidateGrid.for_capacity(3).points()
+        pts = CandidateGrid.for_capacity(3, ALGO.min_alive, ALGO.sw_step).points()
         assert list(pts[0]) == [1.0, 0.0]
         assert list(pts[1]) == [1.0, 0.1]
         assert list(pts[11]) == [2.0, 0.0]
 
     def test_design_sequence_is_frozen(self):
-        grid = CandidateGrid.for_capacity(12)
+        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
         first = [design_point(grid, i) for i in range(6)]
         assert first == [(7, 0.3), (4, 0.7), (10, 0.1), (2, 0.4), (8, 0.8), (5, 0.2)]
         assert design_point(grid, 17) == (4, 0.0)
 
     def test_design_points_stay_on_the_grid(self):
-        grid = CandidateGrid.for_capacity(9)
+        grid = CandidateGrid.for_capacity(9, ALGO.min_alive, ALGO.sw_step)
         for i in range(80):
             svrb, sw = design_point(grid, i)
             assert svrb in grid.svrb_values

@@ -31,35 +31,38 @@ SPECS = [
     SliceSpec("s3", 12.0, 10.0, TrafficProfile(32.0, 0.45)),
 ]
 CONFIG = EnvConfig(capacity_h=12, per_vrb_rate=3.2, noise_std=0.0)
+ALGO = AlgoParams()
+ALIVE, CAP = ALGO.min_alive, ALGO.grid_cap
 
 
 class TestJointGrid:
     def test_counts_three_slices_at_capacity_twelve(self):
-        assert joint_grid_size(3, 12) == 220
+        assert joint_grid_size(3, 12, ALIVE) == 220
 
     def test_count_matches_enumeration(self):
         for n, cap, alive in [(1, 5, 1), (2, 7, 1), (3, 9, 2), (4, 8, 1)]:
-            grid = enumerate_joint_grid(n, cap, alive)
+            grid = enumerate_joint_grid(n, cap, alive, CAP)
             assert len(grid) == joint_grid_size(n, cap, alive)
 
     def test_infeasible_floor_counts_zero(self):
-        assert joint_grid_size(4, 3) == 0
+        assert joint_grid_size(4, 3, ALIVE) == 0
 
     def test_enumeration_is_lexicographic_and_bounded(self):
-        grid = enumerate_joint_grid(2, 3)
+        grid = enumerate_joint_grid(2, 3, ALIVE, CAP)
         assert grid == [(1, 1), (1, 2), (2, 1)]
-        big = enumerate_joint_grid(3, 9)
+        big = enumerate_joint_grid(3, 9, ALIVE, CAP)
         assert big == sorted(big)
         assert all(sum(row) <= 9 and min(row) >= 1 for row in big)
 
     def test_oversized_grid_raises(self):
         with pytest.raises(GridCapExceededError):
-            enumerate_joint_grid(3, 12, grid_cap=100)
+            enumerate_joint_grid(3, 12, ALIVE, grid_cap=100)
 
 
-def make_bo(ids=("a",), capacity=8, seed=3, **algo):
+def make_bo(ids=("a",), capacity=8, seed=3, cost=CostParams(), penalty=120.0, **algo):
     return GridPortfolioBo(
-        list(ids), capacity, substream(seed, "bo"), substream(seed, "bo-hedge"), AlgoParams(**algo)
+        list(ids), capacity, substream(seed, "bo"), substream(seed, "bo-hedge"), AlgoParams(**algo),
+        cost, penalty,
     )
 
 
@@ -69,7 +72,6 @@ EASY = {
     "a": SliceSpec("a", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
     "b": SliceSpec("b", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
 }
-ARGS = (EASY, CostParams(), 0.5, 120.0)
 
 
 class TestGridPortfolioBo:
@@ -77,17 +79,17 @@ class TestGridPortfolioBo:
         bo = make_bo()
         seen = set()
         for slot in range(4):
-            actions = bo.suggest(*ARGS)
+            actions = bo.suggest(EASY)
             assert actions["a"].svrb not in seen
             seen.add(actions["a"].svrb)
-            bo.observe(actions, {"a": GOOD}, *ARGS, slot)
+            bo.observe(actions, {"a": GOOD}, EASY, slot)
         assert bo.gp is not None
 
     def test_reobservation_replaces_the_archive_entry(self):
         bo = make_bo(capacity=2)
         actions = {"a": Action(1, 0.0)}
-        bo.observe(actions, {"a": BAD}, *ARGS, slot=0)
-        bo.observe(actions, {"a": GOOD}, *ARGS, slot=4)
+        bo.observe(actions, {"a": BAD}, EASY, slot=0)
+        bo.observe(actions, {"a": GOOD}, EASY, slot=4)
         assert len(bo.archive) == 1
         entry = next(iter(bo.archive.values()))
         assert entry.perfs == {"a": GOOD}
@@ -96,17 +98,27 @@ class TestGridPortfolioBo:
     def test_exhausted_grid_still_suggests(self):
         bo = make_bo(capacity=3, n_init=1)
         for slot, v in enumerate([1, 2, 3]):
-            bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, *ARGS, slot)
-        actions = bo.suggest(*ARGS)
+            bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, EASY, slot)
+        actions = bo.suggest(EASY)
         assert (float(actions["a"].svrb),) in bo.archive
 
     def test_incumbent_follows_the_current_target(self):
-        bo = make_bo(capacity=2)
-        bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, *ARGS, 0)
-        bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *ARGS, 1)
-        assert bo.incumbent(*ARGS)["a"].svrb == 2
+        cheap = make_bo(capacity=2)
+        dear = make_bo(capacity=2, cost=CostParams(u_h=100.0), penalty=0.0)
+        for bo in (cheap, dear):
+            bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, EASY, 0)
+            bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, 1)
+        assert cheap.incumbent(EASY)["a"].svrb == 2
         # priced dear enough and without a violation penalty, the cheap row wins
-        assert bo.incumbent(EASY, CostParams(u_h=100.0), 0.5, 0.0)["a"].svrb == 1
+        assert dear.incumbent(EASY)["a"].svrb == 1
+        # a stricter SLA re-prices the archive: the cheap row's margin turns
+        # into a violation
+        bo = make_bo(capacity=2)
+        bo.observe({"a": Action(1, 0.0)}, {"a": PerfVector(5.0, 5.0)}, EASY, 0)
+        bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, 1)
+        assert bo.incumbent(EASY)["a"].svrb == 1
+        strict = {"a": SliceSpec("a", 10.0, 10.0, TrafficProfile(30.0, 0.5))}
+        assert bo.incumbent(strict)["a"].svrb == 2
 
     def test_suggestions_are_seed_stable(self):
         runs = []
@@ -115,16 +127,15 @@ class TestGridPortfolioBo:
             rng = np.random.default_rng(11)
             rows = []
             for slot in range(6):
-                actions = bo.suggest(*ARGS)
+                actions = bo.suggest(EASY)
                 rows.append((actions["a"].svrb, actions["b"].svrb))
                 perfs = {sid: PerfVector(*rng.uniform(0.0, 3.0, 2)) for sid in "ab"}
-                bo.observe(actions, perfs, *ARGS, slot)
+                bo.observe(actions, perfs, EASY, slot)
             runs.append(rows)
         assert runs[0] == runs[1]
 
 
 THREE = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abc"}
-THREE_ARGS = (THREE, CostParams(), 0.5, 120.0)
 
 
 def varied_perfs(actions):
@@ -142,9 +153,9 @@ class TestCrossKernelCache:
         bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
         searches = 0
         for slot in range(30):
-            actions = bo.suggest(*THREE_ARGS)
+            actions = bo.suggest(THREE)
             params = bo.params
-            bo.observe(actions, varied_perfs(actions), *THREE_ARGS, slot)
+            bo.observe(actions, varied_perfs(actions), THREE, slot)
             if bo.gp is None:
                 continue
             searches += bo.params != params
@@ -172,8 +183,8 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
     bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
     reused = 0
     for slot in range(30):
-        actions = bo.suggest(*THREE_ARGS)
-        bo.observe(actions, varied_perfs(actions), *THREE_ARGS, slot)
+        actions = bo.suggest(THREE)
+        bo.observe(actions, varied_perfs(actions), THREE, slot)
         if bo.gp is None:
             continue
         computed.clear()
@@ -189,33 +200,34 @@ class TestGboBaseline:
 
     def make(self, seed=2):
         return GridPortfolioBo(
-            ["a", "b"], 6, substream(seed, "gbo"), substream(seed, "gbo-hedge"), AlgoParams()
+            ["a", "b"], 6, substream(seed, "gbo"), substream(seed, "gbo-hedge"), ALGO,
+            CostParams(), 120.0,
         )
 
     def test_suggestions_live_on_the_joint_grid(self):
         gbo = self.make()
-        actions = gbo.suggest(*ARGS)
+        actions = gbo.suggest(EASY)
         assert set(actions) == {"a", "b"}
         assert sum(a.svrb for a in actions.values()) <= 6
         assert all(a.sw == 0.0 for a in actions.values())
 
     def test_incumbent_prefers_cheap_feasible_rows(self):
         gbo = self.make()
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=0)
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=1)
-        incumbent = gbo.incumbent(*ARGS)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=0)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=1)
+        incumbent = gbo.incumbent(EASY)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 1, "b": 1}
 
     def test_incumbent_avoids_violations(self):
         gbo = self.make()
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, *ARGS, slot=0)
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, *ARGS, slot=1)
-        incumbent = gbo.incumbent(*ARGS)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, EASY, slot=0)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=1)
+        incumbent = gbo.incumbent(EASY)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 3, "b": 3}
 
     def test_incumbent_without_data_falls_back_to_a_suggestion(self):
         gbo = self.make()
-        actions = gbo.incumbent(*ARGS)
+        actions = gbo.incumbent(EASY)
         assert sum(a.svrb for a in actions.values()) <= 6
 
 
@@ -224,41 +236,42 @@ class TestAtlasAgent:
 
     def make(self, seed=2):
         return GridPortfolioBo(
-            ["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"), AlgoParams()
+            ["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"), ALGO,
+            CostParams(), 120.0,
         )
 
     def test_suggestions_stay_in_range(self):
         agent = self.make()
         np.testing.assert_array_equal(agent.candidates, np.arange(1, 9, dtype=float)[:, None])
-        actions = agent.suggest(*ARGS)
+        actions = agent.suggest(EASY)
         assert set(actions) == {"a"}
         assert 1 <= actions["a"].svrb <= 8
 
     def test_incumbent_reprices_on_spec(self):
         agent = self.make()
-        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, *ARGS, slot=0)
-        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, *ARGS, slot=1)
-        assert agent.incumbent(*ARGS)["a"].svrb == 2
+        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, slot=0)
+        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, EASY, slot=1)
+        assert agent.incumbent(EASY)["a"].svrb == 2
         strict = {"a": SliceSpec("a", 30.0, 30.0, TrafficProfile(30.0, 0.5))}
         # both observations violate the stricter SLA equally; cost breaks the tie
-        assert agent.incumbent(strict, CostParams(), 0.5, 120.0)["a"].svrb == 2
+        assert agent.incumbent(strict)["a"].svrb == 2
 
     def test_incumbent_without_data_falls_back(self):
         agent = self.make()
-        assert 1 <= agent.incumbent(*ARGS)["a"].svrb <= 8
+        assert 1 <= agent.incumbent(EASY)["a"].svrb <= 8
 
 
 class TestAtlasScale:
     def test_symmetric_overshoot(self):
-        out = atlas_scale({"a": 8, "b": 8, "c": 8}, ["a", "b", "c"], 12)
+        out = atlas_scale({"a": 8, "b": 8, "c": 8}, ["a", "b", "c"], 12, ALIVE)
         assert out == {"a": 4, "b": 4, "c": 4}
 
     def test_under_capacity_untouched(self):
-        out = atlas_scale({"a": 5, "b": 3, "c": 2}, ["a", "b", "c"], 12)
+        out = atlas_scale({"a": 5, "b": 3, "c": 2}, ["a", "b", "c"], 12, ALIVE)
         assert out == {"a": 5, "b": 3, "c": 2}
 
     def test_scaling_is_proportional(self):
-        assert atlas_scale({"a": 9, "b": 3}, ["a", "b"], 4) == {"a": 3, "b": 1}
+        assert atlas_scale({"a": 9, "b": 3}, ["a", "b"], 4, ALIVE) == {"a": 3, "b": 1}
 
     @given(
         st.lists(st.integers(1, 25), min_size=1, max_size=5),
@@ -268,19 +281,19 @@ class TestAtlasScale:
         order = [f"s{i}" for i in range(len(values))]
         proposals = dict(zip(order, values))
         capacity = len(values) + headroom
-        out = atlas_scale(proposals, order, capacity)
+        out = atlas_scale(proposals, order, capacity, ALIVE)
         assert sum(out.values()) <= capacity
         assert all(out[sid] >= 1 for sid in order)
 
 
 class TestSweepDataset:
     def test_covers_the_whole_grid(self):
-        dataset = sweep_dataset(SPECS, CONFIG)
+        dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
         assert len(dataset) == 220
-        assert [e.svrbs for e in dataset] == enumerate_joint_grid(3, 12)
+        assert [e.svrbs for e in dataset] == enumerate_joint_grid(3, 12, ALIVE, CAP)
 
     def test_known_allocation_performance(self):
-        dataset = sweep_dataset(SPECS, CONFIG)
+        dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
         entry = next(e for e in dataset if e.svrbs == (4, 4, 4))
         assert entry.perfs[0].throughput == pytest.approx(12.8)
         assert entry.perfs[0].fps == pytest.approx(25.6)
@@ -298,18 +311,19 @@ class TestSweepDataset:
             )
             for s in SPECS
         ]
-        assert sweep_dataset(bursty, noisy) == sweep_dataset(SPECS, CONFIG)
+        clean = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
+        assert sweep_dataset(bursty, noisy, ALIVE, CAP) == clean
 
     def test_inactive_slices_are_excluded(self):
         specs = [SPECS[0], SPECS[1], SliceSpec("s3", 12.0, 10.0, SPECS[2].app_profile, active=False)]
-        dataset = sweep_dataset(specs, CONFIG)
-        assert len(dataset) == joint_grid_size(2, 12)
+        dataset = sweep_dataset(specs, CONFIG, ALIVE, CAP)
+        assert len(dataset) == joint_grid_size(2, 12, ALIVE)
         assert all(len(e.svrbs) == 2 for e in dataset)
 
 
 class TestExSearch:
     def test_finds_the_cheapest_feasible_allocation(self):
-        dataset = sweep_dataset(SPECS, CONFIG)
+        dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
         best = exsearch_best(dataset, SPECS, CostParams())
         assert best.svrbs == (4, 4, 4)
         assert sum(best.svrbs) == 12
@@ -338,6 +352,6 @@ class TestExSearch:
         unreachable = [
             SliceSpec(s.slice_id, 1000.0, 1000.0, s.app_profile) for s in SPECS
         ]
-        dataset = sweep_dataset(unreachable, CONFIG)
+        dataset = sweep_dataset(unreachable, CONFIG, ALIVE, CAP)
         with pytest.raises(NoFeasibleActionError):
             exsearch_best(dataset, unreachable, CostParams())

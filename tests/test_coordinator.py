@@ -22,6 +22,13 @@ from sliceorch.errors import InfeasibleCapacityError
 from sliceorch.netenv import EnvConfig, RanEnvironment, TrafficProfile
 from sliceorch.rng import substream
 
+ALGO = AlgoParams()
+
+
+def new_state(**variables):
+    """A consensus state at the scenario defaults."""
+    return CoordinatorState(ALGO.rho, ALGO.primal_tol, ALGO.max_iters, ALGO.dual_init, **variables)
+
 
 def oracle_projection(c: np.ndarray, capacity: float) -> np.ndarray:
     """Reference solver for the slab projection, via SLSQP."""
@@ -101,18 +108,18 @@ class TestDual:
 
 class TestClamp:
     def test_symmetric_overshoot(self):
-        out = clamp_capacity({"a": 5, "b": 5, "c": 5}, ["a", "b", "c"], 12)
+        out = clamp_capacity({"a": 5, "b": 5, "c": 5}, ["a", "b", "c"], 12, ALGO.min_alive)
         assert out == {"a": 4, "b": 4, "c": 4}
 
     def test_largest_first(self):
-        out = clamp_capacity({"a": 6, "b": 4, "c": 4}, ["a", "b", "c"], 12)
+        out = clamp_capacity({"a": 6, "b": 4, "c": 4}, ["a", "b", "c"], 12, ALGO.min_alive)
         assert out == {"a": 4, "b": 4, "c": 4}
 
     def test_ties_break_by_order(self):
-        assert clamp_capacity({"a": 3, "b": 3}, ["a", "b"], 5) == {"a": 2, "b": 3}
+        assert clamp_capacity({"a": 3, "b": 3}, ["a", "b"], 5, ALGO.min_alive) == {"a": 2, "b": 3}
 
     def test_respects_min_alive(self):
-        out = clamp_capacity({"a": 1, "b": 5}, ["a", "b"], 4)
+        out = clamp_capacity({"a": 1, "b": 5}, ["a", "b"], 4, ALGO.min_alive)
         assert out == {"a": 1, "b": 3}
 
     def test_impossible_floor_raises(self):
@@ -127,7 +134,7 @@ class TestClamp:
         order = [f"s{i}" for i in range(len(values))]
         svrbs = dict(zip(order, values))
         capacity = len(values) + headroom
-        out = clamp_capacity(svrbs, order, capacity)
+        out = clamp_capacity(svrbs, order, capacity, ALGO.min_alive)
         assert sum(out.values()) <= capacity
         for sid in order:
             assert 1 <= out[sid] <= svrbs[sid]
@@ -148,18 +155,18 @@ class TestSpread:
     )
     def test_equal_shift_examples(self, svrbs, expected):
         order = ["a", "b", "c"]
-        out = spread_capacity(dict(zip(order, svrbs)), order, 12)
+        out = spread_capacity(dict(zip(order, svrbs)), order, 12, ALGO.min_alive)
         assert tuple(out[sid] for sid in order) == expected
 
     def test_under_capacity_is_identity(self):
         order = ["a", "b"]
-        assert spread_capacity({"a": 3, "b": 2}, order, 12) == {"a": 3, "b": 2}
+        assert spread_capacity({"a": 3, "b": 2}, order, 12, ALGO.min_alive) == {"a": 3, "b": 2}
 
     def test_preserves_contrast_where_clamp_flattens(self):
         order = ["a", "b", "c"]
         svrbs = {"a": 12, "b": 4, "c": 4}
-        spread = spread_capacity(svrbs, order, 12)
-        clamp = clamp_capacity(svrbs, order, 12)
+        spread = spread_capacity(svrbs, order, 12, ALGO.min_alive)
+        clamp = clamp_capacity(svrbs, order, 12, ALGO.min_alive)
         assert spread["a"] - spread["b"] > clamp["a"] - clamp["b"]
 
     def test_impossible_floor_raises(self):
@@ -174,7 +181,7 @@ class TestSpread:
         order = [f"s{i}" for i in range(len(values))]
         svrbs = dict(zip(order, values))
         capacity = len(values) + headroom
-        out = spread_capacity(svrbs, order, capacity)
+        out = spread_capacity(svrbs, order, capacity, ALGO.min_alive)
         assert sum(out.values()) <= capacity
         for sid in order:
             assert 1 <= out[sid] <= svrbs[sid]
@@ -182,25 +189,25 @@ class TestSpread:
 
 class TestResize:
     def test_first_join_uses_initial_dual(self):
-        state = CoordinatorState()
+        state = new_state()
         resize(state, joined=["a"], left=[])
         assert state.z == {"a": 1.0}
         assert state.y == {"a": -5.0}
 
     def test_later_join_inherits_mean_dual(self):
-        state = CoordinatorState(z={"a": 4.0, "b": 4.0}, y={"a": -1.0, "b": -3.0})
+        state = new_state(z={"a": 4.0, "b": 4.0}, y={"a": -1.0, "b": -3.0})
         resize(state, joined=["c"], left=[])
         assert state.z["c"] == 1.0
         assert state.y["c"] == pytest.approx(-2.0)
 
     def test_leave_drops_variables(self):
-        state = CoordinatorState(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0})
+        state = new_state(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0})
         resize(state, joined=[], left=["b"])
         assert set(state.z) == {"a"}
         assert set(state.y) == {"a"}
 
     def test_leaving_unknown_slice_is_a_no_op(self):
-        state = CoordinatorState(z={"a": 4.0}, y={"a": 0.0})
+        state = new_state(z={"a": 4.0}, y={"a": 0.0})
         resize(state, joined=[], left=["ghost"])
         assert set(state.z) == {"a"}
 
@@ -213,27 +220,28 @@ def make_fixture(seed=1, capacity=12):
     ]
     config = EnvConfig(capacity_h=capacity, per_vrb_rate=3.2, noise_std=0.0)
     env = RanEnvironment(config, substream(seed, "env"))
-    grid = CandidateGrid.for_capacity(capacity)
+    grid = CandidateGrid.for_capacity(capacity, ALGO.min_alive, ALGO.sw_step)
     agents = {
         s.slice_id: SliceAgent(
             s.slice_id,
             grid,
             substream(seed, f"agent:{s.slice_id}"),
             substream(seed, f"hedge:{s.slice_id}"),
-            AlgoParams(),
+            ALGO,
+            CostParams(),
+            ALGO.penalty(CostParams(), capacity),
             design_offset=i,
         )
         for i, s in enumerate(specs)
     }
-    state = CoordinatorState()
+    state = new_state()
     resize(state, joined=[s.slice_id for s in specs], left=[])
     return agents, env, specs, state
 
 
-def slot_args(slot, capacity=12):
+def slot_args(slot, min_alive=ALGO.min_alive):
     """orchestrate_slot's arguments after `state`, at the scenario defaults."""
-    algo, cost = AlgoParams(), CostParams()
-    return cost, slot, algo.barrier_coef, algo.penalty(cost, capacity)
+    return CostParams(), slot, min_alive
 
 
 class TestOrchestrateSlot:
@@ -264,9 +272,7 @@ class TestOrchestrateSlot:
     def test_rejects_infeasible_population(self):
         agents, env, specs, state = make_fixture()
         with pytest.raises(InfeasibleCapacityError):
-            orchestrate_slot(
-                agents, env, specs, state, *slot_args(0), min_alive=5
-            )
+            orchestrate_slot(agents, env, specs, state, *slot_args(0, min_alive=5))
 
     def test_inactive_slices_are_skipped(self):
         agents, env, specs, state = make_fixture()

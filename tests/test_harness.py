@@ -1,11 +1,15 @@
 """Scenario i/o, experiment runners, summary metrics, and the CLI."""
 
+import copy
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
@@ -27,6 +31,7 @@ from sliceorch.harness import (
     write_manifest,
     write_trace_csv,
 )
+from sliceorch.netenv import EnvConfig, TrafficProfile
 
 
 def base_dict(**over):
@@ -53,6 +58,45 @@ def base_dict(**over):
     }
     data.update(over)
     return data
+
+
+def full_dict():
+    """base_dict with every optional section present."""
+    return base_dict(
+        cost={"u_h": 1.0},
+        events=[{"slot": 2, "kind": "slice_leave", "slice_id": "b"}],
+        algo_params={"rho": 2.0},
+    )
+
+
+def locate(data, path):
+    """(container, key) of the section at a scenario-file path such as `slices[1].profile`."""
+    steps = [int(s) if s.isdigit() else s for s in re.findall(r"\w+", path)]
+    for step in steps[:-1]:
+        data = data[step]
+    return data, steps[-1]
+
+
+def mappings(node, path="scenario"):
+    """Every mapping of a scenario file, with the path its errors are reported under."""
+    yield path, node
+    for key, value in node.items():
+        child = key if path == "scenario" else f"{path}.{key}"
+        if isinstance(value, dict):
+            yield from mappings(value, child)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from mappings(item, f"{child}[{i}]")
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "scenarios").rglob("*.yaml"))
+RAW = {path.name: yaml.safe_load(path.read_text()) for path in BUNDLED}
+KNOWN_KEYS = {
+    key
+    for path in BUNDLED
+    for _, mapping in mappings(scenario_to_dict(load_scenario(path)))
+    for key in mapping
+}
 
 
 class TestScenarioParsing:
@@ -129,6 +173,36 @@ class TestScenarioParsing:
         for path in sorted(root.rglob("*.yaml")):
             scn = load_scenario(path)
             assert scn.slots > 0
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
+    def test_bundled_scenarios_round_trip(self, path):
+        scn = load_scenario(path)
+        assert scenario_from_dict(scenario_to_dict(scn)) == scn
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        data = base_dict(env={"capacity_h": 6}, cost=None, events=None, algo_params=None)
+        scn = scenario_from_dict(data)
+        assert scn.env == EnvConfig(6)
+        assert scn.cost == CostParams()
+        assert scn.algo == AlgoParams()
+        assert scn.events == ()
+        assert scn.slices[0].app_profile == TrafficProfile(30.0, 0.5)
+        assert scn.slices[0].active
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_unknown_key_anywhere_is_named_by_its_path(self, data):
+        raw = copy.deepcopy(RAW[data.draw(st.sampled_from(sorted(RAW)))])
+        path, mapping = data.draw(st.sampled_from(list(mappings(raw))))
+        key = data.draw(
+            st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(
+                lambda k: k not in KNOWN_KEYS
+            )
+        )
+        mapping[key] = 0.0
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(raw)
+        assert str(info.value) == f"{path}.{key}: unknown field"
 
 
 class TestAlgoParams:
@@ -441,6 +515,31 @@ class TestFailureContract:
     def test_degenerate_algo_param(self, name, value, tmp_path, capsys):
         data = base_dict(algorithm="adaslicing", algo_params={name: value})
         self.rejects_file(self.write(tmp_path, data), f"algo_params: {name}", tmp_path, capsys)
+
+    SECTIONS = ["env", "cost", "slices[1]", "slices[1].profile", "events[0]", "algo_params"]
+
+    @pytest.mark.parametrize("path", ["scenario", *SECTIONS])
+    def test_unknown_key(self, path, tmp_path, capsys):
+        data = full_dict()
+        dict(mappings(data))[path]["noise_sd"] = 0.0
+        bad = self.write(tmp_path, data)
+        self.rejects_file(bad, f"{path}.noise_sd: unknown field", tmp_path, capsys)
+
+    @pytest.mark.parametrize("path", ["scenario", *SECTIONS])
+    def test_section_that_is_not_a_mapping(self, path, tmp_path, capsys):
+        data = full_dict()
+        if path == "scenario":
+            data = 5
+        else:
+            container, key = locate(data, path)
+            container[key] = 5
+        bad = self.write(tmp_path, data)
+        self.rejects_file(bad, f"{path}: expected a mapping, got int", tmp_path, capsys)
+
+    @pytest.mark.parametrize("path", ["slices", "events"])
+    def test_list_that_is_not_a_list(self, path, tmp_path, capsys):
+        bad = self.write(tmp_path, full_dict() | {path: 5})
+        self.rejects_file(bad, f"{path}: expected a list, got int", tmp_path, capsys)
 
     def test_fractional_capacity(self, tmp_path, capsys):
         data = base_dict(
