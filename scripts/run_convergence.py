@@ -12,7 +12,7 @@ from sliceorch.harness import (
     ALGORITHMS,
     load_scenario,
     run,
-    run_matrix,
+    summarize,
     write_matrix_csv,
     write_trace_csv,
 )
@@ -31,12 +31,11 @@ def main() -> None:
 
     rows = []
     for seed in args.seeds:
-        scn = replace(base, seed=seed)
         for algo in ALGORITHMS:
-            cell = replace(scn, algorithm=algo)
+            cell = replace(base, seed=seed, algorithm=algo)
             records = run(cell)
             write_trace_csv(records, slice_ids, out / f"{algo}-seed{seed}.csv")
-        rows.extend(run_matrix([scn]))
+            rows.append(summarize(cell, records))
     write_matrix_csv(rows, out / "summary.csv")
     print(f"wrote {len(rows)} summary rows to {out / 'summary.csv'}")
 

@@ -7,17 +7,20 @@ turns the performance constraint into a price. The surrogate models only
 cost + barrier as a function of (svrb, sw, peers_sw); the proximal term is a
 known quadratic and is added analytically when candidates are scored.
 
-`PortfolioBo` holds what every online optimizer of the workbench shares:
-the replay buffer, archive, GP refits and hyperparameter searches, and the
-Hedge-weighted acquisition portfolio. `SliceAgent` and the baselines' grid
-optimizer are its two subclasses.
+`PortfolioBo` is the one optimizer core of the workbench: its `Observation`
+record, its pricing rule (stored resource cost plus SLA barriers), its
+propose step (predict, best so far, Hedge-nominate, swap an already-probed
+nominee for an unexplored design row) and its learn step (replay buffer,
+archive, GP refits and hyperparameter searches). `SliceAgent` and the
+baselines' `GridPortfolioBo` subclass it with their own candidate rows,
+design sequences and recommendation rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +32,6 @@ from .acquisition import (
 )
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .gp import (
-    Experience,
-    GpInput,
     GpModel,
     KernelParams,
     ReplayBuffer,
@@ -123,18 +124,45 @@ def design_point(grid: CandidateGrid, index: int) -> tuple[int, float]:
     return svrb, sw
 
 
+@dataclass(eq=False)
+class Observation:
+    """One probe as an optimizer records it.
+
+    `x` is the probe's surrogate input row. The raw per-slice performance is
+    kept rather than a scalar objective, so the probe can be re-priced under
+    whatever SLA thresholds hold later; its resource cost does not depend on
+    them and is priced once, when the probe is recorded. `priority` is the
+    replay buffer's.
+    """
+
+    x: np.ndarray
+    cost: float  # u_h * sum(svRB) + u_s * sum(sw) of the probed actions
+    perfs: dict[str, PerfVector]
+    slot: int
+    priority: float = 1.0
+
+    def __post_init__(self) -> None:
+        self._key = tuple(self.x.tolist())
+
+    def key(self) -> tuple:
+        """Identity of the probed input: archive key and buffer duplicate test."""
+        return self._key
+
+
 class PortfolioBo:
     """Shared core of the online Bayesian optimizers.
 
     Holds the replay buffer that feeds the surrogate, an all-time archive of
-    the latest outcome per distinct input, the GP with its hyperparameters,
-    the Hedge bandit over the acquisition portfolio, and a cursor into a
-    deterministic space-filling design. A subclass owns its candidate space
-    and objective; it calls `_nominate` to pick a probe and `_learn` to
-    ingest one. Every experience exposes `key()` and `row()`. All settings
-    come from the scenario's `AlgoParams`; the run's prices, the barrier
-    coefficient and the resolved SLA violation penalty are fixed at
-    construction, so the objective is priced the same way on every call.
+    the latest observation per distinct input, the GP with its
+    hyperparameters, the Hedge bandit over the acquisition portfolio, and a
+    cursor into a deterministic space-filling design. An observation is
+    priced as its stored resource cost plus each of its slices' SLA barriers
+    (`_price`), under the specs of the call, so stored observations are
+    re-priced under whatever SLA thresholds currently hold. A subclass owns
+    its candidate rows and design sequence; it calls `_propose` for a warm
+    suggestion and `_learn` to record a probe. All settings come from the
+    scenario's `AlgoParams`; the run's prices, the barrier coefficient and
+    the resolved SLA violation penalty are fixed at construction.
     """
 
     def __init__(
@@ -165,7 +193,7 @@ class PortfolioBo:
         self.fit_count = 0
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = design_offset
-        self.archive: dict[tuple, object] = {}
+        self.archive: dict[tuple, Observation] = {}
 
     def _warm(self) -> bool:
         """Whether the surrogate has seen enough data to drive the search."""
@@ -176,42 +204,79 @@ class PortfolioBo:
         self._design_cursor += 1
         return self._design_cursor - 1
 
-    def _nominate(self, mu: np.ndarray, sigma: np.ndarray, best: float, rows: np.ndarray):
-        """Hedge-selected index among the portfolio's nominees over `rows`.
+    def _price(self, obs: Observation, specs: Mapping[str, SliceSpec]) -> float:
+        """Resource cost plus the SLA barriers of `obs`, under `specs`."""
+        barriers = 0  # summed before the cost is added: another order moves the last bit
+        for sid, perf in obs.perfs.items():
+            barriers += barrier_value(perf, specs[sid], self.barrier_coef, self.penalty)
+        return obs.cost + barriers
 
-        The nominee rows are kept so the next `_learn` can settle the bandit.
+    def _propose(
+        self,
+        queries: np.ndarray,
+        specs: Mapping[str, SliceSpec],
+        predict: Callable[[], tuple[np.ndarray, np.ndarray]],
+        unexplored: Callable[[], np.ndarray | None],
+        offset: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """The query row a warm optimizer probes next.
+
+        `predict()` gives the surrogate's mean and deviation over `queries`;
+        `offset` is a known additive term of the objective over input rows,
+        which the surrogate does not model. Each acquisition nominates a row
+        against the best objective observed so far and Hedge picks one. A
+        nominee already in the archive teaches the surrogate nothing, so the
+        probe goes to the subclass's `unexplored()` design row instead, when
+        there is one.
         """
-        nominees = portfolio_nominate(mu, sigma, best, self.kappa)
-        self._last_nominees = rows[nominees]
-        return nominees[hedge_select(self.hedge, self.hedge_rng)]
+        mu, sigma = predict()
+        observed = list(self.archive.values())
+        best = np.array([self._price(o, specs) for o in observed])
+        if offset is not None:
+            mu = mu + offset(queries)
+            best = best + offset(np.array([o.x for o in observed]))
+        nominees = portfolio_nominate(mu, sigma, float(best.min()), self.kappa)
+        self._last_nominees = queries[nominees]
+        chosen = queries[nominees[hedge_select(self.hedge, self.hedge_rng)]]
+        if tuple(chosen.tolist()) in self.archive:
+            fallback = unexplored()
+            if fallback is not None:
+                return fallback
+        return chosen
 
     def _learn(
         self,
-        exp,
-        target: Callable[[object], float],
+        x: np.ndarray,
+        actions: Sequence[Action],
+        perfs: dict[str, PerfVector],
+        specs: Mapping[str, SliceSpec],
+        slot: int,
         offset: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        """Archive and push one experience, refit the surrogate, settle Hedge.
+        """Record one probe, refit the surrogate, settle Hedge.
 
-        `target` prices a stored experience under the current objective;
-        `offset` is a known additive term of the objective over input rows,
-        which the surrogate does not model but the Hedge rewards include.
+        `x` is the probe's input row, `actions` the allocation it priced and
+        `perfs` what each slice delivered. Training targets are priced under
+        `specs`; `offset` is the objective's known term over input rows, which
+        the Hedge rewards include.
         """
-        self.archive[exp.key()] = exp
-        self.buffer.push(exp)
+        svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
+        obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs, slot)
+        self.archive[obs.key()] = obs
+        self.buffer.push(obs)
         sample = self.buffer.sample(self.subsample, self.rng)
-        x = np.stack([e.row() for e in sample])
-        y = np.array([target(e) for e in sample])
+        x_train = np.stack([o.x for o in sample])
+        y = np.array([self._price(o, specs) for o in sample])
         self.fit_count += 1
         if self.fit_count % self.hyperopt_every == 0:
             self.params, self.noise_var = optimize_params(
-                x,
+                x_train,
                 y,
                 self.params,
                 self.noise_var,
                 reference=self._default_params,
             )
-        self.gp = fit(x, y, self.params, self.noise_var)
+        self.gp = fit(x_train, y, self.params, self.noise_var)
         if self._last_nominees is not None:
             mu_nom, _ = self.gp.predict(self._last_nominees)
             if offset is not None:
@@ -221,7 +286,14 @@ class PortfolioBo:
 
 
 class SliceAgent(PortfolioBo):
-    """Online constrained Bayesian optimizer for one slice's (svrb, sw)."""
+    """Online constrained Bayesian optimizer for one slice's (svrb, sw).
+
+    Its input rows are (svrb, sw, peers_sw), where peers_sw is the slot's
+    aggregated sharing weight of the other slices: exogenous context that
+    shifts how much pool the slice's own sw can win. Its candidates are the
+    action grid under the current peer weight, and its design is the grid's
+    Halton (2, 3) sequence.
+    """
 
     def __init__(
         self,
@@ -247,20 +319,6 @@ class SliceAgent(PortfolioBo):
         self.grid = grid
         self.last_action: Action | None = None
 
-    # -- objective bookkeeping -------------------------------------------------
-
-    def _target(self, exp: Experience, ctx: AgentContext) -> float:
-        """Cost + barrier for a stored experience, priced at current thresholds."""
-        cost = self.cost.u_h * exp.input.svrb + self.cost.u_s * exp.input.sw
-        return cost + barrier_value(exp.observed, ctx.spec, self.barrier_coef, self.penalty)
-
-    def _incumbent(self, ctx: AgentContext) -> float:
-        """Best full objective over everything observed, under the current context."""
-        return min(
-            self._target(e, ctx) + proximal_term(e.input.svrb, ctx)
-            for e in self.archive.values()
-        )
-
     def recommend(self, ctx: AgentContext) -> Action:
         """Pick the allocation this slot should commit to.
 
@@ -275,23 +333,20 @@ class SliceAgent(PortfolioBo):
         feasible on record, the least-bad entry is committed. Requires at
         least one observation.
         """
+        specs = {self.slice_id: ctx.spec}
 
-        def rank(e: Experience) -> tuple[float, float, float, float]:
-            return self._target(e, ctx), e.input.svrb, e.input.sw, e.input.peers_sw
+        def rank(o: Observation) -> tuple[float, float, float, float]:
+            return self._price(o, specs), *o.key()
 
-        tested: dict[int, Experience] = {}
-        for e in self.archive.values():
-            if e.input.sw != 0.0:
-                continue
-            svrb = int(e.input.svrb)
-            if svrb not in tested or rank(e) < rank(tested[svrb]):
-                tested[svrb] = e
+        tested: dict[float, Observation] = {}
+        for o in self.archive.values():
+            svrb, sw, _ = o.key()
+            if sw == 0.0 and (svrb not in tested or rank(o) < rank(tested[svrb])):
+                tested[svrb] = o
         feasible = [
-            e for e in tested.values() if sla_margin(e.observed, ctx.spec) > 0.0
+            o for o in tested.values() if sla_margin(o.perfs[self.slice_id], ctx.spec) > 0.0
         ]
-        untested = [
-            e for e in self.archive.values() if int(e.input.svrb) not in tested
-        ]
+        untested = [o for o in self.archive.values() if o.key()[0] not in tested]
         incumbent = min(feasible, key=rank, default=None)
         challenger = min(untested, key=rank, default=None)
         if incumbent is None:
@@ -300,40 +355,43 @@ class SliceAgent(PortfolioBo):
             best = challenger
         else:
             best = incumbent
-        return Action(int(best.input.svrb), 0.0)
+        return Action(int(best.key()[0]), 0.0)
 
-    # -- online loop -----------------------------------------------------------
+    def _next_unexplored(self, peers_sw: float) -> np.ndarray | None:
+        """Next design point not yet probed under `peers_sw`, or None after a full cycle."""
+        for _ in range(len(self.grid.svrb_values) * len(self.grid.sw_values)):
+            svrb, sw = design_point(self.grid, self._next_design())
+            if (svrb, sw, peers_sw) not in self.archive:
+                return np.array([svrb, sw, peers_sw], dtype=float)
+        return None
 
     def suggest(self, ctx: AgentContext) -> Action:
         """Propose the next action: space-filling cold start, then portfolio BO.
 
-        A nominee whose exact (svrb, sw) was already observed under the
-        current peer weights teaches the surrogate nothing, so the probe is
-        spent on the next unseen design point instead; the recommendation
-        itself comes from `recommend`, not from here.
+        The recommendation itself comes from `recommend`, not from here.
         """
         if not self._warm():
             self._last_nominees = None
             return Action(*design_point(self.grid, self._next_design()))
-
         pts = self.grid.points()
         queries = np.column_stack([pts, np.full(pts.shape[0], ctx.s)])
-        mu, sigma = self.gp.predict(queries)
-        mu_total = mu + proximal_term(pts[:, 0], ctx)
-        chosen = self._nominate(mu_total, sigma, self._incumbent(ctx), queries)
-        svrb, sw = int(pts[chosen, 0]), float(pts[chosen, 1])
-        if (svrb, sw, ctx.s) in self.archive:
-            for _ in range(pts.shape[0]):
-                cand = design_point(self.grid, self._next_design())
-                if (*cand, ctx.s) not in self.archive:
-                    return Action(cand[0], cand[1])
-        return Action(svrb, sw)
+        row = self._propose(
+            queries,
+            {self.slice_id: ctx.spec},
+            lambda: self.gp.predict(queries),
+            lambda: self._next_unexplored(ctx.s),
+            offset=lambda rows: proximal_term(rows[:, 0], ctx),
+        )
+        return Action(int(row[0]), float(row[1]))
 
     def observe(self, action: Action, perf: PerfVector, ctx: AgentContext, slot: int) -> None:
         """Ingest one probe: push, refit the surrogate, settle hedge rewards."""
         self.last_action = action
         self._learn(
-            Experience(GpInput(action.svrb, action.sw, ctx.s), perf, slot),
-            lambda e: self._target(e, ctx),
+            np.array([action.svrb, action.sw, ctx.s], dtype=float),
+            (action,),
+            {self.slice_id: perf},
+            {self.slice_id: ctx.spec},
+            slot,
             offset=lambda rows: proximal_term(rows[:, 0], ctx),
         )

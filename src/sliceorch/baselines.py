@@ -6,21 +6,22 @@
 * exsearch - exhaustive sweep of the noise-free environment; picks the
   cheapest action meeting every SLA. Serves as the hard-isolation optimum.
 
-Both Bayesian baselines are `GridPortfolioBo`, which shares the optimizer
-core of the main agents (`agent.PortfolioBo`); only its objective and
-candidate grid differ. Sharing weights are unused here: hard isolation has
-no pool to share.
+Both Bayesian baselines are `GridPortfolioBo`, a subclass of the main
+agents' optimizer core (`agent.PortfolioBo`): it records, prices and
+proposes the same way, and differs only in its candidate rows (the joint
+svRB grid), its design sequence and its incumbent rule. Sharing weights are
+unused here: hard isolation has no pool to share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .agent import PortfolioBo, _radical_inverse, barrier_value
+from .agent import PortfolioBo, _radical_inverse
 from .coordinator import clamp_capacity
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
@@ -65,42 +66,15 @@ def enumerate_joint_grid(
 # -- the grid optimizer (gbo and atlas) ------------------------------------------
 
 
-def _row_key(row: np.ndarray) -> tuple:
-    return tuple(float(v) for v in row)
-
-
-@dataclass
-class GridExperience:
-    """One joint observation; the raw per-slice performance is kept so it
-    can be re-priced under whatever SLA thresholds hold later."""
-
-    inputs: np.ndarray
-    perfs: dict[str, PerfVector]
-    slot: int
-    priority: float = 1.0
-
-    def key(self) -> tuple:
-        return _row_key(self.inputs)
-
-    def row(self) -> np.ndarray:
-        return self.inputs
-
-
 class GridPortfolioBo(PortfolioBo):
     """Portfolio Bayesian optimizer over the joint hard-isolation allocation.
 
-    Candidates are every joint svRB vector of `slice_ids` within capacity.
-    Over one slice that grid is the svRB range itself, which makes this
-    atlas's per-slice optimizer as well as gbo's global one. An observation
-    is priced as u_h * sum(svRB) plus each slice's SLA barrier, at the
-    prices fixed at construction and under the specs passed with each call,
-    so stored observations are re-priced under whatever SLA thresholds
-    currently hold.
-
-    The archive backs two behaviors a discrete noise-limited sweep needs:
-    the incumbent recommendation survives buffer eviction, and a nominee
-    that has already been probed is swapped for the next unexplored design
-    point (re-probing a known grid row teaches the optimizer nothing new).
+    Candidates are every joint svRB vector of `slice_ids` within capacity,
+    and an input row is such a vector. Over one slice that grid is the svRB
+    range itself, which makes this atlas's per-slice optimizer as well as
+    gbo's global one. The design is a van der Corput walk over the grid's
+    rows. The archive keeps the incumbent past buffer eviction, and tells
+    the propose step which rows were probed already.
 
     Every training row is a candidate row, so the cross-covariance between
     the candidates and the training sample is kept column by column, keyed
@@ -150,10 +124,10 @@ class GridPortfolioBo(PortfolioBo):
         if gp.params != self._columns_params:
             self._columns = {}
             self._columns_params = gp.params
-        buffered = {e.key() for e in self.buffer.items}
+        buffered = {o.key() for o in self.buffer.items}
         self._columns = {k: c for k, c in self._columns.items() if k in buffered}
         free = iter(sorted(set(range(self.buffer.capacity)) - set(self._columns.values())))
-        keys = [_row_key(row) for row in gp.x_train]
+        keys = [tuple(row.tolist()) for row in gp.x_train]
         for key, row in zip(keys, gp.x_train):
             if key not in self._columns:
                 slot = self._columns[key] = next(free)
@@ -176,22 +150,12 @@ class GridPortfolioBo(PortfolioBo):
             return None
         for _ in range(self.candidates.shape[0]):
             row = self.candidates[self._design_index()]
-            if _row_key(row) not in self.archive:
+            if tuple(row.tolist()) not in self.archive:
                 return row
         for row in self.candidates:
-            if _row_key(row) not in self.archive:
+            if tuple(row.tolist()) not in self.archive:
                 return row
         return None
-
-    def _pricer(self, specs: Mapping[str, SliceSpec]) -> Callable[[GridExperience], float]:
-        def price(exp: GridExperience) -> float:
-            barriers = sum(
-                barrier_value(exp.perfs[sid], specs[sid], self.barrier_coef, self.penalty)
-                for sid in self.slice_ids
-            )
-            return self.cost.u_h * float(exp.inputs.sum()) + barriers
-
-        return price
 
     def _actions(self, row: np.ndarray) -> dict[str, Action]:
         return {sid: Action(int(row[i]), 0.0) for i, sid in enumerate(self.slice_ids)}
@@ -201,15 +165,9 @@ class GridPortfolioBo(PortfolioBo):
             self._last_nominees = None
             row = self._next_unexplored()
             return self._actions(row if row is not None else self.candidates[self._design_index()])
-        mu, sigma = self._predict_candidates()
-        price = self._pricer(specs)
-        best = min(price(e) for e in self.archive.values())
-        chosen = self.candidates[self._nominate(mu, sigma, best, self.candidates)]
-        if _row_key(chosen) in self.archive:
-            fallback = self._next_unexplored()
-            if fallback is not None:
-                return self._actions(fallback)
-        return self._actions(chosen)
+        return self._actions(
+            self._propose(self.candidates, specs, self._predict_candidates, self._next_unexplored)
+        )
 
     def incumbent(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:
         """Best allocation ever observed, re-priced under the current specs.
@@ -219,9 +177,8 @@ class GridPortfolioBo(PortfolioBo):
         """
         if not self.archive:
             return self.suggest(specs)
-        price = self._pricer(specs)
-        best = min(self.archive.values(), key=lambda e: (price(e), e.key()))
-        return self._actions(best.inputs)
+        best = min(self.archive.values(), key=lambda o: (self._price(o, specs), o.key()))
+        return self._actions(best.x)
 
     def observe(
         self,
@@ -230,8 +187,14 @@ class GridPortfolioBo(PortfolioBo):
         specs: Mapping[str, SliceSpec],
         slot: int,
     ) -> None:
-        row = np.array([actions[sid].svrb for sid in self.slice_ids], dtype=float)
-        self._learn(GridExperience(row, dict(perfs), slot), self._pricer(specs))
+        mine = [actions[sid] for sid in self.slice_ids]
+        self._learn(
+            np.array([a.svrb for a in mine], dtype=float),
+            mine,
+            {sid: perfs[sid] for sid in self.slice_ids},
+            specs,
+            slot,
+        )
 
 
 # -- proportional rescale (atlas) --------------------------------------------------

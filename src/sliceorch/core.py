@@ -30,6 +30,8 @@ class SliceSpec:
             raise ValueError(f"q_throughput must be finite and > 0, got {self.q_throughput}")
         if not (math.isfinite(self.q_fps) and self.q_fps > 0.0):
             raise ValueError(f"q_fps must be finite and > 0, got {self.q_fps}")
+        if not isinstance(self.active, bool):
+            raise ValueError(f"active must be true or false, got {self.active!r}")
 
 
 @dataclass(frozen=True, slots=True)

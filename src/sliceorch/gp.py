@@ -1,9 +1,12 @@
-"""Gaussian-process surrogate and priority replay buffer for the slice agents.
+"""Gaussian-process surrogate and priority replay buffer.
 
 Exact GP regression with a Matern 5/2 kernel over anisotropic (per-dimension)
-length scales, zero prior mean over standardized targets. The training window
-comes from a small replay buffer whose priorities decay with age, so the
-surrogate tracks a drifting environment instead of averaging over history.
+length scales, zero prior mean over standardized targets, fitted on float
+input rows and scalar targets. The training window comes from a small replay
+buffer whose priorities decay with age, so the surrogate tracks a drifting
+environment instead of averaging over history. The buffer holds any item
+with a `key()` and a `priority`; the optimizers store their observations in
+it. Nothing here knows about slices, actions or prices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import _lbfgsb
 
-from .core import PerfVector
 from .errors import GpFitError
 
 # Jitter escalation: start tiny, multiply by 10, give up past the max.
@@ -45,49 +47,11 @@ _LBFGSB_MAXLS = 20
 _LBFGSB_MAXFUN = 15000
 
 
-@dataclass(frozen=True)
-class GpInput:
-    """Surrogate input for one slice observation.
-
-    peers_sw is the slot's aggregated sharing weight of the other slices:
-    exogenous context that shifts how much pool the slice's own sw can win.
-    """
-
-    svrb: float
-    sw: float
-    peers_sw: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.svrb, self.sw, self.peers_sw], dtype=float)
-
-
-@dataclass
-class Experience:
-    """One observed (input, delivered performance) pair.
-
-    The raw PerfVector is stored rather than a scalar objective so targets can
-    be re-priced under whatever SLA thresholds hold at fit time.
-    """
-
-    input: GpInput
-    observed: PerfVector
-    slot: int
-    priority: float = 1.0
-
-    def key(self) -> tuple:
-        """Identity of the queried input, for duplicate replacement."""
-        return (self.input.svrb, self.input.sw, self.input.peers_sw)
-
-    def row(self) -> np.ndarray:
-        """The queried input as a surrogate training row."""
-        return self.input.as_array()
-
-
 class ReplayBuffer:
     """Fixed-capacity buffer with age-decayed priorities.
 
     Every push decays all retained priorities by `decay` (one aging step per
-    arriving experience), inserts the newcomer at priority 1, and evicts the
+    arriving item), inserts the newcomer at priority 1, and evicts the
     oldest entry once full. Re-observing an input already in the buffer (same
     `key()`) replaces the stale entry instead of appending a duplicate: repeats
     carry no new information but would crowd out the diversity the surrogate
@@ -263,7 +227,7 @@ def _noisy_gram(x: np.ndarray, params: KernelParams, noise_var: float) -> np.nda
 
 @dataclass
 class GpModel:
-    """Fitted exact-GP posterior (or the bare prior when x_train is None).
+    """Fitted exact-GP posterior.
 
     `w` is [L^-T | alpha], n x (n + 1), for the Cholesky factor L of the
     training Gram and alpha = K^-1 y_std: k_star @ w holds the whitened
@@ -273,21 +237,17 @@ class GpModel:
 
     params: KernelParams
     noise_var: float
-    x_train: np.ndarray | None = None
-    y_mean: float = 0.0
-    y_scale: float = 1.0
-    chol: np.ndarray | None = None
-    w: np.ndarray | None = None
-    jitter: float = 0.0
-
-    @classmethod
-    def prior(cls, params: KernelParams, noise_var: float = 0.0) -> "GpModel":
-        return cls(params=params, noise_var=noise_var)
+    x_train: np.ndarray
+    y_mean: float
+    y_scale: float
+    chol: np.ndarray
+    w: np.ndarray
+    jitter: float
 
     @property
-    def alpha(self) -> np.ndarray | None:
+    def alpha(self) -> np.ndarray:
         """K^-1 y_std, the last column of `w`."""
-        return None if self.w is None else self.w[:, -1]
+        return self.w[:, -1]
 
     @property
     def prior_var(self) -> float:
@@ -308,10 +268,6 @@ class GpModel:
         the recomputation.
         """
         x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
-        if self.x_train is None:
-            mu = np.zeros(x_query.shape[0])
-            sigma = np.full(x_query.shape[0], math.sqrt(self.params.signal_var))
-            return mu, sigma
         if k_star is None:
             k_star = kernel_matrix(x_query, self.x_train, self.params)
         out = k_star @ self.w
@@ -367,7 +323,7 @@ def fit(
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
     if x.shape[0] == 0:
-        raise ValueError("cannot fit a GP on zero experiences")
+        raise ValueError("cannot fit a GP on zero rows")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} inputs but {y.shape[0]} targets")
     if x.shape[1] != len(params.length_scales):

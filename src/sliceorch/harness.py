@@ -3,9 +3,9 @@
 A Scenario fully describes one experiment (slices, environment, scripted
 dynamics, algorithm, horizon, seed). `run` executes it deterministically:
 every random draw descends from the scenario seed through named substreams,
-so identical scenarios produce byte-identical traces. `run_matrix` crosses
-scenario files with all algorithms, and `dump_oracle` materializes the
-exhaustive-search dataset.
+so identical scenarios produce byte-identical traces. `summarize` reduces a
+run's records to one summary row, `run_matrix` crosses scenario files with
+all algorithms, and `dump_oracle` materializes the exhaustive-search dataset.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ _SECTIONS = {
     "env": EnvConfig, "cost": CostParams, "app_profile": TrafficProfile, "algo": AlgoParams,
 }
 _LISTS = {"slices": SliceSpec, "events": DynamicsEvent}
-_COERCE = {"name": str, "algorithm": str, "slice_id": str, "active": bool}
+_COERCE = {"name": str, "algorithm": str, "slice_id": str}
 
 
 def _build(where: str, cls, raw):
@@ -430,6 +430,23 @@ class MatrixRow:
     final_cost: float | None
 
 
+def summarize(scenario: Scenario, records: Sequence[SlotRecord]) -> MatrixRow:
+    """The summary row of one completed run of `scenario`."""
+    costs = [r.total_cost for r in records]
+    norms = [r.mean_norm_perf for r in records]
+    return MatrixRow(
+        scenario.name,
+        scenario.algorithm,
+        len(scenario.slices),
+        "ok",
+        "",
+        converged_value(costs),
+        converged_value(norms, costs),
+        convergence_slot(costs),
+        costs[-1],
+    )
+
+
 def run_matrix(
     scenarios: Iterable[Scenario], algorithms: Sequence[str] | None = None
 ) -> list[MatrixRow]:
@@ -448,21 +465,7 @@ def run_matrix(
                     )
                 )
                 continue
-            costs = [r.total_cost for r in records]
-            norms = [r.mean_norm_perf for r in records]
-            rows.append(
-                MatrixRow(
-                    scn.name,
-                    algo,
-                    len(scn.slices),
-                    "ok",
-                    "",
-                    converged_value(costs),
-                    converged_value(norms, costs),
-                    convergence_slot(costs),
-                    costs[-1],
-                )
-            )
+            rows.append(summarize(cell, records))
     return rows
 
 

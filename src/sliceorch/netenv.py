@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Action, PerfVector, SliceSpec
+from .core import Action, PerfVector, SliceSpec, _whole
 from .errors import CapacityExceededError, ScenarioError
 from .vsharing import SliceDemand, share_pool
 
@@ -76,8 +76,8 @@ class DynamicsEvent:
     q_fps: float | None = None
 
     def __post_init__(self) -> None:
-        if self.slot < 0:
-            raise ValueError(f"event slot must be >= 0, got {self.slot}")
+        if not _whole(self.slot) or self.slot < 0:
+            raise ValueError(f"slot must be an integer >= 0, got {self.slot!r}")
         if self.kind not in ("slice_join", "slice_leave", "sla_change"):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == "sla_change" and (self.q_throughput is None or self.q_fps is None):

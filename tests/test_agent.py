@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from sliceorch import agent as agent_module
 from sliceorch.agent import (
     AgentContext,
     CandidateGrid,
+    Observation,
     SliceAgent,
     barrier_value,
     design_point,
@@ -15,7 +17,6 @@ from sliceorch.agent import (
     sla_margin,
 )
 from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
-from sliceorch.gp import Experience, GpInput
 from sliceorch.netenv import TrafficProfile
 from sliceorch.rng import substream
 
@@ -41,7 +42,13 @@ def make_agent(design_offset=0, **algo):
 
 
 def entry(svrb, sw, peers_sw, perf, slot=0):
-    return Experience(GpInput(float(svrb), float(sw), float(peers_sw)), perf, slot)
+    """An observation of SPEC's slice as make_agent's agent records it."""
+    cost = CostParams().u_h * svrb + CostParams().u_s * sw
+    return Observation(np.array([svrb, sw, peers_sw], dtype=float), cost, {"s1": perf}, slot)
+
+
+def price(agent, obs, ctx):
+    return agent._price(obs, {agent.slice_id: ctx.spec})
 
 
 class TestObjective:
@@ -69,13 +76,13 @@ class TestObjective:
     # consensus proximal term.
     def test_scalarize_sums_the_three_parts(self):
         agent, ctx = make_agent(barrier_coef=1.0), make_ctx(z=4.0, y=0.0)
-        value = agent._target(entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
+        value = price(agent, entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
         assert value == pytest.approx(4.223143551314209, abs=1e-12)
 
     def test_scalarize_includes_sharing_price(self):
         agent, ctx = make_agent(barrier_coef=1.0), make_ctx(z=4.0, y=0.0)
-        with_w = agent._target(entry(4, 0.3, 0.0, GOOD), ctx) + proximal_term(4, ctx)
-        without = agent._target(entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
+        with_w = price(agent, entry(4, 0.3, 0.0, GOOD), ctx) + proximal_term(4, ctx)
+        without = price(agent, entry(4, 0.0, 0.0, GOOD), ctx) + proximal_term(4, ctx)
         assert with_w == pytest.approx(without + 0.3)
 
 
@@ -145,12 +152,28 @@ class TestColdStart:
 
 
 class TestIncumbent:
-    def test_incumbent_reprices_under_the_context(self):
+    def test_incumbent_reprices_under_the_context(self, monkeypatch):
+        # The best objective so far, which the acquisitions improve on, is
+        # the archive re-priced under the context, proximal term included.
         agent = make_agent()
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         ctx = make_ctx(z=0.0, y=0.0, rho=2.0)
+        bests = []
+
+        def nominate(mu, sigma, best, kappa):
+            bests.append(best)
+            return np.zeros(3, dtype=int)
+
+        monkeypatch.setattr(agent_module, "portfolio_nominate", nominate)
+        agent._propose(
+            np.array([[4.0, 0.0, 0.0]]),
+            {"s1": ctx.spec},
+            lambda: (np.zeros(1), np.ones(1)),
+            lambda: None,
+            offset=lambda rows: proximal_term(rows[:, 0], ctx),
+        )
         expected = 4.0 - 0.5 * math.log(0.8) + 0.5 * 2.0 * 16.0
-        assert agent._incumbent(ctx) == pytest.approx(expected)
+        assert bests == [pytest.approx(expected)]
 
 
 class TestRecommend:

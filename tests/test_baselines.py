@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sliceorch import baselines
+from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value
 from sliceorch.baselines import (
     GridPortfolioBo,
     OracleEntry,
@@ -133,6 +134,24 @@ class TestGridPortfolioBo:
                 bo.observe(actions, perfs, EASY, slot)
             runs.append(rows)
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("perf", [GOOD, BAD, PerfVector(1.3, 0.9)])
+def test_grid_optimizer_and_slice_agent_price_alike(perf):
+    """One pricing rule: a sharing-free probe costs the same bits in either optimizer."""
+    cost, penalty = CostParams(u_h=1.3, u_s=0.7), 17.0
+    spec = SliceSpec("a", 1.1, 1.7, TrafficProfile(30.0, 0.5))
+    bo = make_bo(capacity=8, cost=cost, penalty=penalty)
+    grid = CandidateGrid.for_capacity(8, ALGO.min_alive, ALGO.sw_step)
+    agent = SliceAgent(
+        "a", grid, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, cost, penalty
+    )
+    bo.observe({"a": Action(5, 0.0)}, {"a": perf}, {"a": spec}, 0)
+    agent.observe(Action(5, 0.0), perf, AgentContext(z=5.0, y=0.0, rho=2.0, s=0.0, spec=spec), 0)
+    (bo_obs,), (agent_obs,) = bo.archive.values(), agent.archive.values()
+    specs = {"a": spec}
+    expected = 1.3 * 5 + barrier_value(perf, spec, ALGO.barrier_coef, penalty)
+    assert bo._price(bo_obs, specs) == agent._price(agent_obs, specs) == expected
 
 
 THREE = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abc"}

@@ -8,14 +8,11 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import check_grad, minimize
 
 from sliceorch import gp
-from sliceorch.agent import CandidateGrid
+from sliceorch.agent import CandidateGrid, Observation
 from sliceorch.baselines import enumerate_joint_grid
 from sliceorch.core import AlgoParams, PerfVector
 from sliceorch.errors import GpFitError
 from sliceorch.gp import (
-    Experience,
-    GpInput,
-    GpModel,
     KernelLattice,
     KernelParams,
     ReplayBuffer,
@@ -123,12 +120,6 @@ class TestPosterior:
         mu, sigma = model.predict(x)
         np.testing.assert_allclose(mu, y, atol=1e-4)
         assert np.all(sigma < 0.01)
-
-    def test_prior_model_predicts_zero_mean(self):
-        model = GpModel.prior(KernelParams((1.0,), 2.0))
-        mu, sigma = model.predict(np.array([[0.3]]))
-        assert mu[0] == 0.0
-        assert sigma[0] == pytest.approx(math.sqrt(2.0))
 
     def test_constant_targets_survive_standardization(self):
         x = np.array([[0.0], [1.0]])
@@ -421,7 +412,8 @@ class TestPredictProduct:
 
 
 def exp_at(svrb, slot=0):
-    return Experience(GpInput(float(svrb), 0.0, 0.0), PerfVector(1.0, 1.0), slot)
+    x = np.array([svrb, 0.0, 0.0], dtype=float)
+    return Observation(x, float(svrb), {"s1": PerfVector(1.0, 1.0)}, slot)
 
 
 def log_uniform(rng, low, high, size=None):
@@ -564,7 +556,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=3, decay=1.0)
         for i in range(5):
             buf.push(exp_at(i, slot=i))
-        assert [it.input.svrb for it in buf.items] == [2.0, 3.0, 4.0]
+        assert [it.x[0] for it in buf.items] == [2.0, 3.0, 4.0]
 
     def test_reobserved_input_replaces_the_stale_entry(self):
         buf = ReplayBuffer(capacity=4, decay=0.9)
@@ -572,7 +564,7 @@ class TestReplayBuffer:
         buf.push(exp_at(2, slot=1))
         buf.push(exp_at(1, slot=2))  # same input as the first
         assert len(buf) == 2
-        assert [it.input.svrb for it in buf.items] == [2.0, 1.0]
+        assert [it.x[0] for it in buf.items] == [2.0, 1.0]
         assert buf.items[-1].slot == 2
 
     def test_sample_everything_when_short(self):

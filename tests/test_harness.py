@@ -489,6 +489,16 @@ class TestFailureContract:
     def test_fractional_slots(self, tmp_path, capsys):
         self.rejects_file(self.write(tmp_path, base_dict(slots=2.5)), "slots", tmp_path, capsys)
 
+    def test_quoted_active_flag(self, tmp_path, capsys):
+        data = base_dict()
+        data["slices"][1]["active"] = "false"  # a string, not YAML's false
+        self.rejects_file(self.write(tmp_path, data), "slices[1]: active", tmp_path, capsys)
+
+    def test_fractional_event_slot(self, tmp_path, capsys):
+        data = full_dict()
+        data["events"][0]["slot"] = 2.5
+        self.rejects_file(self.write(tmp_path, data), "events[0]: slot", tmp_path, capsys)
+
     @pytest.mark.parametrize(
         "name,value",
         [
