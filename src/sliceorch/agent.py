@@ -8,8 +8,9 @@ cost + barrier as a function of (svrb, sw, peers_sw); the proximal term is a
 known quadratic and is added analytically when candidates are scored.
 
 `PortfolioBo` is the one optimizer core of the workbench: its `Observation`
-record, its pricing rule (stored resource cost plus SLA barriers), its
-propose step (predict, best so far, Hedge-nominate, swap an already-probed
+record, its pricing rule (stored resource cost plus SLA barriers, cached
+per archive entry until the SLAs change), its propose step (best so far,
+predict and nominate block by block, Hedge-pick, swap an already-probed
 nominee for an unexplored design row) and its learn step (replay buffer,
 archive, GP refits and hyperparameter searches). `SliceAgent` and the
 baselines' `GridPortfolioBo` subclass it with their own candidate rows,
@@ -28,6 +29,7 @@ from .acquisition import (
     HedgeState,
     hedge_select,
     hedge_update,
+    merge_nominees,
     portfolio_nominate,
 )
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
@@ -39,6 +41,24 @@ from .gp import (
     fit,
     optimize_params,
 )
+
+# Candidate rows scored per surrogate call: a block's cross-covariance is
+# about 1 MB at 30 training rows, so a probe's temporaries stay this size
+# however large the candidate grid.
+PREDICT_BLOCK_ROWS = 4096
+
+
+def row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive row slices of at most PREDICT_BLOCK_ROWS rows covering n_rows.
+
+    A lone last row joins the block before it: numpy multiplies a one-row
+    matrix through gemv rather than gemm, whose sums can differ in the last
+    bit from the same row's sums inside a larger block.
+    """
+    starts = list(range(0, n_rows, PREDICT_BLOCK_ROWS))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
 @dataclass(frozen=True)
@@ -155,14 +175,26 @@ class PortfolioBo:
     Holds the replay buffer that feeds the surrogate, an all-time archive of
     the latest observation per distinct input, the GP with its
     hyperparameters, the Hedge bandit over the acquisition portfolio, and a
-    cursor into a deterministic space-filling design. An observation is
-    priced as its stored resource cost plus each of its slices' SLA barriers
-    (`_price`), under the specs of the call, so stored observations are
-    re-priced under whatever SLA thresholds currently hold. A subclass owns
-    its candidate rows and design sequence; it calls `_propose` for a warm
+    cursor into a deterministic space-filling design. A subclass owns its
+    candidate rows and design sequence; it calls `_propose` for a warm
     suggestion and `_learn` to record a probe. All settings come from the
     scenario's `AlgoParams`; the run's prices, the barrier coefficient and
     the resolved SLA violation penalty are fixed at construction.
+
+    An observation is priced as its stored resource cost plus each of its
+    slices' SLA barriers (`_price`), under the specs of the call, so stored
+    observations are re-priced under whatever SLA thresholds currently hold.
+    Those change only at SLA events, so the archive keeps one price per
+    entry (`_prices`): an entry is priced when `_record` archives it, and
+    the whole archive again only when the specs passed in differ from the
+    ones its prices were taken under. The best-so-far of `_propose`, the
+    training targets of `_learn` and the subclasses' recommendation rules
+    all read these prices.
+
+    `_propose` scores the candidates block by block (`row_blocks`), so a
+    probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows whatever the
+    grid's size, and nominates the same rows, bit for bit, as scoring the
+    whole grid in one call would.
     """
 
     def __init__(
@@ -193,7 +225,9 @@ class PortfolioBo:
         self.fit_count = 0
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = design_offset
-        self.archive: dict[tuple, Observation] = {}
+        self.archive: dict[tuple, Observation] = {}  # written through _record
+        self._archive_prices: dict[tuple, float] = {}  # same keys and order as archive
+        self._priced_specs: dict[str, SliceSpec] | None = None
 
     def _warm(self) -> bool:
         """Whether the surrogate has seen enough data to drive the search."""
@@ -211,31 +245,55 @@ class PortfolioBo:
             barriers += barrier_value(perf, specs[sid], self.barrier_coef, self.penalty)
         return obs.cost + barriers
 
+    def _prices(self, specs: Mapping[str, SliceSpec]) -> dict[tuple, float]:
+        """Each archived observation's `_price` under `specs`, in archive order.
+
+        The prices are kept while the specs passed in equal the ones they
+        were taken under; other specs re-price the whole archive once.
+        """
+        if specs != self._priced_specs:
+            self._priced_specs = dict(specs)
+            self._archive_prices = {k: self._price(o, specs) for k, o in self.archive.items()}
+        return self._archive_prices
+
+    def _record(self, obs: Observation, specs: Mapping[str, SliceSpec]) -> None:
+        """Archive `obs` in place of any earlier probe of its input, priced under `specs`."""
+        prices = self._prices(specs)
+        self.archive[obs.key()] = obs
+        prices[obs.key()] = self._price(obs, specs)
+
     def _propose(
         self,
         queries: np.ndarray,
         specs: Mapping[str, SliceSpec],
-        predict: Callable[[], tuple[np.ndarray, np.ndarray]],
+        predict: Callable[[slice], tuple[np.ndarray, np.ndarray]],
         unexplored: Callable[[], np.ndarray | None],
         offset: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> np.ndarray:
         """The query row a warm optimizer probes next.
 
-        `predict()` gives the surrogate's mean and deviation over `queries`;
-        `offset` is a known additive term of the objective over input rows,
-        which the surrogate does not model. Each acquisition nominates a row
-        against the best objective observed so far and Hedge picks one. A
-        nominee already in the archive teaches the surrogate nothing, so the
-        probe goes to the subclass's `unexplored()` design row instead, when
-        there is one.
+        `predict(rows)` gives the surrogate's mean and deviation over
+        `queries[rows]`; `offset` is a known additive term of the objective
+        over input rows, which the surrogate does not model. Each acquisition
+        nominates a row against the best objective observed so far, block by
+        block, and Hedge picks one. A nominee already in the archive teaches
+        the surrogate nothing, so the probe goes to the subclass's
+        `unexplored()` design row instead, when there is one.
         """
-        mu, sigma = predict()
-        observed = list(self.archive.values())
-        best = np.array([self._price(o, specs) for o in observed])
+        prices = self._prices(specs)
+        best = np.fromiter(prices.values(), float, len(prices))
         if offset is not None:
-            mu = mu + offset(queries)
-            best = best + offset(np.array([o.x for o in observed]))
-        nominees = portfolio_nominate(mu, sigma, float(best.min()), self.kappa)
+            best = best + offset(np.array([o.x for o in self.archive.values()]))
+        best = float(best.min())
+        held = None
+        for rows in row_blocks(queries.shape[0]):
+            mu, sigma = predict(rows)
+            if offset is not None:
+                mu = mu + offset(queries[rows])
+            local = portfolio_nominate(mu, sigma, best, self.kappa)
+            offered = (rows.start + local, mu[local], sigma[local])
+            held = merge_nominees(held, offered, best, self.kappa)
+        nominees = held[0]
         self._last_nominees = queries[nominees]
         chosen = queries[nominees[hedge_select(self.hedge, self.hedge_rng)]]
         if tuple(chosen.tolist()) in self.archive:
@@ -262,11 +320,11 @@ class PortfolioBo:
         """
         svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
         obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs, slot)
-        self.archive[obs.key()] = obs
-        self.buffer.push(obs)
+        self._record(obs, specs)
+        self.buffer.push(obs)  # like the archive, keeps only the latest probe of an input
         sample = self.buffer.sample(self.subsample, self.rng)
         x_train = np.stack([o.x for o in sample])
-        y = np.array([self._price(o, specs) for o in sample])
+        y = np.array([self._archive_prices[o.key()] for o in sample])
         self.fit_count += 1
         if self.fit_count % self.hyperopt_every == 0:
             self.params, self.noise_var = optimize_params(
@@ -333,10 +391,10 @@ class SliceAgent(PortfolioBo):
         feasible on record, the least-bad entry is committed. Requires at
         least one observation.
         """
-        specs = {self.slice_id: ctx.spec}
+        prices = self._prices({self.slice_id: ctx.spec})
 
         def rank(o: Observation) -> tuple[float, float, float, float]:
-            return self._price(o, specs), *o.key()
+            return prices[o.key()], *o.key()
 
         tested: dict[float, Observation] = {}
         for o in self.archive.values():
@@ -378,7 +436,7 @@ class SliceAgent(PortfolioBo):
         row = self._propose(
             queries,
             {self.slice_id: ctx.spec},
-            lambda: self.gp.predict(queries),
+            lambda rows: self.gp.predict(queries[rows]),
             lambda: self._next_unexplored(ctx.s),
             offset=lambda rows: proximal_term(rows[:, 0], ctx),
         )

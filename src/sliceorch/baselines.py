@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,24 +43,30 @@ def joint_grid_size(n_slices: int, capacity: int, min_alive: int) -> int:
 
 def enumerate_joint_grid(
     n_slices: int, capacity: int, min_alive: int, grid_cap: int
-) -> list[tuple[int, ...]]:
-    """All joint svRB vectors within capacity, in lexicographic order."""
+) -> np.ndarray:
+    """All joint svRB vectors within capacity, one integer row each, in lexicographic order.
+
+    Built one position at a time: every partial vector is repeated once per
+    value its next entry can take, from min_alive up to what the later
+    entries' floors leave of the capacity, so each prefix's extensions stay
+    contiguous and ascending.
+    """
     size = joint_grid_size(n_slices, capacity, min_alive)
     if size > grid_cap:
         raise GridCapExceededError(
             f"joint grid has {size} actions, over the cap of {grid_cap}"
         )
-
-    def rec(remaining: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        reserve = (remaining - 1) * min_alive
-        for v in range(min_alive, budget - reserve + 1):
-            for tail in rec(remaining - 1, budget - v):
-                yield (v, *tail)
-
-    return list(rec(n_slices, capacity))
+    grid = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for position in range(n_slices):
+        reserve = (n_slices - 1 - position) * min_alive
+        counts = np.maximum(capacity - reserve - used - min_alive + 1, 0)
+        parent = np.repeat(np.arange(used.shape[0]), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        value = min_alive + np.arange(parent.shape[0]) - first
+        grid = np.column_stack([grid[parent], value])
+        used = used[parent] + value
+    return grid
 
 
 # -- the grid optimizer (gbo and atlas) ------------------------------------------
@@ -78,15 +84,18 @@ class GridPortfolioBo(PortfolioBo):
 
     Every training row is a candidate row, so the cross-covariance between
     the candidates and the training sample is kept column by column, keyed
-    by row: a refit computes only the columns of rows new to the sample.
-    All columns are dropped when a hyperparameter search changes the kernel.
-    A row that leaves the subsample but stays in the replay buffer keeps its
-    column, since the next refit's sample is likely to draw it again; rows
-    evicted from the buffer lose theirs. So the cache holds at most one
-    column per buffered row, and the columns live in one column-major
-    candidates x buffer-capacity matrix with a slot per buffered row: a new
-    column is one contiguous store, and a prediction gathers its
-    cross-covariance as one contiguous copy per training row.
+    by row, in one column-major candidates x buffer-capacity matrix with a
+    slot per buffered row. A refit computes only the columns of rows new to
+    the sample; a hyperparameter search that changes the kernel drops them
+    all. A row that leaves the subsample but stays in the replay buffer
+    keeps its column, since the next refit's sample is likely to draw it
+    again; rows evicted from the buffer lose theirs.
+
+    That matrix is the largest state that grows with the grid. A warm
+    suggestion scores the candidates in the core's row blocks: each block
+    gathers its rows of the training sample's columns (a copy of at most
+    PREDICT_BLOCK_ROWS x subsample entries) and predicts from them, so the
+    temporaries of a probe do not grow with the grid.
     """
 
     def __init__(
@@ -100,10 +109,9 @@ class GridPortfolioBo(PortfolioBo):
         penalty: float,
     ):
         self.slice_ids = list(slice_ids)
-        self.candidates = np.asarray(
-            enumerate_joint_grid(len(self.slice_ids), capacity, algo.min_alive, algo.grid_cap),
-            dtype=float,
-        )
+        self.candidates = enumerate_joint_grid(
+            len(self.slice_ids), capacity, algo.min_alive, algo.grid_cap
+        ).astype(float)
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, penalty)
         self._lattice = KernelLattice(self.candidates)
@@ -113,12 +121,13 @@ class GridPortfolioBo(PortfolioBo):
         self._columns: dict[tuple, int] = {}  # buffered row key -> its slot in _kernel_columns
         self._columns_params: KernelParams | None = None
 
-    def _predict_candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """gp.predict(candidates), reusing the cached kernel columns.
+    def _training_columns(self) -> list[int]:
+        """The `_kernel_columns` slot of each training row of the current GP, in order.
 
-        Each column is kernel_matrix(candidates, row), taken from the
-        candidates' KernelLattice, which equals the matching column of the
-        full cross-covariance bit for bit.
+        Columns missing from the cache are computed first. Each is
+        kernel_matrix(candidates, row), taken from the candidates'
+        KernelLattice, which equals the matching column of the full
+        cross-covariance bit for bit.
         """
         gp = self.gp
         if gp.params != self._columns_params:
@@ -132,8 +141,12 @@ class GridPortfolioBo(PortfolioBo):
             if key not in self._columns:
                 slot = self._columns[key] = next(free)
                 self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
-        k_star = self._kernel_columns[:, [self._columns[k] for k in keys]]
-        return gp.predict(self.candidates, k_star=k_star)
+        return [self._columns[k] for k in keys]
+
+    def _predict_rows(self, rows: slice, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """gp.predict(candidates[rows]), from the cached kernel `columns`."""
+        k_star = self._kernel_columns[rows, columns]
+        return self.gp.predict(self.candidates[rows], k_star=k_star)
 
     def _design_index(self) -> int:
         u = _radical_inverse(self._next_design() + 1, 2)
@@ -165,8 +178,14 @@ class GridPortfolioBo(PortfolioBo):
             self._last_nominees = None
             row = self._next_unexplored()
             return self._actions(row if row is not None else self.candidates[self._design_index()])
+        columns = self._training_columns()
         return self._actions(
-            self._propose(self.candidates, specs, self._predict_candidates, self._next_unexplored)
+            self._propose(
+                self.candidates,
+                specs,
+                lambda rows: self._predict_rows(rows, columns),
+                self._next_unexplored,
+            )
         )
 
     def incumbent(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:
@@ -177,8 +196,8 @@ class GridPortfolioBo(PortfolioBo):
         """
         if not self.archive:
             return self.suggest(specs)
-        best = min(self.archive.values(), key=lambda o: (self._price(o, specs), o.key()))
-        return self._actions(best.x)
+        prices = self._prices(specs)
+        return self._actions(self.archive[min(prices, key=lambda k: (prices[k], k))].x)
 
     def observe(
         self,
@@ -247,7 +266,9 @@ def sweep_dataset(
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 
     entries = []
-    for combo in enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap):
+    # Row by row: the whole grid as Python lists would sit beside the entries.
+    for row in enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap):
+        combo = tuple(row.tolist())  # Python ints, so the entries print as before
         actions = {s.slice_id: Action(v, 0.0) for s, v in zip(clean_specs, combo)}
         perfs = step(actions, clean_specs, clean_config, rng)
         entries.append(OracleEntry(combo, tuple(perfs[s.slice_id] for s in clean_specs)))

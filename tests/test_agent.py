@@ -168,7 +168,7 @@ class TestIncumbent:
         agent._propose(
             np.array([[4.0, 0.0, 0.0]]),
             {"s1": ctx.spec},
-            lambda: (np.zeros(1), np.ones(1)),
+            lambda rows: (np.zeros(1), np.ones(1)),
             lambda: None,
             offset=lambda rows: proximal_term(rows[:, 0], ctx),
         )

@@ -1,12 +1,16 @@
 """Baseline optimizers: joint BO, independent BO, and the exhaustive sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sliceorch import agent as agent_module
 from sliceorch import baselines
-from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value
+from sliceorch.acquisition import portfolio_nominate
+from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value, row_blocks
 from sliceorch.baselines import (
     GridPortfolioBo,
     OracleEntry,
@@ -36,7 +40,30 @@ ALGO = AlgoParams()
 ALIVE, CAP = ALGO.min_alive, ALGO.grid_cap
 
 
+def recursive_joint_grid(n_slices, capacity, min_alive):
+    """The joint grid as the original recursive generator enumerated it."""
+
+    def rec(remaining, budget):
+        if remaining == 0:
+            yield ()
+            return
+        reserve = (remaining - 1) * min_alive
+        for v in range(min_alive, budget - reserve + 1):
+            for tail in rec(remaining - 1, budget - v):
+                yield (v, *tail)
+
+    return list(rec(n_slices, capacity))
+
+
 class TestJointGrid:
+    def test_matches_the_recursive_enumeration(self):
+        for n in range(6):
+            for capacity in range(25):
+                for alive in (1, 2):
+                    grid = enumerate_joint_grid(n, capacity, alive, CAP)
+                    assert grid.dtype.kind == "i" and grid.shape[1] == n
+                    assert list(map(tuple, grid.tolist())) == recursive_joint_grid(n, capacity, alive)
+
     def test_counts_three_slices_at_capacity_twelve(self):
         assert joint_grid_size(3, 12, ALIVE) == 220
 
@@ -50,8 +77,8 @@ class TestJointGrid:
 
     def test_enumeration_is_lexicographic_and_bounded(self):
         grid = enumerate_joint_grid(2, 3, ALIVE, CAP)
-        assert grid == [(1, 1), (1, 2), (2, 1)]
-        big = enumerate_joint_grid(3, 9, ALIVE, CAP)
+        assert grid.tolist() == [[1, 1], [1, 2], [2, 1]]
+        big = enumerate_joint_grid(3, 9, ALIVE, CAP).tolist()
         assert big == sorted(big)
         assert all(sum(row) <= 9 and min(row) >= 1 for row in big)
 
@@ -166,6 +193,13 @@ def varied_perfs(actions):
     }
 
 
+def blocked_predict(bo):
+    """The mean and deviation a warm suggestion scores, gathered over its row blocks."""
+    columns = bo._training_columns()
+    parts = [bo._predict_rows(rows, columns) for rows in row_blocks(bo.candidates.shape[0])]
+    return np.concatenate([mu for mu, _ in parts]), np.concatenate([sd for _, sd in parts])
+
+
 class TestCrossKernelCache:
     def test_cached_prediction_equals_plain_predict(self):
         """Bit-identical across hyperparameter searches and buffer evictions."""
@@ -178,7 +212,7 @@ class TestCrossKernelCache:
             if bo.gp is None:
                 continue
             searches += bo.params != params
-            mu, sigma = bo._predict_candidates()
+            mu, sigma = blocked_predict(bo)
             mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
             assert np.array_equal(mu, mu_ref)
             assert np.array_equal(sigma, sigma_ref)
@@ -207,11 +241,143 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
         if bo.gp is None:
             continue
         computed.clear()
-        bo._predict_candidates()
+        bo._training_columns()
         reused += len(computed) < bo.gp.x_train.shape[0]
         assert len(set(computed)) == len(computed)
         assert all(params == bo.gp.params for _, params in computed)
     assert reused > 0
+
+
+def whole_grid_nominees(bo, specs):
+    """What a warm suggestion nominates when every candidate is scored in one call."""
+    mu, sigma = bo.gp.predict(bo.candidates)
+    best = min(bo._price(o, specs) for o in bo.archive.values())
+    return mu, sigma, portfolio_nominate(mu, sigma, best, bo.kappa)
+
+
+class TestBlockedScoring:
+    """Scoring the grid block by block nominates what scoring it whole does, bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [4096, 64, 73])
+    def test_matches_whole_grid_scoring(self, monkeypatch, block_rows):
+        # 220 rows: under one block, 3 x 64 + 28, and 3 x 73 + 1, whose
+        # lone last row joins the block before it
+        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
+        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        warm = 0
+        for slot in range(16):
+            if bo._warm():
+                mu_ref, sigma_ref, nominees = whole_grid_nominees(bo, THREE)
+                mu, sigma = blocked_predict(bo)
+                assert np.array_equal(mu, mu_ref)
+                assert np.array_equal(sigma, sigma_ref)
+                actions = bo.suggest(THREE)
+                assert np.array_equal(bo._last_nominees, bo.candidates[nominees])
+                warm += 1
+            else:
+                actions = bo.suggest(THREE)
+            bo.observe(actions, varied_perfs(actions), THREE, slot)
+        assert warm > 8
+
+    def test_matches_on_the_five_slice_grid(self):
+        # 42,504 rows: ten full blocks and a partial one
+        specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcde"}
+        bo = make_bo("abcde", 24, n_init=3, subsample=5)
+        assert bo.candidates.shape[0] % agent_module.PREDICT_BLOCK_ROWS != 0
+        rng = np.random.default_rng(4)
+        for slot in range(5):
+            if bo._warm():
+                mu_ref, sigma_ref, nominees = whole_grid_nominees(bo, specs)
+                mu, sigma = blocked_predict(bo)
+                assert np.array_equal(mu, mu_ref)
+                assert np.array_equal(sigma, sigma_ref)
+                actions = bo.suggest(specs)
+                assert np.array_equal(bo._last_nominees, bo.candidates[nominees])
+            else:
+                actions = bo.suggest(specs)
+            perfs = {sid: PerfVector(*rng.uniform(0.5, 4.0, 2)) for sid in specs}
+            bo.observe(actions, perfs, specs, slot)
+        assert bo._warm()
+
+    def propose(self, mu, sigma):
+        """Nominees of _propose over synthetic scores, and of one whole-grid call."""
+        bo = make_bo(capacity=2)
+        bo.observe({"a": Action(1, 0.0)}, {"a": GOOD}, EASY, 0)
+        queries = np.arange(mu.shape[0], dtype=float)[:, None]
+        bo._propose(queries, EASY, lambda rows: (mu[rows], sigma[rows]), lambda: None)
+        best = bo._price(next(iter(bo.archive.values())), EASY)
+        whole = portfolio_nominate(mu, sigma, best, bo.kappa)
+        return bo._last_nominees[:, 0].astype(int).tolist(), whole.tolist()
+
+    def test_tie_across_a_block_boundary_keeps_the_first_row(self):
+        block = agent_module.PREDICT_BLOCK_ROWS
+        mu = np.full(2 * block + 5, 50.0)
+        sigma = np.ones_like(mu)
+        mu[[block - 1, block]] = 10.0  # the best row of every acquisition, twice
+        nominees, whole = self.propose(mu, sigma)
+        assert nominees == whole == [block - 1] * 3
+
+    def test_first_nan_wins_as_argmax_lets_it(self):
+        block = agent_module.PREDICT_BLOCK_ROWS
+        mu = np.full(3 * block, 50.0)
+        sigma = np.ones_like(mu)
+        mu[2 * block + 7] = -100.0  # a later, better row does not displace a NaN
+        mu[[block + 3, block + 9, 2 * block]] = np.nan
+        nominees, whole = self.propose(mu, sigma)
+        assert nominees == whole == [block + 3] * 3
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 8])
+    def test_coarse_scores_with_many_ties(self, monkeypatch, block_rows):
+        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        for _ in range(20):
+            mu = rng.integers(0, 4, 23).astype(float)
+            sigma = rng.integers(0, 3, 23).astype(float)
+            nominees, whole = self.propose(mu, sigma)
+            assert nominees == whole
+
+
+class TestPriceCache:
+    """One price per archive entry, renewed when the SLAs change."""
+
+    def check(self, bo, specs):
+        fresh = {k: bo._price(o, specs) for k, o in bo.archive.items()}
+        assert list(bo._archive_prices.items()) == list(fresh.items())
+
+    def test_grid_optimizer_after_an_sla_change(self, monkeypatch):
+        bo = make_bo("abc", 12, subsample=6)
+        calls = []
+        original = bo._price
+        monkeypatch.setattr(bo, "_price", lambda o, specs: calls.append(o) or original(o, specs))
+        strict = {sid: replace(spec, q_throughput=3.5) for sid, spec in THREE.items()}
+        for slot in range(14):
+            specs = THREE if slot < 7 else strict
+            calls.clear()
+            actions = bo.suggest(specs)
+            # a suggestion prices nothing unless the SLAs changed since the last call
+            assert len(calls) == (len(bo.archive) if slot == 7 else 0)
+            calls.clear()
+            bo.observe(actions, varied_perfs(actions), specs, slot)
+            assert calls == [bo.archive[tuple(float(a.svrb) for a in actions.values())]]
+            self.check(bo, specs)
+        assert bo.incumbent(THREE) == bo.incumbent(THREE)
+        self.check(bo, THREE)
+
+    def test_slice_agent_after_an_sla_change(self):
+        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
+        agent = SliceAgent(
+            "a", grid, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, CostParams(), 120.0
+        )
+        spec = SliceSpec("a", 12.0, 10.0, TrafficProfile(30.0, 0.5))
+        strict = replace(spec, q_throughput=14.0)
+        rng = np.random.default_rng(2)
+        for slot in range(12):
+            ctx = AgentContext(z=4.0, y=0.0, rho=2.0, s=0.0, spec=spec if slot < 6 else strict)
+            action = agent.suggest(ctx)
+            agent.observe(action, PerfVector(*rng.uniform(8.0, 20.0, 2)), ctx, slot)
+            agent.recommend(ctx)
+            self.check(agent, {"a": ctx.spec})
+        assert len(agent.archive) > 6
 
 
 class TestGboBaseline:
@@ -309,7 +475,8 @@ class TestSweepDataset:
     def test_covers_the_whole_grid(self):
         dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
         assert len(dataset) == 220
-        assert [e.svrbs for e in dataset] == enumerate_joint_grid(3, 12, ALIVE, CAP)
+        assert [e.svrbs for e in dataset] == list(map(tuple, enumerate_joint_grid(3, 12, ALIVE, CAP).tolist()))
+        assert all(type(v) is int for e in dataset for v in e.svrbs)
 
     def test_known_allocation_performance(self):
         dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
