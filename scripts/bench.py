@@ -121,7 +121,6 @@ def main(argv=None) -> int:
 
     record = {
         "label": args.label,
-        "command": ["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])],
         "seconds": seconds,
         "environment": {
             "python": platform.python_version(),

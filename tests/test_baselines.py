@@ -258,34 +258,10 @@ def whole_grid_nominees(bo, specs):
 class TestBlockedScoring:
     """Scoring the grid block by block nominates what scoring it whole does, bit for bit."""
 
-    @pytest.mark.parametrize("block_rows", [4096, 64, 73])
-    def test_matches_whole_grid_scoring(self, monkeypatch, block_rows):
-        # 220 rows: under one block, 3 x 64 + 28, and 3 x 73 + 1, whose
-        # lone last row joins the block before it
-        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
-        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+    def check(self, bo, specs, perfs, slots):
+        """Run `slots` probes; every warm one must score and nominate as one whole-grid call."""
         warm = 0
-        for slot in range(16):
-            if bo._warm():
-                mu_ref, sigma_ref, nominees = whole_grid_nominees(bo, THREE)
-                mu, sigma = blocked_predict(bo)
-                assert np.array_equal(mu, mu_ref)
-                assert np.array_equal(sigma, sigma_ref)
-                actions = bo.suggest(THREE)
-                assert np.array_equal(bo._last_nominees, bo.candidates[nominees])
-                warm += 1
-            else:
-                actions = bo.suggest(THREE)
-            bo.observe(actions, varied_perfs(actions), THREE, slot)
-        assert warm > 8
-
-    def test_matches_on_the_five_slice_grid(self):
-        # 42,504 rows: ten full blocks and a partial one
-        specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcde"}
-        bo = make_bo("abcde", 24, n_init=3, subsample=5)
-        assert bo.candidates.shape[0] % agent_module.PREDICT_BLOCK_ROWS != 0
-        rng = np.random.default_rng(4)
-        for slot in range(5):
+        for slot in range(slots):
             if bo._warm():
                 mu_ref, sigma_ref, nominees = whole_grid_nominees(bo, specs)
                 mu, sigma = blocked_predict(bo)
@@ -293,11 +269,31 @@ class TestBlockedScoring:
                 assert np.array_equal(sigma, sigma_ref)
                 actions = bo.suggest(specs)
                 assert np.array_equal(bo._last_nominees, bo.candidates[nominees])
+                warm += 1
             else:
                 actions = bo.suggest(specs)
-            perfs = {sid: PerfVector(*rng.uniform(0.5, 4.0, 2)) for sid in specs}
-            bo.observe(actions, perfs, specs, slot)
-        assert bo._warm()
+            bo.observe(actions, perfs(actions), specs, slot)
+        return warm
+
+    @pytest.mark.parametrize("block_rows", [4096, 64, 73])
+    def test_matches_whole_grid_scoring(self, monkeypatch, block_rows):
+        # 220 rows: under one block, 3 x 64 + 28, and 3 x 73 + 1, whose
+        # lone last row joins the block before it
+        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
+        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        assert self.check(bo, THREE, varied_perfs, 16) > 8
+
+    def test_matches_on_the_five_slice_grid(self):
+        # 42,504 rows: ten full blocks and a partial one
+        specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcde"}
+        bo = make_bo("abcde", 24, n_init=3, subsample=5)
+        assert bo.candidates.shape[0] % agent_module.PREDICT_BLOCK_ROWS != 0
+        rng = np.random.default_rng(4)
+
+        def perfs(actions):
+            return {sid: PerfVector(*rng.uniform(0.5, 4.0, 2)) for sid in specs}
+
+        assert self.check(bo, specs, perfs, 5) == 2
 
     def propose(self, mu, sigma):
         """Nominees of _propose over synthetic scores, and of one whole-grid call."""
@@ -360,7 +356,9 @@ class TestPriceCache:
             bo.observe(actions, varied_perfs(actions), specs, slot)
             assert calls == [bo.archive[tuple(float(a.svrb) for a in actions.values())]]
             self.check(bo, specs)
-        assert bo.incumbent(THREE) == bo.incumbent(THREE)
+        calls.clear()
+        bo.incumbent(THREE)  # back to the first SLAs: each entry is priced once more
+        assert len(calls) == len(bo.archive)
         self.check(bo, THREE)
 
     def test_slice_agent_after_an_sla_change(self):
