@@ -1,10 +1,10 @@
 """Paired benchmark runs of two checkouts, summarized into one BENCH_<label>.json.
 
 Runs `perfbench/run.py --trace 0` unchanged, in each checkout's own tree, for
-the given workloads and seeds. With --base, every seed is a pair: the base
-checkout and this one run the same workload and seed back to back, and the
-side that goes first alternates from pair to pair. Run from the repository
-root:
+the given workloads and seeds, at BENCHMARK.json's run_seconds. Every seed is
+a pair: the --base checkout and this one run the same workload and seed back
+to back, and the side that goes first alternates from pair to pair. Run from
+the repository root:
 
     python3 scripts/bench.py --label mylabel --base ../parent joint:1-10 adaptive:1-3 oracle:1-3
 
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "head")
 
 
 def parse_spec(text: str) -> tuple[str, list[int]]:
@@ -78,21 +79,20 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], sides: list[str], metrics: dict) -> dict:
+def summarize(runs: list[dict], metrics: dict) -> dict:
     summary = {}
-    for side in sides:
+    for side in SIDES:
         summary[side] = {
             name: {**spread([r[side]["metrics"][name] for r in runs]), "unit": unit}
             for name, (unit, _) in metrics.items()
         }
-    if len(sides) == 2:
-        wins = {}
-        for name, (_, better) in metrics.items():
-            sign = 1.0 if better == "higher" else -1.0
-            deltas = [sign * (r["head"]["metrics"][name] - r["base"]["metrics"][name]) for r in runs]
-            wins[name] = {"head": sum(d > 0 for d in deltas), "base": sum(d < 0 for d in deltas),
-                          "tie": sum(d == 0 for d in deltas)}
-        summary["pairs_won"] = wins
+    wins = {}
+    for name, (_, better) in metrics.items():
+        sign = 1.0 if better == "higher" else -1.0
+        deltas = [sign * (r["head"]["metrics"][name] - r["base"]["metrics"][name]) for r in runs]
+        wins[name] = {"head": sum(d > 0 for d in deltas), "base": sum(d < 0 for d in deltas),
+                      "tie": sum(d == 0 for d in deltas)}
+    summary["pairs_won"] = wins
     return summary
 
 
@@ -101,20 +101,15 @@ def main(argv=None) -> int:
     parser.add_argument("runs", nargs="+", type=parse_spec, metavar="WORKLOAD:SEEDS",
                         help="workload and seed range, e.g. joint:1-10")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--base", type=Path, help="checkout to compare against")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
     metrics = {m["name"]: (m["unit"], m["better"]) for m in declared["end_to_end"]}
-    trees = {"head": ROOT}
-    if args.base is not None:
-        trees["base"] = args.base.resolve()
-        if not (trees["base"] / "perfbench" / "run.py").is_file():
-            parser.error(f"no perfbench/run.py under {trees['base']}")
-    sides = sorted(trees)
+    trees = {"base": args.base.resolve(), "head": ROOT}
+    if not (trees["base"] / "perfbench" / "run.py").is_file():
+        parser.error(f"no perfbench/run.py under {trees['base']}")
 
     import numpy
     import scipy
@@ -138,7 +133,7 @@ def main(argv=None) -> int:
     for workload, seeds in args.runs:
         runs = []
         for seed in seeds:
-            order = sides if pair % 2 == 0 else sides[::-1]  # base first on even pairs
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]  # base first on even pairs
             pair += 1
             run = {"seed": seed, "order": order}
             for side in order:
@@ -148,7 +143,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             runs.append(run)
         record["workloads"][workload] = {
-            "seeds": seeds, "summary": summarize(runs, sides, metrics), "runs": runs,
+            "seeds": seeds, "summary": summarize(runs, metrics), "runs": runs,
         }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

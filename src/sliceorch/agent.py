@@ -185,7 +185,7 @@ class PortfolioBo:
     slices' SLA barriers (`_price`), under the specs of the call, so stored
     observations are re-priced under whatever SLA thresholds currently hold.
     Those change only at SLA events, so the archive keeps one price per
-    entry (`_prices`): an entry is priced when `_record` archives it, and
+    entry (`_prices`): an entry is priced when `_learn` archives it, and
     the whole archive again only when the specs passed in differ from the
     ones its prices were taken under. The best-so-far of `_propose`, the
     training targets of `_learn` and the subclasses' recommendation rules
@@ -225,8 +225,9 @@ class PortfolioBo:
         self.fit_count = 0
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = design_offset
-        self.archive: dict[tuple, Observation] = {}  # written through _record
-        self._archive_prices: dict[tuple, float] = {}  # same keys and order as archive
+        self.archive: dict[tuple, Observation] = {}  # written by _learn
+        # same keys in the same order as archive: _learn writes both, _prices rebuilds it
+        self._archive_prices: dict[tuple, float] = {}
         self._priced_specs: dict[str, SliceSpec] | None = None
 
     def _warm(self) -> bool:
@@ -255,12 +256,6 @@ class PortfolioBo:
             self._priced_specs = dict(specs)
             self._archive_prices = {k: self._price(o, specs) for k, o in self.archive.items()}
         return self._archive_prices
-
-    def _record(self, obs: Observation, specs: Mapping[str, SliceSpec]) -> None:
-        """Archive `obs` in place of any earlier probe of its input, priced under `specs`."""
-        prices = self._prices(specs)
-        self.archive[obs.key()] = obs
-        prices[obs.key()] = self._price(obs, specs)
 
     def _propose(
         self,
@@ -320,11 +315,13 @@ class PortfolioBo:
         """
         svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
         obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs, slot)
-        self._record(obs, specs)
+        prices = self._prices(specs)  # re-prices the archive first if the specs changed
+        self.archive[obs.key()] = obs  # replaces any earlier probe of this input
+        prices[obs.key()] = self._price(obs, specs)
         self.buffer.push(obs)  # like the archive, keeps only the latest probe of an input
         sample = self.buffer.sample(self.subsample, self.rng)
         x_train = np.stack([o.x for o in sample])
-        y = np.array([self._archive_prices[o.key()] for o in sample])
+        y = np.array([prices[o.key()] for o in sample])
         self.fit_count += 1
         if self.fit_count % self.hyperopt_every == 0:
             self.params, self.noise_var = optimize_params(

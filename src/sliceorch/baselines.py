@@ -265,10 +265,13 @@ def sweep_dataset(
         clean_specs.append(replace(s, app_profile=profile))
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 
+    grid = enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap)
+    # Tuples of Python ints, so the entries print as before; each entry keeps
+    # its tuple, and neither the array nor the row lists outlive this line.
+    combos = [tuple(row) for row in grid.tolist()]
+    del grid
     entries = []
-    # Row by row: the whole grid as Python lists would sit beside the entries.
-    for row in enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap):
-        combo = tuple(row.tolist())  # Python ints, so the entries print as before
+    for combo in combos:
         actions = {s.slice_id: Action(v, 0.0) for s, v in zip(clean_specs, combo)}
         perfs = step(actions, clean_specs, clean_config, rng)
         entries.append(OracleEntry(combo, tuple(perfs[s.slice_id] for s in clean_specs)))
