@@ -266,8 +266,8 @@ def sweep_dataset(
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 
     grid = enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap)
-    # Tuples of Python ints, so the entries print as before; each entry keeps
-    # its tuple, and neither the array nor the row lists outlive this line.
+    # Python-int tuples, so the entries print as before; each entry keeps its
+    # tuple, and the array is dropped before the entries are built.
     combos = [tuple(row) for row in grid.tolist()]
     del grid
     entries = []
