@@ -158,7 +158,6 @@ class Observation:
     x: np.ndarray
     cost: float  # u_h * sum(svRB) + u_s * sum(sw) of the probed actions
     perfs: dict[str, PerfVector]
-    slot: int
     priority: float = 1.0
 
     def __post_init__(self) -> None:
@@ -303,7 +302,6 @@ class PortfolioBo:
         actions: Sequence[Action],
         perfs: dict[str, PerfVector],
         specs: Mapping[str, SliceSpec],
-        slot: int,
         offset: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         """Record one probe, refit the surrogate, settle Hedge.
@@ -314,7 +312,7 @@ class PortfolioBo:
         the Hedge rewards include.
         """
         svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
-        obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs, slot)
+        obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs)
         prices = self._prices(specs)  # re-prices the archive first if the specs changed
         self.archive[obs.key()] = obs  # replaces any earlier probe of this input
         prices[obs.key()] = self._price(obs, specs)
@@ -439,7 +437,7 @@ class SliceAgent(PortfolioBo):
         )
         return Action(int(row[0]), float(row[1]))
 
-    def observe(self, action: Action, perf: PerfVector, ctx: AgentContext, slot: int) -> None:
+    def observe(self, action: Action, perf: PerfVector, ctx: AgentContext) -> None:
         """Ingest one probe: push, refit the surrogate, settle hedge rewards."""
         self.last_action = action
         self._learn(
@@ -447,6 +445,5 @@ class SliceAgent(PortfolioBo):
             (action,),
             {self.slice_id: perf},
             {self.slice_id: ctx.spec},
-            slot,
             offset=lambda rows: proximal_term(rows[:, 0], ctx),
         )

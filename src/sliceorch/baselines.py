@@ -204,7 +204,6 @@ class GridPortfolioBo(PortfolioBo):
         actions: Mapping[str, Action],
         perfs: Mapping[str, PerfVector],
         specs: Mapping[str, SliceSpec],
-        slot: int,
     ) -> None:
         mine = [actions[sid] for sid in self.slice_ids]
         self._learn(
@@ -212,7 +211,6 @@ class GridPortfolioBo(PortfolioBo):
             mine,
             {sid: perfs[sid] for sid in self.slice_ids},
             specs,
-            slot,
         )
 
 

@@ -3,8 +3,9 @@
 Subcommands:
 
   run <scenario.yaml> --out DIR     execute one scenario, write trace.csv + manifest.json
-  matrix <scenario.yaml ...> --out DIR
-                                    cross scenarios with all algorithms, write matrix.csv
+  matrix <scenario.yaml ...> --out DIR [--seed S [S ...]]
+                                    cross scenarios x seeds with all algorithms, write
+                                    matrix.csv and one trace per cell under traces/
   oracle <scenario.yaml> --out FILE write the exhaustive-search dataset as CSV
   validate <scenario.yaml>          check a scenario file and exit
 
@@ -44,14 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--slots", type=int, default=None, help="override slot count")
     p_run.add_argument("--algo", choices=ALGORITHMS, default=None, help="override algorithm")
 
-    p_matrix = sub.add_parser("matrix", help="cross scenarios with all algorithms")
+    p_matrix = sub.add_parser("matrix", help="cross scenarios and seeds with all algorithms")
     p_matrix.add_argument("scenarios", nargs="+", help="scenario YAML files")
     p_matrix.add_argument("--out", required=True, help="output directory")
     p_matrix.add_argument(
         "--algo", choices=ALGORITHMS, default=None,
         help="restrict the sweep to a single algorithm",
     )
-    p_matrix.add_argument("--seed", type=int, default=None, help="override scenario seeds")
+    p_matrix.add_argument(
+        "--seed", type=int, nargs="+", default=None,
+        help="run every scenario once per seed, in place of the file's seed",
+    )
 
     p_oracle = sub.add_parser("oracle", help="write the exhaustive-search dataset")
     p_oracle.add_argument("scenario", help="scenario YAML file")
@@ -93,13 +97,16 @@ def _cmd_run(args) -> int:
 def _cmd_matrix(args) -> int:
     scenarios = [load_scenario(path) for path in args.scenarios]
     if args.seed is not None:
-        scenarios = [replace(s, seed=args.seed) for s in scenarios]
+        scenarios = [replace(s, seed=seed) for s in scenarios for seed in args.seed]
     algorithms = [args.algo] if args.algo else None
-    rows = run_matrix(scenarios, algorithms)
     out = Path(args.out)
+    rows = run_matrix(scenarios, algorithms, traces=out / "traces")
     write_matrix_csv(rows, out / "matrix.csv")
     n_err = sum(1 for r in rows if r.status != "ok")
-    print(f"matrix: {len(rows)} cells, {n_err} errors; wrote {out / 'matrix.csv'}")
+    print(
+        f"matrix: {len(rows)} cells, {n_err} errors;"
+        f" wrote {out / 'matrix.csv'} and traces in {out / 'traces'}"
+    )
     return 0
 
 

@@ -157,7 +157,6 @@ def orchestrate_slot(
     specs: Sequence[SliceSpec],
     state: CoordinatorState,
     cost_params: CostParams,
-    slot: int,
     min_alive: int,
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
@@ -215,7 +214,7 @@ def orchestrate_slot(
         # Agents learn against the weights that were actually applied.
         sw = {sid: actions[sid].sw for sid in order}
         for sid in order:
-            agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)), slot)
+            agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)))
         return actions, perfs
 
     last_w = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .netenv import TrafficProfile
@@ -26,10 +26,7 @@ class SliceSpec:
     active: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.q_throughput) and self.q_throughput > 0.0):
-            raise ValueError(f"q_throughput must be finite and > 0, got {self.q_throughput}")
-        if not (math.isfinite(self.q_fps) and self.q_fps > 0.0):
-            raise ValueError(f"q_fps must be finite and > 0, got {self.q_fps}")
+        _check(self, ("q_throughput", "q_fps"), *_POSITIVE)
         if not isinstance(self.active, bool):
             raise ValueError(f"active must be true or false, got {self.active!r}")
 
@@ -68,8 +65,7 @@ class CostParams:
     u_s: float = 1.0  # price per unit sharing weight
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(u) and u >= 0.0 for u in (self.u_h, self.u_s)):
-            raise ValueError(f"unit prices must be finite and >= 0, got ({self.u_h}, {self.u_s})")
+        _check(self, ("u_h", "u_s"), *_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -99,29 +95,17 @@ class AlgoParams:
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        for name in (
+        _check(self, (
             "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
             "min_alive", "probes_per_slot", "grid_cap",
-        ):
-            value = getattr(self, name)
-            if not _whole(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("rho", "hedge_eta"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("primal_tol", "noise_var", "kappa", "barrier_coef", "violation_penalty"):
-            value = getattr(self, name)
-            if name == "violation_penalty" and value is None:
-                continue
-            if not (_finite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not _finite(self.dual_init):
-            raise ValueError(f"dual_init must be finite, got {self.dual_init!r}")
-        for name in ("priority_decay", "sw_step"):
-            value = getattr(self, name)
-            if not (_finite(value) and 0.0 < value <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+        ), *_COUNT)
+        _check(self, ("rho", "hedge_eta"), *_POSITIVE)
+        _check(self, ("primal_tol", "noise_var", "kappa", "barrier_coef"), *_NONNEGATIVE)
+        if self.violation_penalty is not None:
+            _check(self, ("violation_penalty",), *_NONNEGATIVE)
+        _check(self, ("dual_init",), _finite, "must be finite")
+        _check(self, ("priority_decay", "sw_step"),
+               lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
 
     def penalty(self, cost: CostParams, capacity: int) -> float:
         """The SLA violation penalty; unset, it is 10 * u_h * capacity."""
@@ -136,6 +120,20 @@ def _whole(value) -> bool:
 
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check(owner, names: Iterable[str], ok: Callable[[object], bool], rule: str) -> None:
+    """Raise ValueError naming the first of `names` whose value on `owner` fails `ok`."""
+    for name in names:
+        value = getattr(owner, name)
+        if not ok(value):
+            raise ValueError(f"{name} {rule}, got {value!r}")
+
+
+# (ok, rule) pairs for `_check`
+_COUNT = (lambda v: _whole(v) and v >= 1, "must be an integer >= 1")
+_POSITIVE = (lambda v: _finite(v) and v > 0.0, "must be finite and > 0")
+_NONNEGATIVE = (lambda v: _finite(v) and v >= 0.0, "must be finite and >= 0")
 
 
 def slice_cost(action: Action, params: CostParams) -> float:

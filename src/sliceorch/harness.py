@@ -4,8 +4,10 @@ A Scenario fully describes one experiment (slices, environment, scripted
 dynamics, algorithm, horizon, seed). `run` executes it deterministically:
 every random draw descends from the scenario seed through named substreams,
 so identical scenarios produce byte-identical traces. `summarize` reduces a
-run's records to one summary row, `run_matrix` crosses scenario files with
-all algorithms, and `dump_oracle` materializes the exhaustive-search dataset.
+run's records to one summary row. `run_matrix` is the one experiment loop: it
+crosses scenarios (one per name and seed) with algorithms, and can write each
+cell's trace as it goes. `dump_oracle` materializes the exhaustive-search
+dataset.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -261,7 +264,6 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
             active,
             state,
             scenario.cost,
-            slot,
             p.min_alive,
         )
 
@@ -295,7 +297,7 @@ def _bayesian(
             actions = {sid: Action(applied[sid], 0.0) for sid in order}
             perfs = env.step(actions, active)
             for bo in bos:
-                bo.observe(actions, perfs, specs, slot)
+                bo.observe(actions, perfs, specs)
             return SlotOutcome(actions, perfs)
 
         for _ in range(p.probes_per_slot - 1):
@@ -417,17 +419,18 @@ def converged_value(values: Sequence[float], costs: Sequence[float] | None = Non
 
 @dataclass(frozen=True)
 class MatrixRow:
-    """Summary of one (scenario x algorithm) cell."""
+    """Summary of one (scenario x algorithm x seed) cell."""
 
     scenario: str
     algorithm: str
+    seed: int
     n_slices: int
     status: str  # "ok" or "error"
-    error: str
-    converged_cost: float | None
-    converged_norm_perf: float | None
-    slots_to_convergence: int | None
-    final_cost: float | None
+    error: str  # empty when ok; the summaries below are None when not
+    converged_cost: float | None = None
+    converged_norm_perf: float | None = None
+    slots_to_convergence: int | None = None
+    final_cost: float | None = None
 
 
 def summarize(scenario: Scenario, records: Sequence[SlotRecord]) -> MatrixRow:
@@ -435,37 +438,48 @@ def summarize(scenario: Scenario, records: Sequence[SlotRecord]) -> MatrixRow:
     costs = [r.total_cost for r in records]
     norms = [r.mean_norm_perf for r in records]
     return MatrixRow(
-        scenario.name,
-        scenario.algorithm,
-        len(scenario.slices),
-        "ok",
-        "",
-        converged_value(costs),
-        converged_value(norms, costs),
-        convergence_slot(costs),
-        costs[-1],
+        scenario.name, scenario.algorithm, scenario.seed, len(scenario.slices), "ok", "",
+        converged_value(costs), converged_value(norms, costs), convergence_slot(costs), costs[-1],
     )
 
 
+def _trace_name(scenario: Scenario) -> str:
+    """File name of a matrix cell's trace: `<scenario>-<algorithm>-seed<seed>.csv`."""
+    return f"{scenario.name}-{scenario.algorithm}-seed{scenario.seed}.csv"
+
+
 def run_matrix(
-    scenarios: Iterable[Scenario], algorithms: Sequence[str] | None = None
+    scenarios: Iterable[Scenario],
+    algorithms: Sequence[str] | None = None,
+    traces: str | Path | None = None,
 ) -> list[MatrixRow]:
-    """Cross scenarios with algorithms; cell failures become error rows."""
+    """Cross scenarios with algorithms; cell failures become error rows.
+
+    With `traces`, each ok cell's trace is written there under `_trace_name`.
+    Two cells with one trace name (a scenario name and seed given twice) are
+    refused before any cell runs.
+    """
+    cells = [replace(scn, algorithm=algo) for scn in scenarios for algo in algorithms or ALGORITHMS]
+    twice = [name for name, n in Counter(map(_trace_name, cells)).items() if n > 1]
+    if twice:
+        raise ScenarioError(
+            f"{twice[0]}: two matrix cells share this trace; give each scenario name"
+            " and seed once"
+        )
     rows = []
-    for scn in scenarios:
-        for algo in algorithms or ALGORITHMS:
-            cell = replace(scn, algorithm=algo)
-            try:
-                records = run(cell)
-            except Exception as exc:  # a failing cell must not halt the sweep
-                rows.append(
-                    MatrixRow(
-                        scn.name, algo, len(scn.slices), "error",
-                        f"{type(exc).__name__}: {exc}", None, None, None, None,
-                    )
-                )
-                continue
-            rows.append(summarize(cell, records))
+    for cell in cells:
+        try:
+            records = run(cell)
+        except Exception as exc:  # a failing cell must not halt the sweep
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append(
+                MatrixRow(cell.name, cell.algorithm, cell.seed, len(cell.slices), "error", error)
+            )
+            continue
+        if traces is not None:
+            slice_ids = [s.slice_id for s in cell.slices]
+            write_trace_csv(records, slice_ids, Path(traces) / _trace_name(cell))
+        rows.append(summarize(cell, records))
     return rows
 
 
@@ -482,34 +496,37 @@ def trace_columns(slice_ids: Sequence[str]) -> list[str]:
     return cols
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV with bare newline line endings, making the directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trace_row(r: SlotRecord, slice_ids: Sequence[str]) -> list:
+    row: list = [
+        r.slot, r.admm_iterations, repr(r.primal_residual),
+        repr(r.total_cost), repr(r.mean_norm_perf),
+    ]
+    for sid in slice_ids:
+        if sid not in r.actions:
+            row += [""] * 6
+            continue
+        action, perf = r.actions[sid], r.perfs[sid]
+        row += [action.svrb, repr(action.sw), repr(perf.throughput), repr(perf.fps)]
+        row += [repr(r.per_slice_cost[sid]), repr(r.norm_perf[sid])]
+    return row
+
+
 def write_trace_csv(records: Sequence[SlotRecord], slice_ids: Sequence[str], path: str | Path) -> None:
     """One row per slot; inactive slices leave their cells empty.
 
     Floats are written with repr so traces are byte-stable and lossless.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace_columns(slice_ids))
-        for r in records:
-            row: list = [
-                r.slot, r.admm_iterations, repr(r.primal_residual),
-                repr(r.total_cost), repr(r.mean_norm_perf),
-            ]
-            for sid in slice_ids:
-                if sid in r.actions:
-                    row += [
-                        r.actions[sid].svrb,
-                        repr(r.actions[sid].sw),
-                        repr(r.perfs[sid].throughput),
-                        repr(r.perfs[sid].fps),
-                        repr(r.per_slice_cost[sid]),
-                        repr(r.norm_perf[sid]),
-                    ]
-                else:
-                    row += ["", "", "", "", "", ""]
-            writer.writerow(row)
+    _write_csv(path, trace_columns(slice_ids), (_trace_row(r, slice_ids) for r in records))
 
 
 def write_manifest(scenario: Scenario, path: str | Path) -> None:
@@ -533,26 +550,12 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
 
 
 def write_matrix_csv(rows: Sequence[MatrixRow], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "scenario", "algorithm", "n_slices", "status", "error",
-                "converged_cost", "converged_norm_perf", "slots_to_convergence", "final_cost",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scenario, r.algorithm, r.n_slices, r.status, r.error,
-                    "" if r.converged_cost is None else repr(r.converged_cost),
-                    "" if r.converged_norm_perf is None else repr(r.converged_norm_perf),
-                    "" if r.slots_to_convergence is None else r.slots_to_convergence,
-                    "" if r.final_cost is None else repr(r.final_cost),
-                ]
-            )
+    """One row per cell, in MatrixRow's field order; None is written as an empty cell."""
+    def cell(value):  # floats by repr, as in the traces
+        return "" if value is None else repr(value) if isinstance(value, float) else value
+
+    names = [f.name for f in fields(MatrixRow)]
+    _write_csv(path, names, ([cell(getattr(r, n)) for n in names] for r in rows))
 
 
 def dump_oracle(scenario: Scenario) -> list[OracleEntry]:
@@ -564,16 +567,10 @@ def dump_oracle(scenario: Scenario) -> list[OracleEntry]:
 def write_oracle_csv(
     entries: Sequence[OracleEntry], slice_ids: Sequence[str], path: str | Path
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"{sid}_svrb" for sid in slice_ids]
-        header += [f"{sid}_throughput" for sid in slice_ids]
-        header += [f"{sid}_fps" for sid in slice_ids]
-        writer.writerow(header)
-        for e in entries:
-            row = [str(v) for v in e.svrbs]
-            row += [repr(p.throughput) for p in e.perfs]
-            row += [repr(p.fps) for p in e.perfs]
-            writer.writerow(row)
+    header = [f"{sid}_{col}" for col in ("svrb", "throughput", "fps") for sid in slice_ids]
+    _write_csv(path, header, (
+        [str(v) for v in e.svrbs]
+        + [repr(p.throughput) for p in e.perfs]
+        + [repr(p.fps) for p in e.perfs]
+        for e in entries
+    ))

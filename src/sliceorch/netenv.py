@@ -11,13 +11,12 @@ can never use more than its own svRBs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Action, PerfVector, SliceSpec, _whole
+from .core import _COUNT, _NONNEGATIVE, _POSITIVE, Action, PerfVector, SliceSpec, _check, _whole
 from .errors import CapacityExceededError, ScenarioError
 from .vsharing import SliceDemand, share_pool
 
@@ -35,13 +34,8 @@ class TrafficProfile:
     burstiness: float = 0.0  # >= 0, scale of multiplicative demand jitter
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.frame_rate, self.frame_size)):
-            raise ValueError(
-                f"frame_rate and frame_size must be finite and > 0,"
-                f" got ({self.frame_rate}, {self.frame_size})"
-            )
-        if not (math.isfinite(self.burstiness) and self.burstiness >= 0.0):
-            raise ValueError(f"burstiness must be finite and >= 0, got {self.burstiness}")
+        _check(self, ("frame_rate", "frame_size"), *_POSITIVE)
+        _check(self, ("burstiness",), *_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -54,13 +48,9 @@ class EnvConfig:
     isolation_mode: str = "soft"  # "soft" or "hard"
 
     def __post_init__(self) -> None:
-        capacity = self.capacity_h
-        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity <= 0:
-            raise ValueError(f"capacity_h must be an integer > 0, got {capacity!r}")
-        if not (math.isfinite(self.per_vrb_rate) and self.per_vrb_rate > 0.0):
-            raise ValueError(f"per_vrb_rate must be finite and > 0, got {self.per_vrb_rate}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _check(self, ("capacity_h",), *_COUNT)
+        _check(self, ("per_vrb_rate",), *_POSITIVE)
+        _check(self, ("noise_std",), *_NONNEGATIVE)
         if self.isolation_mode not in ("soft", "hard"):
             raise ValueError(f"isolation_mode must be 'soft' or 'hard', got {self.isolation_mode!r}")
 
@@ -80,8 +70,10 @@ class DynamicsEvent:
             raise ValueError(f"slot must be an integer >= 0, got {self.slot!r}")
         if self.kind not in ("slice_join", "slice_leave", "sla_change"):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == "sla_change" and (self.q_throughput is None or self.q_fps is None):
-            raise ValueError("sla_change events need q_throughput and q_fps")
+        if self.kind == "sla_change":
+            if self.q_throughput is None or self.q_fps is None:
+                raise ValueError("sla_change events need q_throughput and q_fps")
+            _check(self, ("q_throughput", "q_fps"), *_POSITIVE)
 
 
 def demand_vrbs(profile: TrafficProfile, config: EnvConfig, rng: np.random.Generator) -> int:

@@ -41,10 +41,10 @@ def make_agent(design_offset=0, **algo):
     )
 
 
-def entry(svrb, sw, peers_sw, perf, slot=0):
+def entry(svrb, sw, peers_sw, perf):
     """An observation of SPEC's slice as make_agent's agent records it."""
     cost = CostParams().u_h * svrb + CostParams().u_s * sw
-    return Observation(np.array([svrb, sw, peers_sw], dtype=float), cost, {"s1": perf}, slot)
+    return Observation(np.array([svrb, sw, peers_sw], dtype=float), cost, {"s1": perf})
 
 
 def price(agent, obs, ctx):
@@ -127,17 +127,17 @@ class TestColdStart:
     def test_observe_fills_archive_and_buffer(self):
         agent = make_agent()
         ctx = make_ctx()
-        agent.observe(Action(4, 0.0), GOOD, ctx, slot=0)
+        agent.observe(Action(4, 0.0), GOOD, ctx)
         assert (4, 0.0, 0.0) in agent.archive
         assert len(agent.buffer) == 1
 
     def test_reobservation_overwrites_the_archive_entry(self):
         agent = make_agent()
         ctx = make_ctx()
-        agent.observe(Action(4, 0.0), GOOD, ctx, slot=0)
-        agent.observe(Action(4, 0.0), BAD, ctx, slot=3)
+        agent.observe(Action(4, 0.0), GOOD, ctx)
+        agent.observe(Action(4, 0.0), BAD, ctx)
         assert len(agent.archive) == 1
-        assert agent.archive[(4, 0.0, 0.0)].slot == 3
+        assert agent.archive[(4, 0.0, 0.0)].perfs == {"s1": BAD}
 
     def test_suggestions_stay_on_grid_once_fitted(self):
         agent = make_agent(n_init=2)
@@ -147,7 +147,7 @@ class TestColdStart:
             assert action.svrb in agent.grid.svrb_values
             assert action.sw in agent.grid.sw_values
             perf = GOOD if action.svrb >= 4 else BAD
-            agent.observe(action, perf, ctx, slot)
+            agent.observe(action, perf, ctx)
         assert agent.gp is not None
 
 

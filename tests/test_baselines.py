@@ -110,23 +110,22 @@ class TestGridPortfolioBo:
             actions = bo.suggest(EASY)
             assert actions["a"].svrb not in seen
             seen.add(actions["a"].svrb)
-            bo.observe(actions, {"a": GOOD}, EASY, slot)
+            bo.observe(actions, {"a": GOOD}, EASY)
         assert bo.gp is not None
 
     def test_reobservation_replaces_the_archive_entry(self):
         bo = make_bo(capacity=2)
         actions = {"a": Action(1, 0.0)}
-        bo.observe(actions, {"a": BAD}, EASY, slot=0)
-        bo.observe(actions, {"a": GOOD}, EASY, slot=4)
+        bo.observe(actions, {"a": BAD}, EASY)
+        bo.observe(actions, {"a": GOOD}, EASY)
         assert len(bo.archive) == 1
         entry = next(iter(bo.archive.values()))
         assert entry.perfs == {"a": GOOD}
-        assert entry.slot == 4
 
     def test_exhausted_grid_still_suggests(self):
         bo = make_bo(capacity=3, n_init=1)
         for slot, v in enumerate([1, 2, 3]):
-            bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, EASY, slot)
+            bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, EASY)
         actions = bo.suggest(EASY)
         assert (float(actions["a"].svrb),) in bo.archive
 
@@ -134,16 +133,16 @@ class TestGridPortfolioBo:
         cheap = make_bo(capacity=2)
         dear = make_bo(capacity=2, cost=CostParams(u_h=100.0), penalty=0.0)
         for bo in (cheap, dear):
-            bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, EASY, 0)
-            bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, 1)
+            bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, EASY)
+            bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY)
         assert cheap.incumbent(EASY)["a"].svrb == 2
         # priced dear enough and without a violation penalty, the cheap row wins
         assert dear.incumbent(EASY)["a"].svrb == 1
         # a stricter SLA re-prices the archive: the cheap row's margin turns
         # into a violation
         bo = make_bo(capacity=2)
-        bo.observe({"a": Action(1, 0.0)}, {"a": PerfVector(5.0, 5.0)}, EASY, 0)
-        bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, 1)
+        bo.observe({"a": Action(1, 0.0)}, {"a": PerfVector(5.0, 5.0)}, EASY)
+        bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY)
         assert bo.incumbent(EASY)["a"].svrb == 1
         strict = {"a": SliceSpec("a", 10.0, 10.0, TrafficProfile(30.0, 0.5))}
         assert bo.incumbent(strict)["a"].svrb == 2
@@ -158,7 +157,7 @@ class TestGridPortfolioBo:
                 actions = bo.suggest(EASY)
                 rows.append((actions["a"].svrb, actions["b"].svrb))
                 perfs = {sid: PerfVector(*rng.uniform(0.0, 3.0, 2)) for sid in "ab"}
-                bo.observe(actions, perfs, EASY, slot)
+                bo.observe(actions, perfs, EASY)
             runs.append(rows)
         assert runs[0] == runs[1]
 
@@ -173,8 +172,8 @@ def test_grid_optimizer_and_slice_agent_price_alike(perf):
     agent = SliceAgent(
         "a", grid, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, cost, penalty
     )
-    bo.observe({"a": Action(5, 0.0)}, {"a": perf}, {"a": spec}, 0)
-    agent.observe(Action(5, 0.0), perf, AgentContext(z=5.0, y=0.0, rho=2.0, s=0.0, spec=spec), 0)
+    bo.observe({"a": Action(5, 0.0)}, {"a": perf}, {"a": spec})
+    agent.observe(Action(5, 0.0), perf, AgentContext(z=5.0, y=0.0, rho=2.0, s=0.0, spec=spec))
     (bo_obs,), (agent_obs,) = bo.archive.values(), agent.archive.values()
     specs = {"a": spec}
     expected = 1.3 * 5 + barrier_value(perf, spec, ALGO.barrier_coef, penalty)
@@ -208,7 +207,7 @@ class TestCrossKernelCache:
         for slot in range(30):
             actions = bo.suggest(THREE)
             params = bo.params
-            bo.observe(actions, varied_perfs(actions), THREE, slot)
+            bo.observe(actions, varied_perfs(actions), THREE)
             if bo.gp is None:
                 continue
             searches += bo.params != params
@@ -237,7 +236,7 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
     reused = 0
     for slot in range(30):
         actions = bo.suggest(THREE)
-        bo.observe(actions, varied_perfs(actions), THREE, slot)
+        bo.observe(actions, varied_perfs(actions), THREE)
         if bo.gp is None:
             continue
         computed.clear()
@@ -272,7 +271,7 @@ class TestBlockedScoring:
                 warm += 1
             else:
                 actions = bo.suggest(specs)
-            bo.observe(actions, perfs(actions), specs, slot)
+            bo.observe(actions, perfs(actions), specs)
         return warm
 
     @pytest.mark.parametrize("block_rows", [4096, 64, 73])
@@ -298,7 +297,7 @@ class TestBlockedScoring:
     def propose(self, mu, sigma):
         """Nominees of _propose over synthetic scores, and of one whole-grid call."""
         bo = make_bo(capacity=2)
-        bo.observe({"a": Action(1, 0.0)}, {"a": GOOD}, EASY, 0)
+        bo.observe({"a": Action(1, 0.0)}, {"a": GOOD}, EASY)
         queries = np.arange(mu.shape[0], dtype=float)[:, None]
         bo._propose(queries, EASY, lambda rows: (mu[rows], sigma[rows]), lambda: None)
         best = bo._price(next(iter(bo.archive.values())), EASY)
@@ -353,7 +352,7 @@ class TestPriceCache:
             # a suggestion prices nothing unless the SLAs changed since the last call
             assert len(calls) == (len(bo.archive) if slot == 7 else 0)
             calls.clear()
-            bo.observe(actions, varied_perfs(actions), specs, slot)
+            bo.observe(actions, varied_perfs(actions), specs)
             assert calls == [bo.archive[tuple(float(a.svrb) for a in actions.values())]]
             self.check(bo, specs)
         calls.clear()
@@ -372,7 +371,7 @@ class TestPriceCache:
         for slot in range(12):
             ctx = AgentContext(z=4.0, y=0.0, rho=2.0, s=0.0, spec=spec if slot < 6 else strict)
             action = agent.suggest(ctx)
-            agent.observe(action, PerfVector(*rng.uniform(8.0, 20.0, 2)), ctx, slot)
+            agent.observe(action, PerfVector(*rng.uniform(8.0, 20.0, 2)), ctx)
             agent.recommend(ctx)
             self.check(agent, {"a": ctx.spec})
         assert len(agent.archive) > 6
@@ -396,15 +395,15 @@ class TestGboBaseline:
 
     def test_incumbent_prefers_cheap_feasible_rows(self):
         gbo = self.make()
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=0)
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=1)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": GOOD, "b": GOOD}, EASY)
         incumbent = gbo.incumbent(EASY)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 1, "b": 1}
 
     def test_incumbent_avoids_violations(self):
         gbo = self.make()
-        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, EASY, slot=0)
-        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY, slot=1)
+        gbo.observe({"a": Action(1, 0.0), "b": Action(1, 0.0)}, {"a": BAD, "b": BAD}, EASY)
+        gbo.observe({"a": Action(3, 0.0), "b": Action(3, 0.0)}, {"a": GOOD, "b": GOOD}, EASY)
         incumbent = gbo.incumbent(EASY)
         assert {sid: a.svrb for sid, a in incumbent.items()} == {"a": 3, "b": 3}
 
@@ -432,8 +431,8 @@ class TestAtlasAgent:
 
     def test_incumbent_reprices_on_spec(self):
         agent = self.make()
-        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY, slot=0)
-        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, EASY, slot=1)
+        agent.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY)
+        agent.observe({"a": Action(5, 0.0)}, {"a": GOOD}, EASY)
         assert agent.incumbent(EASY)["a"].svrb == 2
         strict = {"a": SliceSpec("a", 30.0, 30.0, TrafficProfile(30.0, 0.5))}
         # both observations violate the stricter SLA equally; cost breaks the tie

@@ -239,15 +239,15 @@ def make_fixture(seed=1, capacity=12):
     return agents, env, specs, state
 
 
-def slot_args(slot, min_alive=ALGO.min_alive):
+def slot_args(min_alive=ALGO.min_alive):
     """orchestrate_slot's arguments after `state`, at the scenario defaults."""
-    return CostParams(), slot, min_alive
+    return CostParams(), min_alive
 
 
 class TestOrchestrateSlot:
     def test_live_slot_emits_a_valid_allocation(self):
         agents, env, specs, state = make_fixture()
-        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
         assert isinstance(outcome, SlotOutcome)
         assert set(outcome.actions) == {"s1", "s2", "s3"}
         assert sum(a.svrb for a in outcome.actions.values()) <= 12
@@ -259,12 +259,12 @@ class TestOrchestrateSlot:
     def test_capacity_holds_across_slots(self):
         agents, env, specs, state = make_fixture()
         for slot in range(3):
-            outcome = orchestrate_slot(agents, env, specs, state, *slot_args(slot))
+            outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
             assert sum(a.svrb for a in outcome.actions.values()) <= 12
 
     def test_consensus_reanchors_on_the_emission(self):
         agents, env, specs, state = make_fixture()
-        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
         assert set(state.z) == set(outcome.actions)
         total_z = sum(state.z.values())
         assert total_z <= 12.0 + 1e-9
@@ -272,7 +272,7 @@ class TestOrchestrateSlot:
     def test_rejects_infeasible_population(self):
         agents, env, specs, state = make_fixture()
         with pytest.raises(InfeasibleCapacityError):
-            orchestrate_slot(agents, env, specs, state, *slot_args(0, min_alive=5))
+            orchestrate_slot(agents, env, specs, state, *slot_args(min_alive=5))
 
     def test_inactive_slices_are_skipped(self):
         agents, env, specs, state = make_fixture()
@@ -282,5 +282,5 @@ class TestOrchestrateSlot:
             SliceSpec("s3", 12.0, 10.0, TrafficProfile(32.0, 0.45), active=False),
         ]
         resize(state, joined=[], left=["s3"])
-        outcome = orchestrate_slot(agents, env, specs, state, *slot_args(0))
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
         assert set(outcome.actions) == {"s1", "s2"}

@@ -411,9 +411,9 @@ class TestPredictProduct:
             fit(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), KernelParams((1.0,), 1.0), 1e-3)
 
 
-def exp_at(svrb, slot=0):
+def exp_at(svrb):
     x = np.array([svrb, 0.0, 0.0], dtype=float)
-    return Observation(x, float(svrb), {"s1": PerfVector(1.0, 1.0)}, slot)
+    return Observation(x, float(svrb), {"s1": PerfVector(1.0, 1.0)})
 
 
 def log_uniform(rng, low, high, size=None):
@@ -547,7 +547,7 @@ class TestReplayBuffer:
     def test_priorities_decay_once_per_push(self):
         buf = ReplayBuffer(capacity=5, decay=0.9)
         for i in range(4):
-            buf.push(exp_at(i, slot=i))
+            buf.push(exp_at(i))
         assert [it.priority for it in buf.items] == pytest.approx(
             [0.9**3, 0.9**2, 0.9, 1.0]
         )
@@ -555,22 +555,23 @@ class TestReplayBuffer:
     def test_eviction_drops_the_oldest(self):
         buf = ReplayBuffer(capacity=3, decay=1.0)
         for i in range(5):
-            buf.push(exp_at(i, slot=i))
+            buf.push(exp_at(i))
         assert [it.x[0] for it in buf.items] == [2.0, 3.0, 4.0]
 
     def test_reobserved_input_replaces_the_stale_entry(self):
         buf = ReplayBuffer(capacity=4, decay=0.9)
-        buf.push(exp_at(1, slot=0))
-        buf.push(exp_at(2, slot=1))
-        buf.push(exp_at(1, slot=2))  # same input as the first
+        latest = exp_at(1)  # same input as the first
+        buf.push(exp_at(1))
+        buf.push(exp_at(2))
+        buf.push(latest)
         assert len(buf) == 2
         assert [it.x[0] for it in buf.items] == [2.0, 1.0]
-        assert buf.items[-1].slot == 2
+        assert buf.items[-1] is latest
 
     def test_sample_everything_when_short(self):
         buf = ReplayBuffer(capacity=8, decay=0.95)
         for i in range(3):
-            buf.push(exp_at(i, slot=i))
+            buf.push(exp_at(i))
         sample = buf.sample(10, np.random.default_rng(0))
         assert len(sample) == 3
 
@@ -587,7 +588,7 @@ class TestReplayBuffer:
     def test_sampling_is_without_replacement(self):
         buf = ReplayBuffer(capacity=4, decay=0.95)
         for i in range(4):
-            buf.push(exp_at(i, slot=i))
+            buf.push(exp_at(i))
         sample = buf.sample(3, np.random.default_rng(1))
         assert len({id(s) for s in sample}) == 3
 

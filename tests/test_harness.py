@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
-from sliceorch.cli import main
+from sliceorch.cli import _build_parser, main
 from sliceorch.core import CostParams
 from sliceorch.errors import ScenarioError
 from sliceorch.harness import (
+    ALGORITHMS,
     AlgoParams,
     Scenario,
     convergence_slot,
@@ -329,6 +331,7 @@ class TestMatrix:
         assert row.converged_cost == pytest.approx(6.0)
         assert row.final_cost == pytest.approx(6.0)
         assert row.slots_to_convergence == 0
+        assert row.seed == 3
 
 
 class TestSummaries:
@@ -444,6 +447,45 @@ class TestCli:
         assert len(rows) == 1
         assert rows[0]["status"] == "ok"
 
+    def test_matrix_crosses_seeds_with_every_algorithm(self, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump(base_dict(slots=2)))
+        out = tmp_path / "matrix"
+        assert main(["matrix", str(path), "--out", str(out), "--seed", "1", "2"]) == 0
+        with open(out / "matrix.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames[:4] == ["scenario", "algorithm", "seed", "n_slices"]
+            rows = list(reader)
+        cells = [(algo, seed) for seed in ("1", "2") for algo in ALGORITHMS]
+        assert [(r["algorithm"], r["seed"]) for r in rows] == cells
+        assert all(r["status"] == "ok" for r in rows)
+        for algo, seed in cells:
+            single = tmp_path / f"run-{algo}-{seed}"
+            argv = ["run", str(path), "--out", str(single), "--algo", algo, "--seed", seed]
+            assert main(argv) == 0
+            trace = out / "traces" / f"tiny-{algo}-seed{seed}.csv"
+            assert trace.read_bytes() == (single / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("twice", [["file", "file"], ["file", "--seed", "1", "1"]])
+    def test_matrix_refuses_a_shared_trace_path(self, twice, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [str(scenario_file) if a == "file" else a for a in twice]
+        assert main(["matrix", *argv, "--out", str(out), "--algo", "exsearch"]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("ERROR ScenarioError: tiny-exsearch-seed")
+        assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        prefix = "python3 -m sliceorch.cli "
+        commands = [
+            line.strip() for line in readme.read_text().splitlines()
+            if line.strip().startswith(prefix)
+        ]
+        assert len(commands) >= 5
+        for command in commands:
+            _build_parser().parse_args(shlex.split(command[len(prefix):]))
+
     def test_oracle_writes_the_sweep(self, scenario_file, tmp_path):
         out = tmp_path / "oracle.csv"
         assert main(["oracle", str(scenario_file), "--out", str(out)]) == 0
@@ -467,6 +509,7 @@ class TestFailureContract:
         assert main(argv) == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.startswith(f"ERROR ScenarioError: {field}")
+        return last
 
     def rejects_file(self, path, field, tmp_path, capsys):
         self.rejects(["validate", path], field, capsys)
@@ -498,6 +541,40 @@ class TestFailureContract:
         data = full_dict()
         data["events"][0]["slot"] = 2.5
         self.rejects_file(self.write(tmp_path, data), "events[0]: slot", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"q_throughput": -3.0, "q_fps": 10.0}, "q_throughput"),
+            ({"q_throughput": "abc", "q_fps": 10.0}, "q_throughput"),
+            ({"q_throughput": 12.0, "q_fps": float("inf")}, "q_fps"),
+        ],
+    )
+    @pytest.mark.parametrize("slot", [2, 40])  # inside the run, and past the file's horizon
+    def test_bad_sla_change_threshold(self, change, field, slot, tmp_path, capsys):
+        event = {"slot": slot, "kind": "sla_change", "slice_id": "a", **change}
+        bad = self.write(tmp_path, base_dict(events=[event]))
+        expected = f"events[0]: {field} must be finite and > 0"
+        self.rejects(["validate", bad], expected, capsys)
+        argv = ["run", bad, "--out", str(tmp_path / "out"), "--slots", "50"]
+        self.rejects(argv, expected, capsys)
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [
+            ("slices[0]", "q_throughput"),
+            ("slices[1].profile", "frame_size"),
+            ("env", "per_vrb_rate"),
+            ("cost", "u_s"),
+        ],
+    )
+    def test_quoted_number_names_its_field(self, path, key, tmp_path, capsys):
+        data = full_dict()
+        dict(mappings(data))[path][key] = "12"
+        bad = self.write(tmp_path, data)
+        for argv in (["validate", bad], ["run", bad, "--out", str(tmp_path / "out")]):
+            last = self.rejects(argv, f"{path}: {key} must be finite and ", capsys)
+            assert last.endswith("got '12'")
 
     @pytest.mark.parametrize(
         "name,value",
