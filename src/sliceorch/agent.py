@@ -14,19 +14,23 @@ predict and nominate block by block, Hedge-pick, swap an already-probed
 nominee for an unexplored design row) and its learn step (replay buffer,
 archive, GP refits and hyperparameter searches). `SliceAgent` and the
 baselines' `GridPortfolioBo` subclass it with their own candidate rows,
-design sequences and recommendation rules.
+design sequences and recommendation rules. `parallel_map` spreads the
+independent row blocks of a large grid over the CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .acquisition import (
     HedgeState,
+    Nominees,
     hedge_select,
     hedge_update,
     merge_nominees,
@@ -59,6 +63,67 @@ def row_blocks(n_rows: int) -> list[slice]:
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+# (pid, executor, helpers) of this process's helper pool, built on first use
+_pool: tuple[int, ThreadPoolExecutor | None, int] | None = None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _helpers() -> tuple[ThreadPoolExecutor | None, int]:
+    """The helper pool, one thread per CPU beyond the caller's, and its size.
+
+    A forked child inherits the executor but none of its threads, so the
+    pool is rebuilt whenever the process id changes.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        helpers = _cpu_count() - 1
+        executor = ThreadPoolExecutor(helpers, "sliceorch") if helpers > 0 else None
+        _pool = (pid, executor, helpers)
+    return _pool[1], _pool[2]
+
+
+def _settled(fn: Callable[[T], R], item: T) -> Future:
+    """fn(item), run in this thread, as a finished future."""
+    done: Future = Future()
+    try:
+        done.set_result(fn(item))
+    except Exception as exc:  # read back by the caller in item order
+        done.set_exception(exc)
+    return done
+
+
+def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """[fn(item) for item in items], with the items spread over the CPUs.
+
+    The calling thread computes every (helpers + 1)-th item itself, from the
+    first, and the helper threads the others, so no more items are in flight
+    than the process has CPUs. It returns once every item has finished; the
+    first exception in item order propagates. With no helpers, or fewer than
+    two items, everything runs inline. The items must be independent: numpy
+    releases the interpreter lock in their array work, so they overlap.
+    """
+    pool, helpers = _helpers()
+    if pool is None or len(items) < 2:
+        return [fn(item) for item in items]
+    stride = helpers + 1
+    futures = [None if i % stride == 0 else pool.submit(fn, x) for i, x in enumerate(items)]
+    for i in range(0, len(items), stride):
+        futures[i] = _settled(fn, items[i])
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -191,9 +256,10 @@ class PortfolioBo:
     all read these prices.
 
     `_propose` scores the candidates block by block (`row_blocks`), so a
-    probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows whatever the
-    grid's size, and nominates the same rows, bit for bit, as scoring the
-    whole grid in one call would.
+    probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows per CPU
+    whatever the grid's size, and nominates the same rows, bit for bit, as
+    scoring the whole grid in one call would. The blocks are scored through
+    `parallel_map` and merged in block order.
     """
 
     def __init__(
@@ -267,25 +333,29 @@ class PortfolioBo:
         """The query row a warm optimizer probes next.
 
         `predict(rows)` gives the surrogate's mean and deviation over
-        `queries[rows]`; `offset` is a known additive term of the objective
-        over input rows, which the surrogate does not model. Each acquisition
-        nominates a row against the best objective observed so far, block by
-        block, and Hedge picks one. A nominee already in the archive teaches
-        the surrogate nothing, so the probe goes to the subclass's
-        `unexplored()` design row instead, when there is one.
+        `queries[rows]`; it may run on several row blocks at once. `offset`
+        is a known additive term of the objective over input rows, which the
+        surrogate does not model. Each acquisition nominates a row against
+        the best objective observed so far, block by block, and Hedge picks
+        one. A nominee already in the archive teaches the surrogate nothing,
+        so the probe goes to the subclass's `unexplored()` design row
+        instead, when there is one.
         """
         prices = self._prices(specs)
         best = np.fromiter(prices.values(), float, len(prices))
         if offset is not None:
             best = best + offset(np.array([o.x for o in self.archive.values()]))
         best = float(best.min())
-        held = None
-        for rows in row_blocks(queries.shape[0]):
+
+        def score(rows: slice) -> Nominees:
             mu, sigma = predict(rows)
             if offset is not None:
                 mu = mu + offset(queries[rows])
             local = portfolio_nominate(mu, sigma, best, self.kappa)
-            offered = (rows.start + local, mu[local], sigma[local])
+            return rows.start + local, mu[local], sigma[local]
+
+        held = None
+        for offered in parallel_map(score, row_blocks(queries.shape[0])):
             held = merge_nominees(held, offered, best, self.kappa)
         nominees = held[0]
         self._last_nominees = queries[nominees]

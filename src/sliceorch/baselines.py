@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agent import PortfolioBo, _radical_inverse
+from .agent import PortfolioBo, _radical_inverse, parallel_map, row_blocks
 from .coordinator import clamp_capacity
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
@@ -127,7 +127,10 @@ class GridPortfolioBo(PortfolioBo):
         Columns missing from the cache are computed first. Each is
         kernel_matrix(candidates, row), taken from the candidates'
         KernelLattice, which equals the matching column of the full
-        cross-covariance bit for bit.
+        cross-covariance bit for bit. Each is written to its own slot, so
+        on a grid of more than one row block they are filled through
+        `parallel_map`; a smaller grid's columns cost less than handing
+        them to another thread, and are filled here.
         """
         gp = self.gp
         if gp.params != self._columns_params:
@@ -137,10 +140,21 @@ class GridPortfolioBo(PortfolioBo):
         self._columns = {k: c for k, c in self._columns.items() if k in buffered}
         free = iter(sorted(set(range(self.buffer.capacity)) - set(self._columns.values())))
         keys = [tuple(row.tolist()) for row in gp.x_train]
+        missing = []
         for key, row in zip(keys, gp.x_train):
             if key not in self._columns:
-                slot = self._columns[key] = next(free)
-                self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
+                self._columns[key] = next(free)
+                missing.append((self._columns[key], row))
+
+        def fill(job: tuple[int, np.ndarray]) -> None:
+            slot, row = job
+            self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
+
+        if len(row_blocks(self.candidates.shape[0])) > 1:
+            parallel_map(fill, missing)
+        else:
+            for job in missing:
+                fill(job)
         return [self._columns[k] for k in keys]
 
     def _predict_rows(self, rows: slice, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:

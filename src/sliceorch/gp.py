@@ -143,8 +143,18 @@ def _matern(r: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray 
 
 
 def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern covariance at scaled differences (m, n, d), flushed below SQRT_TINY."""
-    k = params.signal_var * _matern(_norm(scaled))[0]
+    """Matern covariance at scaled differences (m, n, d), flushed below SQRT_TINY.
+
+    Distances past the cut t = sqrt(5) r = 400 + max(0, ln signal_var) are
+    clamped to it first. signal_var * shape(t) < e^-400 t^2 stays far below
+    SQRT_TINY there, and the shape decreases, so those entries are flushed
+    to 0 just as unclamped; but exp(-t) and its products no longer go
+    subnormal. An inf or NaN distance is left as it is, so its entry is NaN.
+    """
+    r = _norm(scaled)
+    cut = (400.0 + max(0.0, math.log(params.signal_var))) / math.sqrt(5.0)
+    np.minimum(r, cut, out=r, where=r < math.inf)
+    k = params.signal_var * _matern(r)[0]
     k[k < SQRT_TINY] = 0.0
     return k
 

@@ -16,12 +16,14 @@ import csv
 import hashlib
 import json
 import math
+import platform
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy
 import yaml
 
 from .agent import CandidateGrid, SliceAgent
@@ -530,7 +532,11 @@ def write_trace_csv(records: Sequence[SlotRecord], slice_ids: Sequence[str], pat
 
 
 def write_manifest(scenario: Scenario, path: str | Path) -> None:
-    """Deterministic run manifest: what ran, from which scenario, which code."""
+    """Deterministic run manifest: what ran, from which scenario, which code.
+
+    The interpreter and library versions are recorded beside the package's,
+    since a trace's floating-point bits depend on them too.
+    """
     from . import __version__
 
     path = Path(path)
@@ -542,6 +548,9 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
         "slots": scenario.slots,
         "scenario_sha256": scenario_digest(scenario),
         "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "trace_columns": trace_columns([s.slice_id for s in scenario.slices]),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:

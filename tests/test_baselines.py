@@ -1,6 +1,8 @@
 """Baseline optimizers: joint BO, independent BO, and the exhaustive sweep."""
 
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sliceorch import agent as agent_module
-from sliceorch import baselines
+from sliceorch import baselines, harness
 from sliceorch.acquisition import portfolio_nominate
 from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value, row_blocks
 from sliceorch.baselines import (
@@ -26,6 +28,7 @@ from sliceorch.errors import (
     InfeasibleCapacityError,
     NoFeasibleActionError,
 )
+from sliceorch.gp import kernel_matrix
 from sliceorch.netenv import EnvConfig, TrafficProfile
 from sliceorch.rng import substream
 
@@ -245,6 +248,40 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
         assert len(set(computed)) == len(computed)
         assert all(params == bo.gp.params for _, params in computed)
     assert reused > 0
+
+
+def test_gbo_runs_bit_identical_with_and_without_helpers(monkeypatch, tmp_path):
+    """A one-helper pool and no pool give gbo the same trace bytes and kernel columns."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "scale" / "slices_5.yaml"
+    scenario = replace(harness.load_scenario(path), algorithm="gbo", slots=2)
+    ids = [s.slice_id for s in scenario.slices]
+    make_grid_bo, column = harness._grid_bo, baselines.KernelLattice.column
+    outcomes, threads = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(agent_module, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(agent_module, "_pool", None)
+        built, filled_on = [], threads.setdefault(cpus, set())
+
+        def grid_bo(*args):
+            built.append(make_grid_bo(*args))
+            return built[-1]
+
+        def traced_column(self, row, params):
+            filled_on.add(threading.get_ident())
+            return column(self, row, params)
+
+        monkeypatch.setattr(harness, "_grid_bo", grid_bo)
+        monkeypatch.setattr(baselines.KernelLattice, "column", traced_column)
+        records = harness.run(scenario)
+        harness.write_trace_csv(records, ids, tmp_path / f"{cpus}.csv")
+        (bo,) = built
+        columns = bo._kernel_columns[:, bo._training_columns()]
+        assert np.array_equal(columns, kernel_matrix(bo.candidates, bo.gp.x_train, bo.gp.params))
+        outcomes[cpus] = (tmp_path / f"{cpus}.csv").read_bytes(), columns
+    assert threads[1] == {threading.get_ident()}
+    assert len(threads[2]) == 2  # the helper filled columns too
+    assert outcomes[1][0] == outcomes[2][0]
+    assert np.array_equal(outcomes[1][1], outcomes[2][1])
 
 
 def whole_grid_nominees(bo, specs):

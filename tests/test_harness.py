@@ -3,11 +3,14 @@
 import copy
 import csv
 import json
+import platform
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,6 +395,9 @@ class TestFileOutputs:
         assert manifest["algorithm"] == "exsearch"
         assert manifest["scenario_sha256"] == scenario_digest(scn)
         assert manifest["trace_columns"] == trace_columns(["a", "b"])
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
 
 
 @pytest.fixture
