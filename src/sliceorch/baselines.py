@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agent import PortfolioBo, _radical_inverse, parallel_map, row_blocks
+from .agent import PortfolioBo, _radical_inverse, parallel_map
 from .coordinator import clamp_capacity
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
@@ -128,9 +128,7 @@ class GridPortfolioBo(PortfolioBo):
         kernel_matrix(candidates, row), taken from the candidates'
         KernelLattice, which equals the matching column of the full
         cross-covariance bit for bit. Each is written to its own slot, so
-        on a grid of more than one row block they are filled through
-        `parallel_map`; a smaller grid's columns cost less than handing
-        them to another thread, and are filled here.
+        they are filled through `parallel_map`.
         """
         gp = self.gp
         if gp.params != self._columns_params:
@@ -150,11 +148,7 @@ class GridPortfolioBo(PortfolioBo):
             slot, row = job
             self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
 
-        if len(row_blocks(self.candidates.shape[0])) > 1:
-            parallel_map(fill, missing)
-        else:
-            for job in missing:
-                fill(job)
+        parallel_map(fill, missing)
         return [self._columns[k] for k in keys]
 
     def _predict_rows(self, rows: slice, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:

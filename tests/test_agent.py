@@ -240,8 +240,9 @@ class TestRecommend:
 
 
 def force_cpus(monkeypatch, n):
-    """A fresh helper pool, as if the process could run on `n` CPUs."""
+    """A fresh helper pool of `n` - 1 threads, as if `n` CPUs and workers were allowed."""
     monkeypatch.setattr(agent_module, "_cpu_count", lambda: n)
+    monkeypatch.setattr(agent_module, "MAX_WORKERS", n)
     monkeypatch.setattr(agent_module, "_pool", None)
 
 
@@ -291,6 +292,13 @@ class TestParallelMap:
         ]
         assert agent_module.parallel_map(lambda x: x, []) == []
 
+    def test_pool_stops_at_max_workers(self, monkeypatch):
+        monkeypatch.setattr(agent_module, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(agent_module, "_pool", None)
+        assert agent_module.parallel_map(lambda x: x, [1, 2, 3]) == [1, 2, 3]
+        assert agent_module._pool[2] == agent_module.MAX_WORKERS - 1
+        agent_module._pool[1].shutdown()
+
     def test_pool_is_rebuilt_after_a_pid_change(self, monkeypatch):
         force_cpus(monkeypatch, 2)
         assert agent_module.parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
@@ -322,3 +330,27 @@ class TestParallelMap:
                 assert np.array_equal(out, np.outer(np.arange(2000.0), np.arange(64.0)))
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestCpuCount:
+    @pytest.mark.parametrize(
+        "files, quota",
+        [
+            ({"cpu.max": "150000 100000\n"}, 1.5),
+            ({"cpu.max": "max 100000\n"}, None),
+            ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2.0),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+            ({}, None),
+        ],
+    )
+    def test_cgroup_quota_from_v2_or_v1_files(self, tmp_path, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert agent_module._cgroup_cpu_quota(tmp_path) == quota
+
+    @pytest.mark.parametrize("quota, cpus", [(None, 8), (1.5, 2), (0.5, 1), (16.0, 8)])
+    def test_quota_caps_the_affinity(self, monkeypatch, quota, cpus):
+        monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(8)), raising=False)
+        monkeypatch.setattr(agent_module, "_cgroup_cpu_quota", lambda: quota)
+        assert agent_module._cpu_count() == cpus
