@@ -124,22 +124,10 @@ def _norm(scaled: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
 
 
-def _scaled_distance(diff: np.ndarray, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension differences over the length scales, and their norm r."""
-    scaled = diff / np.asarray(params.length_scales, dtype=float)
-    return scaled, _norm(scaled)
-
-
-def _matern(r: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unit-variance Matern 5/2 shape k(r), and with `slope` also g(r) = -k'(r) / r.
-
-    g is what the likelihood gradient needs: d k / d log l_k = g(r) (diff_k / l_k)^2.
-    """
+def _matern(r: np.ndarray) -> np.ndarray:
+    """Unit-variance Matern 5/2 shape k(r)."""
     t = math.sqrt(5.0) * r
-    decay = np.exp(-t)
-    shape = (1.0 + t + t * t / 3.0) * decay
-    g = (5.0 / 3.0) * (1.0 + t) * decay if slope else None
-    return shape, g
+    return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
 def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -154,7 +142,7 @@ def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
     r = _norm(scaled)
     cut = (400.0 + max(0.0, math.log(params.signal_var))) / math.sqrt(5.0)
     np.minimum(r, cut, out=r, where=r < math.inf)
-    k = params.signal_var * _matern(r)[0]
+    k = params.signal_var * _matern(r)
     k[k < SQRT_TINY] = 0.0
     return k
 
@@ -307,7 +295,10 @@ class TrainingSet:
     every evaluation. kernel_matrix(x, x, .) subtracts the rows the same way
     before it scales them, so a Gram built from `diff` has the same bits
     wherever kernel_matrix's entry is at least SQRT_TINY; kernel_matrix sets
-    the smaller ones to 0, and the likelihood's Gram keeps them.
+    the smaller ones to 0, and the likelihood's Gram keeps them. The
+    likelihood's other per-search constants are kept too: the identity
+    `eye` it solves against for K^-1, `neg_half_y` = -0.5 * y_std, and
+    whether every standardized target is finite.
     """
 
     x: np.ndarray
@@ -315,12 +306,18 @@ class TrainingSet:
     y_mean: float
     y_scale: float
     diff: np.ndarray
+    eye: np.ndarray
+    neg_half_y: np.ndarray
+    y_finite: bool
 
     @classmethod
     def build(cls, inputs: np.ndarray, targets: Sequence[float] | np.ndarray) -> "TrainingSet":
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         y_std, y_mean, y_scale = _standardize(np.asarray(targets, dtype=float))
-        return cls(x, y_std, y_mean, y_scale, x[:, None, :] - x[None, :, :])
+        return cls(
+            x, y_std, y_mean, y_scale, x[:, None, :] - x[None, :, :],
+            np.eye(x.shape[0]), -0.5 * y_std, bool(np.isfinite(y_std).all()),
+        )
 
 
 def fit(
@@ -375,22 +372,56 @@ def log_marginal_likelihood(
     Gram K: d/d theta_j = 1/2 tr((alpha alpha^T - K^-1) dK/d theta_j)
     (Rasmussen & Williams, GPML, eq. 5.9). Jitter added to factor K is held
     constant, so it adds nothing to dK.
+
+    One pass builds the Matern shape and slope in place and calls potrf
+    itself; `_chol_with_jitter` runs only when potrf fails, so jitter
+    escalates as it always has. Each operation is the unfused formula's, in
+    its order, so value and gradient keep their bits. potrf can factor a
+    Gram with an inf on its diagonal, and any inf or NaN in a Gram it
+    factors reaches a pivot, so a non-finite log-determinant stands in for
+    `_chol_with_jitter`'s check and raises the same ValueError. The search
+    calls this function by its module-level name, so a wrapper installed
+    there sees every evaluation.
     """
-    scaled, r = _scaled_distance(data.diff, params)
-    shape, slope = _matern(r, slope=True)
     n = data.x.shape[0]
+    # Dividing (n, n, d) by n rows of scales instead of one lets numpy loop
+    # over n * d contiguous quotients at a time, not d.
+    scaled = data.diff / np.array((params.length_scales,)).repeat(n, axis=0)
+    t = _norm(scaled)
+    t *= math.sqrt(5.0)
+    decay = np.negative(t)
+    np.exp(decay, out=decay)
+    one_t = 1.0 + t
+    shape = t
+    shape *= t
+    shape /= 3.0
+    shape += one_t
+    shape *= decay  # (1 + t + t^2/3) e^-t
+    slope = one_t
+    slope *= 5.0 / 3.0
+    slope *= decay  # g(t) = -k'(r) / r = (5/3)(1 + t) e^-t
     gram = params.signal_var * shape
-    gram.flat[:: n + 1] += noise_var
-    chol, _ = _chol_with_jitter(gram)
-    alpha = _cho_solve(chol, data.y_std)
-    value = float(
-        -0.5 * data.y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
-    )
-    w = np.outer(alpha, alpha) - _POTRS(chol, np.eye(n), lower=1)[0]
+    gram.reshape(-1)[:: n + 1] += noise_var
+    chol, info = _POTRF(gram, lower=1, clean=1)
+    if info != 0:
+        chol, _ = _chol_with_jitter(gram)
+    log_det = np.log(chol.diagonal()).sum()
+    if not math.isfinite(log_det):
+        raise ValueError("Gram matrix must not contain infs or NaNs")
+    if not data.y_finite:
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    alpha = _POTRS(chol, data.y_std, lower=1)[0]
+    value = float(data.neg_half_y @ alpha - log_det - 0.5 * n * math.log(2.0 * math.pi))
+    # w = alpha alpha^T - K^-1; d k / d log l_k = g(r) (diff_k / l_k)^2.
+    w = alpha[:, None] * alpha[None, :]
+    w -= _POTRS(chol, data.eye, lower=1)[0]
+    slope *= w
+    scaled *= scaled
+    half_signal = 0.5 * params.signal_var
     grad = np.empty(len(params.length_scales) + 2)
-    grad[:-2] = 0.5 * params.signal_var * np.einsum("ab,abk->k", w * slope, scaled * scaled)
-    grad[-2] = 0.5 * params.signal_var * np.vdot(w, shape)
-    grad[-1] = 0.5 * noise_var * np.trace(w)
+    grad[:-2] = half_signal * np.einsum("ab,abk->k", slope, scaled)
+    grad[-2] = half_signal * np.vdot(w, shape)
+    grad[-1] = 0.5 * noise_var * w.trace()
     return value, grad
 
 
@@ -427,7 +458,7 @@ def _lbfgsb_minimize(
         _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
                        wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == 3:  # FG: f and g wanted at x
-            if not np.array_equal(x, x_seen):
+            if not (x == x_seen).all():
                 x_seen = x.copy()
                 f_seen, g_seen = fun_and_grad(x_seen)
                 evaluations += 1
@@ -453,7 +484,9 @@ def optimize_params(
     """Refit hyperparameters by maximizing log marginal likelihood.
 
     Multi-start local search in log space: one start from the current
-    hyperparameters, one from the reference (dimension-span) defaults.
+    hyperparameters, one from the reference (dimension-span) defaults. When
+    both starts pack to the same point, the search runs once: a second run
+    would repeat the first and could not beat it under the strict `<`.
     L-BFGS-B takes the likelihood's analytic gradient, so each step costs one
     evaluation. Deterministic given the data. When no evaluation succeeds,
     `init` and `noise_var` come back unchanged.
@@ -467,11 +500,8 @@ def optimize_params(
         return np.log(np.array([*p.length_scales, p.signal_var, max(nv, 1e-8)]))
 
     def unpack(theta: np.ndarray) -> tuple[KernelParams, float]:
-        vals = np.exp(theta)
-        return (
-            KernelParams(tuple(float(v) for v in vals[:d]), float(vals[d])),
-            float(vals[d + 1]),
-        )
+        vals = np.exp(theta).tolist()
+        return KernelParams(tuple(vals[:d]), vals[d]), vals[d + 1]
 
     def negative_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal succeeded
@@ -485,8 +515,10 @@ def optimize_params(
 
     lower = np.array([math.log(1e-2)] * d + [math.log(1e-4), math.log(1e-8)])
     upper = np.array([math.log(1e3)] * d + [math.log(1e4), math.log(1e-1)])
+    first, second = pack(init, noise_var), pack(reference, 1e-4)
+    starts = (first,) if np.array_equal(first, second) else (first, second)
     best_theta, best_val = None, math.inf
-    for theta0 in (pack(init, noise_var), pack(reference, 1e-4)):
+    for theta0 in starts:
         theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, max_iter)
         if value < best_val:
             best_theta, best_val = theta, value

@@ -354,6 +354,120 @@ class TestLapackPath:
             assert np.array_equal(model.alpha, cho_solve((ref_chol, True), y_std))
 
 
+def reference_lml_and_grad(data, params, noise_var):
+    """The likelihood and gradient as written before fusion, one array step at a time."""
+    scaled = data.diff / np.asarray(params.length_scales, dtype=float)
+    r = np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
+    t = math.sqrt(5.0) * r
+    decay = np.exp(-t)
+    shape = (1.0 + t + t * t / 3.0) * decay
+    slope = (5.0 / 3.0) * (1.0 + t) * decay
+    n = data.x.shape[0]
+    gram = params.signal_var * shape
+    gram.flat[:: n + 1] += noise_var
+    chol, _ = gp._chol_with_jitter(gram)
+    alpha = gp._cho_solve(chol, data.y_std)
+    value = float(
+        -0.5 * data.y_std @ alpha - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    w = np.outer(alpha, alpha) - gp._POTRS(chol, np.eye(n), lower=1)[0]
+    grad = np.empty(len(params.length_scales) + 2)
+    grad[:-2] = 0.5 * params.signal_var * np.einsum("ab,abk->k", w * slope, scaled * scaled)
+    grad[-2] = 0.5 * params.signal_var * np.vdot(w, shape)
+    grad[-1] = 0.5 * noise_var * np.trace(w)
+    return value, grad
+
+
+def outcome(fun, *args):
+    """The bytes of fun's value and gradient, or the type of the error it raised."""
+    try:
+        value, grad = fun(*args)
+    except (GpFitError, ValueError) as err:
+        return type(err)
+    return np.float64(value).tobytes() + grad.tobytes()
+
+
+class TestFusedLikelihood:
+    """The one-pass likelihood against the step-by-step formula, byte for byte."""
+
+    def test_matches_the_reference_on_random_problems(self):
+        rng = np.random.default_rng(41)
+        jittered = 0
+        for case in range(320):
+            n, d = int(rng.integers(2, 31)), int(rng.integers(1, 6))
+            if case % 2:  # grid rows with repeats, as the agents' probes
+                x = rng.integers(0, 6, size=(n, d)).astype(float)
+            else:
+                x = rng.uniform(0.0, 12.0, size=(n, d))
+            y = rng.uniform(-5.0, 40.0, size=n)
+            # log hyperparameters up to 4 units past either end of the search box
+            theta = np.concatenate([
+                rng.uniform(math.log(1e-2) - 4.0, math.log(1e3) + 4.0, size=d),
+                rng.uniform([math.log(1e-4) - 4.0, math.log(1e-8) - 4.0],
+                            [math.log(1e4) + 4.0, math.log(1e-1) + 4.0]),
+            ])
+            if case % 4 == 1:  # a duplicate row and noise far below the box: jitter
+                x[1] = x[0]
+                theta[-1] = math.log(1e-8) - 30.0
+            params, noise_var = unpack_theta(theta)
+            data = TrainingSet.build(x, y)
+            expected = outcome(reference_lml_and_grad, data, params, noise_var)
+            assert outcome(log_marginal_likelihood, data, params, noise_var) == expected
+            if isinstance(expected, bytes):
+                gram = kernel_matrix(x, x, params) + noise_var * np.eye(n)
+                jittered += gp._chol_with_jitter(gram)[1] > 0.0
+        assert jittered > 10
+
+    def test_jitter_escalation_matches_the_reference(self):
+        # Duplicate rows and no noise to speak of: potrf fails, jitter escalates.
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.5, 2.0], [2.5, 2.0], [4.0, 1.0]])
+        data = TrainingSet.build(x, [1.0, 1.0, -1.0, 4.0, 4.0, 0.5])
+        for signal_var in (10**-3.5, 1.0, 10.0):
+            params, noise_var = KernelParams((1.5, 0.8), signal_var), 1e-300
+            gram = kernel_matrix(x, x, params) + noise_var * np.eye(6)
+            assert gp._POTRF(gram, lower=1, clean=1)[1] != 0
+            assert gp._chol_with_jitter(gram)[1] > 0.0
+            expected = outcome(reference_lml_and_grad, data, params, noise_var)
+            assert isinstance(expected, bytes)
+            assert outcome(log_marginal_likelihood, data, params, noise_var) == expected
+        # A negative noise the largest jitter cannot offset: both give up.
+        params = KernelParams((1.5, 0.8), 10**-3.5)
+        assert outcome(reference_lml_and_grad, data, params, -1e-3) is GpFitError
+        assert outcome(log_marginal_likelihood, data, params, -1e-3) is GpFitError
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_raise_value_error(self, bad):
+        x = np.array([[0.0], [1.0], [3.0]])
+        data = TrainingSet.build(x, [1.0, bad, 2.0])
+        assert not data.y_finite
+        params = KernelParams((1.0,), 1.0)
+        with pytest.raises(ValueError):
+            reference_lml_and_grad(data, params, 1e-3)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(data, params, 1e-3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rows, signal_var, noise_var",
+        [
+            ([[0.0], [1.0], [math.inf]], 1.0, 1e-3),  # NaN differences
+            ([[0.0], [1.0], [math.nan]], 1.0, 1e-3),
+            ([[0.0], [1.0], [3.0]], 1.0, math.inf),  # an inf diagonal potrf can factor
+            ([[0.0], [1.0], [3.0]], 1.0, math.nan),
+            ([[0.0], [1.0], [3.0]], math.inf, 1e-3),
+            ([[0.0], [1.0], [3.0]], math.nan, 1e-3),
+        ],
+    )
+    def test_non_finite_gram_raises_value_error(self, rows, signal_var, noise_var):
+        data = TrainingSet.build(np.array(rows), [1.0, -1.0, 2.0])
+        params = KernelParams((1.0,), signal_var)
+        with pytest.raises(ValueError):
+            reference_lml_and_grad(data, params, noise_var)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(data, params, noise_var)
+
+
 def reference_predict(model, queries):
     """Posterior mean, and the standardized variance clipped at 0, through a triangular solve."""
     k_star = kernel_matrix(queries, model.x_train, model.params)
@@ -466,7 +580,8 @@ class TestSubnormalFlush:
         x = grid[np.concatenate([rng.choice(near, 20, replace=False), rng.choice(far, 10, replace=False)])]
         params = KernelParams((0.01,) * 5, 1.0)
         tiny = np.finfo(float).tiny
-        raw = gp._matern(gp._scaled_distance(grid[:, None, :] - x[None, :, :], params)[1])[0]
+        scaled = (grid[:, None, :] - x[None, :, :]) / np.asarray(params.length_scales)
+        raw = gp._matern(gp._norm(scaled))
         assert np.any((raw > 0.0) & (raw < tiny))  # unflushed, the grid's kernel is subnormal
         model = fit(x, rng.uniform(-5.0, 40.0, size=30), params, 1e-4)
         k_star = kernel_matrix(grid, x, params)
@@ -541,6 +656,59 @@ class TestHyperoptFallback:
         init = KernelParams((5e-3,), 2.0)
         x = np.array([[0.0], [1.0], [2.0]])
         assert optimize_params(x, [1.0, math.nan, 2.0], init, 1e-4) == (init, 1e-4)
+
+
+def both_starts_search(inputs, targets, init, noise_var, reference, max_iter=15):
+    """optimize_params's two L-BFGS-B runs, always both, best by strict `<`."""
+    data = TrainingSet.build(inputs, targets)
+    d = data.x.shape[1]
+    lower = np.array([math.log(1e-2)] * d + [math.log(1e-4), math.log(1e-8)])
+    upper = np.array([math.log(1e3)] * d + [math.log(1e4), math.log(1e-1)])
+    fun = TestSearchDriver.objective(data, [])
+    best_theta, best_val = None, math.inf
+    for p, nv in ((init, noise_var), (reference, 1e-4)):
+        theta0 = np.log(np.array([*p.length_scales, p.signal_var, max(nv, 1e-8)]))
+        theta, value = gp._lbfgsb_minimize(fun, theta0, lower, upper, max_iter)
+        if value < best_val:
+            best_theta, best_val = theta, value
+    return unpack_theta(best_theta)
+
+
+class TestCoincidingStarts:
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = gp._lbfgsb_minimize
+
+        def counting(*args):
+            calls.append(args[1].tobytes())
+            return search(*args)
+
+        monkeypatch.setattr(gp, "_lbfgsb_minimize", counting)
+        return calls
+
+    def test_one_run_when_init_is_the_reference(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            n, d = int(rng.integers(5, 31)), int(rng.integers(1, 4))
+            x = rng.integers(0, 12, size=(n, d)).astype(float)
+            y = rng.uniform(-5.0, 40.0, size=n)
+            init = KernelParams(tuple(rng.uniform(0.5, 6.0, size=d).tolist()), 1.0)
+            expected = both_starts_search(x, y, init, 1e-4, init)
+            calls = self.count_searches(monkeypatch)
+            assert optimize_params(x, y, init, 1e-4, reference=init) == expected
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    def test_two_runs_when_the_starts_differ(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 12, size=(20, 2)).astype(float)
+        y = rng.uniform(-5.0, 40.0, size=20)
+        init = KernelParams((3.0, 4.0), 1.0)
+        expected = both_starts_search(x, y, init, 1e-3, init)
+        calls = self.count_searches(monkeypatch)
+        assert optimize_params(x, y, init, 1e-3, reference=init) == expected
+        assert len(calls) == 2 and calls[0] != calls[1]
 
 
 class TestReplayBuffer:
