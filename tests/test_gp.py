@@ -689,16 +689,18 @@ class TestCoincidingStarts:
 
     def test_one_run_when_init_is_the_reference(self, monkeypatch):
         rng = np.random.default_rng(13)
+        problems = []
         for _ in range(6):
             n, d = int(rng.integers(5, 31)), int(rng.integers(1, 4))
             x = rng.integers(0, 12, size=(n, d)).astype(float)
             y = rng.uniform(-5.0, 40.0, size=n)
             init = KernelParams(tuple(rng.uniform(0.5, 6.0, size=d).tolist()), 1.0)
-            expected = both_starts_search(x, y, init, 1e-4, init)
-            calls = self.count_searches(monkeypatch)
+            problems.append((x, y, init, both_starts_search(x, y, init, 1e-4, init)))
+        calls = self.count_searches(monkeypatch)
+        for x, y, init, expected in problems:
+            calls.clear()
             assert optimize_params(x, y, init, 1e-4, reference=init) == expected
             assert len(calls) == 1
-            monkeypatch.undo()
 
     def test_two_runs_when_the_starts_differ(self, monkeypatch):
         rng = np.random.default_rng(14)
