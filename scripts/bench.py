@@ -11,8 +11,11 @@ the repository root:
 The output holds every run's end-to-end metrics, each side's median and
 quartiles per metric, how many pairs this checkout won per metric (by the
 direction BENCHMARK.json gives), the Python, numpy and scipy versions, the
-CPU count and each side's line count of src/sliceorch. Runs are sequential,
-one process at a time, so they never compete for the CPUs.
+CPU count and each side's line count of src/sliceorch. After its pairs, each
+workload also runs once per side with `--trace 1`, at its first seed; from
+that run the output keeps whether it read correct and the TOP_LAYERS layers
+with the most self time. Runs are sequential, one process at a time, so they
+never compete for the CPUs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+TOP_LAYERS = 10
 
 
 def parse_spec(text: str) -> tuple[str, list[int]]:
@@ -58,10 +62,10 @@ def revision(tree: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One `perfbench/run.py` process's result line, metrics by name."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {
@@ -70,6 +74,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def top_layers(metrics: dict[str, float], count: int = TOP_LAYERS) -> list[dict]:
+    """The `count` layers of a traced run with the most self time, most first.
+
+    A layer is a name with `.calls`, `.s` and `.self_s` metrics; equal self
+    times go in name order.
+    """
+    layers = [name[: -len(".self_s")] for name in metrics if name.endswith(".self_s")]
+    layers.sort(key=lambda layer: (-metrics[f"{layer}.self_s"], layer))
+    return [
+        {"layer": layer, "self_s": metrics[f"{layer}.self_s"], "s": metrics[f"{layer}.s"],
+         "calls": metrics[f"{layer}.calls"]}
+        for layer in layers[:count]
+    ]
 
 
 def spread(values: list[float]) -> dict:
@@ -142,8 +161,15 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v:.4g}" for k, v in run[side]["metrics"].items()),
                       file=sys.stderr, flush=True)
             runs.append(run)
+        traced = {}
+        for side in SIDES:
+            result = run_once(trees[side], workload, seeds[0], seconds, trace=1)
+            traced[side] = {"seed": seeds[0], "correct": result["correct"],
+                            "top_self_s": top_layers(result["metrics"])}
+            print(f"{workload} seed {seeds[0]} {side} traced: correct={result['correct']}",
+                  file=sys.stderr, flush=True)
         record["workloads"][workload] = {
-            "seeds": seeds, "summary": summarize(runs, metrics), "runs": runs,
+            "seeds": seeds, "summary": summarize(runs, metrics), "runs": runs, "traced": traced,
         }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

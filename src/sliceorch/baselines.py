@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,13 +254,52 @@ class OracleEntry:
     perfs: tuple[PerfVector, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class OracleDataset:
+    """The exhaustive sweep as columns: row i is one joint action and its outcome.
+
+    `svrbs` is the joint grid, one integer row per action in lexicographic
+    order; `throughput` and `fps` hold each slice's delivered performance, one
+    float column per slice. The arrays are read-only. Indexing and iteration
+    yield `OracleEntry` values with Python-int svRBs and `PerfVector`s.
+    """
+
+    svrbs: np.ndarray  # (N, k) int
+    throughput: np.ndarray  # (N, k) float, Mbps
+    fps: np.ndarray  # (N, k) float
+
+    def __post_init__(self) -> None:
+        for column in (self.svrbs, self.throughput, self.fps):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.svrbs.shape[0]
+
+    def __getitem__(self, index: int) -> OracleEntry:
+        return _entry(
+            self.svrbs[index].tolist(), self.throughput[index].tolist(), self.fps[index].tolist()
+        )
+
+    def __iter__(self) -> Iterator[OracleEntry]:
+        columns = (self.svrbs.tolist(), self.throughput.tolist(), self.fps.tolist())
+        return (_entry(*row) for row in zip(*columns))
+
+
+def _entry(svrbs: list[int], throughput: list[float], fps: list[float]) -> OracleEntry:
+    return OracleEntry(tuple(svrbs), tuple(map(PerfVector, throughput, fps)))
+
+
 def sweep_dataset(
     specs: Sequence[SliceSpec],
     config: EnvConfig,
     min_alive: int,
     grid_cap: int,
-) -> list[OracleEntry]:
-    """Evaluate every joint action on the noise-free hard-isolation environment."""
+) -> OracleDataset:
+    """Evaluate every joint action on the noise-free hard-isolation environment.
+
+    One `step` per grid row, each written straight into the row of the
+    performance columns.
+    """
     active = [s for s in specs if s.active]
     clean_config = replace(config, noise_std=0.0, isolation_mode="hard")
     clean_specs = []
@@ -272,43 +311,36 @@ def sweep_dataset(
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 
     grid = enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap)
-    # Python-int tuples, so the entries print as before; each entry keeps its
-    # tuple, and the array is dropped before the entries are built.
-    combos = [tuple(row) for row in grid.tolist()]
-    del grid
-    entries = []
-    for combo in combos:
-        actions = {s.slice_id: Action(v, 0.0) for s, v in zip(clean_specs, combo)}
-        perfs = step(actions, clean_specs, clean_config, rng)
-        entries.append(OracleEntry(combo, tuple(perfs[s.slice_id] for s in clean_specs)))
-    return entries
+    throughput = np.empty(grid.shape)
+    fps = np.empty(grid.shape)
+    ids = [s.slice_id for s in clean_specs]
+    for i, combo in enumerate(grid.tolist()):
+        perfs = step(
+            {sid: Action(v, 0.0) for sid, v in zip(ids, combo)}, clean_specs, clean_config, rng
+        )
+        throughput[i] = [perfs[sid].throughput for sid in ids]
+        fps[i] = [perfs[sid].fps for sid in ids]
+    return OracleDataset(grid, throughput, fps)
 
 
 def exsearch_best(
-    dataset: Sequence[OracleEntry],
+    dataset: OracleDataset,
     specs: Sequence[SliceSpec],
     cost_params: CostParams,
 ) -> OracleEntry:
     """Cheapest action meeting every SLA outright; lexicographic tie-break.
 
     Feasibility is per metric: each slice's delivered throughput and FPS must
-    reach its thresholds. Raises NoFeasibleActionError when nothing qualifies.
+    reach its thresholds. The dataset is lexicographic, and `argmin` keeps the
+    first of equal costs. Raises NoFeasibleActionError when nothing qualifies.
     """
     active = [s for s in specs if s.active]
-    best: OracleEntry | None = None
-    best_cost = math.inf
-    for entry in dataset:  # dataset is lexicographic, strict < keeps the first minimum
-        feasible = all(
-            p.throughput >= s.q_throughput and p.fps >= s.q_fps
-            for p, s in zip(entry.perfs, active)
-        )
-        if not feasible:
-            continue
-        cost = cost_params.u_h * sum(entry.svrbs)
-        if cost < best_cost:
-            best, best_cost = entry, cost
-    if best is None:
+    q_throughput = np.array([s.q_throughput for s in active], dtype=float)
+    q_fps = np.array([s.q_fps for s in active], dtype=float)
+    feasible = ((dataset.throughput >= q_throughput) & (dataset.fps >= q_fps)).all(axis=1)
+    costs = np.where(feasible, cost_params.u_h * dataset.svrbs.sum(axis=1), math.inf)
+    if not (costs < math.inf).any():
         raise NoFeasibleActionError(
             "no joint hard-isolation action meets every SLA on this environment"
         )
-    return best
+    return dataset[int(costs.argmin())]

@@ -11,15 +11,20 @@ Subcommands:
 
 All subcommands exit 0 on success. On failure the last line printed to stderr
 is machine parsable: `ERROR <kind>: <message>`.
+
+Unless OPENBLAS_NUM_THREADS is set, the bundled OpenBLAS libraries run on one
+thread: gbo already scores its grid on a thread pool of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import blas
 from .errors import SliceOrchError
 from .harness import (
     ALGORITHMS,
@@ -135,6 +140,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if not os.environ.get("OPENBLAS_NUM_THREADS"):
+        blas.set_threads(1)
     try:
         return _COMMANDS[args.command](args)
     except SliceOrchError as exc:

@@ -29,7 +29,7 @@ import yaml
 from .agent import CandidateGrid, SliceAgent
 from .baselines import (
     GridPortfolioBo,
-    OracleEntry,
+    OracleDataset,
     atlas_scale,
     exsearch_best,
     sweep_dataset,
@@ -357,18 +357,27 @@ def _atlas(scenario: Scenario, env: RanEnvironment) -> Policy:
 
 
 def _exsearch(scenario: Scenario, env: RanEnvironment) -> Policy:
-    """The cheapest allocation meeting every SLA on the noise-free sweep."""
+    """The cheapest allocation meeting every SLA on the noise-free sweep.
+
+    A population's sweep depends on its ids and traffic profiles, and the
+    pick on those plus the SLA thresholds, so each is computed once per
+    distinct key and reused; the environment still steps every slot.
+    """
     p = scenario.algo
-    datasets: dict[tuple[str, ...], list[OracleEntry]] = {}
+    datasets: dict[tuple, OracleDataset] = {}
+    picks: dict[tuple, dict[str, Action]] = {}
 
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
-        ids = tuple(s.slice_id for s in active)
-        if not ids:
+        if not active:
             return SlotOutcome()
-        if ids not in datasets:
-            datasets[ids] = sweep_dataset(active, scenario.env, p.min_alive, p.grid_cap)
-        best = exsearch_best(datasets[ids], active, scenario.cost)
-        actions = {sid: Action(v, 0.0) for sid, v in zip(ids, best.svrbs)}
+        epoch = tuple((s.slice_id, s.q_throughput, s.q_fps, s.app_profile) for s in active)
+        if epoch not in picks:
+            population = tuple((s.slice_id, s.app_profile) for s in active)
+            if population not in datasets:
+                datasets[population] = sweep_dataset(active, scenario.env, p.min_alive, p.grid_cap)
+            best = exsearch_best(datasets[population], active, scenario.cost)
+            picks[epoch] = {s.slice_id: Action(v, 0.0) for s, v in zip(active, best.svrbs)}
+        actions = picks[epoch]
         return SlotOutcome(actions, env.step(actions, active))
 
     return decide
@@ -535,9 +544,10 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
     """Deterministic run manifest: what ran, from which scenario, which code.
 
     The interpreter and library versions are recorded beside the package's,
-    since a trace's floating-point bits depend on them too.
+    since a trace's floating-point bits depend on them too, and so are the
+    thread counts of the bundled OpenBLAS libraries, which set its speed.
     """
-    from . import __version__
+    from . import __version__, blas
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -551,6 +561,7 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "openblas_threads": blas.threads(),
         "trace_columns": trace_columns([s.slice_id for s in scenario.slices]),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -567,19 +578,19 @@ def write_matrix_csv(rows: Sequence[MatrixRow], path: str | Path) -> None:
     _write_csv(path, names, ([cell(getattr(r, n)) for n in names] for r in rows))
 
 
-def dump_oracle(scenario: Scenario) -> list[OracleEntry]:
+def dump_oracle(scenario: Scenario) -> OracleDataset:
     """Materialize the exhaustive-search dataset for a scenario's initial slices."""
     active = [s for s in scenario.slices if s.active]
     return sweep_dataset(active, scenario.env, scenario.algo.min_alive, scenario.algo.grid_cap)
 
 
 def write_oracle_csv(
-    entries: Sequence[OracleEntry], slice_ids: Sequence[str], path: str | Path
+    dataset: OracleDataset, slice_ids: Sequence[str], path: str | Path
 ) -> None:
+    """One row per joint action: each slice's svRB, then throughputs, then FPS."""
     header = [f"{sid}_{col}" for col in ("svrb", "throughput", "fps") for sid in slice_ids]
+    columns = (dataset.svrbs.tolist(), dataset.throughput.tolist(), dataset.fps.tolist())
     _write_csv(path, header, (
-        [str(v) for v in e.svrbs]
-        + [repr(p.throughput) for p in e.perfs]
-        + [repr(p.fps) for p in e.perfs]
-        for e in entries
+        [str(v) for v in svrbs] + [repr(v) for v in throughput] + [repr(v) for v in fps]
+        for svrbs, throughput, fps in zip(*columns)
     ))

@@ -1,5 +1,6 @@
 """Baseline optimizers: joint BO, independent BO, and the exhaustive sweep."""
 
+import math
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from sliceorch.acquisition import portfolio_nominate
 from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value, row_blocks
 from sliceorch.baselines import (
     GridPortfolioBo,
+    OracleDataset,
     OracleEntry,
     atlas_scale,
     enumerate_joint_grid,
@@ -532,13 +534,66 @@ class TestSweepDataset:
             for s in SPECS
         ]
         clean = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
-        assert sweep_dataset(bursty, noisy, ALIVE, CAP) == clean
+        stripped = sweep_dataset(bursty, noisy, ALIVE, CAP)
+        for column in ("svrbs", "throughput", "fps"):
+            assert np.array_equal(getattr(stripped, column), getattr(clean, column))
 
     def test_inactive_slices_are_excluded(self):
         specs = [SPECS[0], SPECS[1], SliceSpec("s3", 12.0, 10.0, SPECS[2].app_profile, active=False)]
         dataset = sweep_dataset(specs, CONFIG, ALIVE, CAP)
         assert len(dataset) == joint_grid_size(2, 12, ALIVE)
         assert all(len(e.svrbs) == 2 for e in dataset)
+
+
+def dataset_of(entries):
+    """An OracleDataset holding `entries`, in order."""
+    return OracleDataset(
+        np.array([e.svrbs for e in entries], dtype=np.int64),
+        np.array([[p.throughput for p in e.perfs] for e in entries], dtype=float),
+        np.array([[p.fps for p in e.perfs] for e in entries], dtype=float),
+    )
+
+
+def scan_best(dataset, specs, cost_params):
+    """The scalar scan that exsearch_best replaced, kept as its reference."""
+    active = [s for s in specs if s.active]
+    best, best_cost = None, math.inf
+    for entry in dataset:
+        feasible = all(
+            p.throughput >= s.q_throughput and p.fps >= s.q_fps
+            for p, s in zip(entry.perfs, active)
+        )
+        if not feasible:
+            continue
+        cost = cost_params.u_h * sum(entry.svrbs)
+        if cost < best_cost:
+            best, best_cost = entry, cost
+    if best is None:
+        raise NoFeasibleActionError("nothing qualifies")
+    return best
+
+
+# Few distinct levels, so that rows tie on cost and perfs sit exactly on thresholds.
+LEVELS = st.sampled_from([0.0, 4.5, 9.0, 12.0, 12.8])
+
+
+@st.composite
+def oracle_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+
+    def rows(values):
+        return draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
+
+    dataset = dataset_of([
+        OracleEntry(tuple(svrbs), tuple(map(PerfVector, tp, fps)))
+        for svrbs, tp, fps in zip(rows(st.integers(1, 4)), rows(LEVELS), rows(LEVELS))
+    ])
+    specs = [
+        SliceSpec(f"s{i}", draw(LEVELS.filter(bool)), draw(LEVELS.filter(bool)), SPECS[0].app_profile)
+        for i in range(k)
+    ]
+    return dataset, specs, CostParams(u_h=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
 
 
 class TestExSearch:
@@ -551,22 +606,43 @@ class TestExSearch:
     def test_feasibility_is_per_metric(self):
         # surplus FPS must not excuse a throughput shortfall
         specs = [SliceSpec("a", 12.0, 1.0, TrafficProfile(30.0, 0.5))]
-        dataset = [
+        dataset = dataset_of([
             OracleEntry((1,), (PerfVector(9.0, 18.0),)),
             OracleEntry((4,), (PerfVector(12.8, 25.6),)),
-        ]
+        ])
         assert exsearch_best(dataset, specs, CostParams()).svrbs == (4,)
+
+    def test_a_row_missing_one_metric_of_one_slice_is_infeasible(self):
+        specs = [
+            SliceSpec("a", 12.0, 10.0, TrafficProfile(30.0, 0.5)),
+            SliceSpec("b", 12.0, 10.0, TrafficProfile(30.0, 0.5)),
+        ]
+        good, thin, slow = PerfVector(12.0, 10.0), PerfVector(11.9, 20.0), PerfVector(20.0, 9.9)
+        dataset = dataset_of([
+            OracleEntry((1, 1), (good, thin)),
+            OracleEntry((1, 2), (slow, good)),
+            OracleEntry((2, 2), (good, good)),
+        ])
+        assert exsearch_best(dataset, specs, CostParams()).svrbs == (2, 2)
 
     def test_ties_keep_the_lexicographically_first(self):
         specs = [
             SliceSpec("a", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
             SliceSpec("b", 1.0, 1.0, TrafficProfile(30.0, 0.5)),
         ]
-        dataset = [
+        dataset = dataset_of([
             OracleEntry((1, 3), (PerfVector(9.0, 9.0), PerfVector(9.0, 9.0))),
             OracleEntry((2, 2), (PerfVector(9.0, 9.0), PerfVector(9.0, 9.0))),
-        ]
+        ])
         assert exsearch_best(dataset, specs, CostParams()).svrbs == (1, 3)
+
+    def test_one_slice(self):
+        specs = [SPECS[0]]
+        dataset = sweep_dataset(specs, CONFIG, ALIVE, CAP)
+        best = exsearch_best(dataset, specs, CostParams())
+        assert best == scan_best(dataset, specs, CostParams())
+        assert best.svrbs == (4,)
+        assert type(best.svrbs[0]) is int and type(best.perfs[0].fps) is float
 
     def test_raises_when_nothing_qualifies(self):
         unreachable = [
@@ -575,3 +651,24 @@ class TestExSearch:
         dataset = sweep_dataset(unreachable, CONFIG, ALIVE, CAP)
         with pytest.raises(NoFeasibleActionError):
             exsearch_best(dataset, unreachable, CostParams())
+
+    @given(oracle_cases())
+    def test_matches_the_scalar_scan(self, case):
+        dataset, specs, cost = case
+        try:
+            expected = scan_best(dataset, specs, cost)
+        except NoFeasibleActionError:
+            with pytest.raises(NoFeasibleActionError):
+                exsearch_best(dataset, specs, cost)
+            return
+        assert exsearch_best(dataset, specs, cost) == expected
+
+    def test_entries_read_back_the_columns(self):
+        dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
+        entries = list(dataset)
+        assert len(entries) == len(dataset) == 220
+        assert entries[-1] == dataset[-1] == dataset[len(dataset) - 1]
+        assert [e.svrbs for e in entries] == list(map(tuple, dataset.svrbs.tolist()))
+        assert [p.fps for p in dataset[7].perfs] == dataset.fps[7].tolist()
+        with pytest.raises(ValueError):
+            dataset.throughput[0, 0] = 0.0

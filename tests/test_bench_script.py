@@ -1,4 +1,5 @@
-"""scripts/bench.py: seed specs and the pairs-won count that decides perf claims."""
+"""scripts/bench.py: seed specs, the pairs-won count that decides perf claims, and the
+traced run's top layers."""
 
 import argparse
 import importlib.util
@@ -47,3 +48,21 @@ class TestPairsWon:
         summary = bench.summarize(self.RUNS, {"m": ("ms", "lower")})
         assert summary["head"]["m"] == {"median": 2.5, "q1": 1.75, "q3": 3.5, "unit": "ms"}
         assert summary["base"]["m"]["median"] == 1.5
+
+
+class TestTopLayers:
+    @staticmethod
+    def layer(name, self_s, calls=1):
+        return {f"{name}.calls": calls, f"{name}.s": 2 * self_s, f"{name}.self_s": self_s}
+
+    def test_keeps_the_most_self_time_first_and_cuts_at_the_count(self):
+        metrics = {"gp.lml_per_hyperopt": 99.0, "harness.traced_wall_s": 50.0}
+        for i in range(12):
+            metrics.update(self.layer(f"layer{i:02d}", float(i), calls=i))
+        top = bench.top_layers(metrics)
+        assert [t["layer"] for t in top] == [f"layer{i:02d}" for i in range(11, 1, -1)]
+        assert top[0] == {"layer": "layer11", "self_s": 11.0, "s": 22.0, "calls": 11}
+
+    def test_equal_self_times_go_in_name_order(self):
+        metrics = {**self.layer("b", 1.0), **self.layer("a", 1.0), **self.layer("c", 3.0)}
+        assert [t["layer"] for t in bench.top_layers(metrics, count=3)] == ["c", "a", "b"]

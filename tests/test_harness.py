@@ -3,9 +3,14 @@
 import copy
 import csv
 import json
+import os
 import platform
 import re
 import shlex
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceorch import blas, harness
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
 from sliceorch.cli import _build_parser, main
@@ -297,6 +303,32 @@ class TestRunners:
         assert records[2].actions["a"].svrb == 5
         assert records[2].actions["b"].svrb == 3
 
+    @pytest.mark.parametrize(
+        "name,sweeps,picks",
+        [("sla_change.yaml", 1, 2), ("dynamics_leave_rejoin.yaml", 2, 2)],
+    )
+    def test_exsearch_sweeps_once_per_population_and_picks_once_per_sla_epoch(
+        self, monkeypatch, name, sweeps, picks
+    ):
+        # Both files change something at slots 10 and 20 and restore at slot
+        # 20 what held in slots 0-9: sla_change slice1's SLA, leave_rejoin
+        # the population. A restored epoch reuses its pick.
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "sweep_dataset", counted(harness.sweep_dataset))
+        monkeypatch.setattr(harness, "exsearch_best", counted(harness.exsearch_best))
+        root = Path(__file__).resolve().parents[1] / "scenarios"
+        records = run(replace(load_scenario(root / name), algorithm="exsearch"))
+        assert len(records) == 30
+        assert calls == {"sweep_dataset": sweeps, "exsearch_best": picks}
+
     def test_adaslicing_runs_are_reproducible(self):
         data = base_dict(
             algorithm="adaslicing",
@@ -398,6 +430,7 @@ class TestFileOutputs:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["openblas_threads"] == blas.threads()
 
 
 @pytest.fixture
@@ -408,6 +441,31 @@ def scenario_file(tmp_path):
 
 
 class TestCli:
+    def test_cli_pins_openblas_to_one_thread_when_unset(self, scenario_file, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        subprocess.run(
+            [sys.executable, "-m", "sliceorch.cli", "run", str(scenario_file),
+             "--out", str(out), "--slots", "1"],
+            env=env, check=True, capture_output=True,
+        )
+        threads = json.loads((out / "manifest.json").read_text())["openblas_threads"]
+        if not threads:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        assert set(threads.values()) == {1}
+
+    def test_cli_leaves_a_set_thread_count_alone(self, scenario_file, monkeypatch):
+        pinned = []
+        monkeypatch.setattr(blas, "set_threads", pinned.append)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["validate", str(scenario_file)]) == 0
+        assert pinned == []
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert main(["validate", str(scenario_file)]) == 0
+        assert pinned == [1]
+
     def test_validate_ok(self, scenario_file, capsys):
         assert main(["validate", str(scenario_file)]) == 0
         assert "ok" in capsys.readouterr().out

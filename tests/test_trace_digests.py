@@ -1,4 +1,5 @@
-"""Golden trace digests: the sha256 of `trace.csv` for every bundled scenario x algorithm.
+"""Golden trace digests: the sha256 of `trace.csv` for every bundled scenario x algorithm,
+and of the `oracle` CSV of two of them.
 
 Performance work and refactors must leave every allocation, probe outcome and
 cost bit-identical; this gate holds them to it. The horizon is short but
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from sliceorch.cli import main
 from sliceorch.harness import ALGORITHMS, load_scenario, run, scenario_from_dict, write_trace_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -150,3 +152,22 @@ def test_empty_population_digest(algorithm, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(records, [s.slice_id for s in scenario.slices], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EMPTY_POPULATION_DIGESTS[algorithm]
+
+
+# The sha256 and row count of `sliceorch oracle`'s CSV: the whole noise-free
+# sweep, every svRB, throughput and FPS of every joint action, as written.
+ORACLE_DIGESTS = {
+    "default.yaml": ("d1a81d84785c987f8ef62219913be986d2eab1fac11a0a91eb41ffe658ac91b3", 220),
+    "scale/slices_5.yaml": (
+        "3c06ec30f41f940cb95fe54db9c858f4018acadb8c35abca4fed3234d3e30d96", 42504
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ORACLE_DIGESTS))
+def test_oracle_csv_digest(scenario, tmp_path, capsys):
+    path = tmp_path / "oracle.csv"
+    assert main(["oracle", str(SCENARIO_DIR / scenario), "--out", str(path)]) == 0
+    digest, rows = ORACLE_DIGESTS[scenario]
+    assert f"oracle: {rows} rows" in capsys.readouterr().out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
