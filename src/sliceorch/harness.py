@@ -361,7 +361,8 @@ def _exsearch(scenario: Scenario, env: RanEnvironment) -> Policy:
 
     A population's sweep depends on its ids and traffic profiles, and the
     pick on those plus the SLA thresholds, so each is computed once per
-    distinct key and reused; the environment still steps every slot.
+    distinct key and reused. The environment still steps every slot, since
+    each step draws from its random stream.
     """
     p = scenario.algo
     datasets: dict[tuple, OracleDataset] = {}
@@ -544,8 +545,8 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
     """Deterministic run manifest: what ran, from which scenario, which code.
 
     The interpreter and library versions are recorded beside the package's,
-    since a trace's floating-point bits depend on them too, and so are the
-    thread counts of the bundled OpenBLAS libraries, which set its speed.
+    since a trace's floating-point bits depend on them too. So is the thread
+    count of each bundled OpenBLAS, since the run's speed depends on it.
     """
     from . import __version__, blas
 
