@@ -32,18 +32,23 @@ def _ei_pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> tuple[np.ndarray, 
     """Expected improvement and probability of improvement below the best.
 
     Both read one standardized improvement d = (best - mu) / sigma and one
-    ndtr(d); a candidate with sigma = 0 is deterministic and gets its plain
-    improvement, and an indicator, instead.
+    ndtr(d). A candidate without positive sigma is deterministic: where
+    there are any, their entries are patched to the plain improvement and
+    an indicator.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu
-    random = sigma > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(random, improve / sigma, 0.0)
-    cdf = ndtr(d)
-    expected = np.where(random, improve * cdf + sigma * _normal_pdf(d), np.maximum(improve, 0.0))
-    return expected, np.where(random, cdf, (mu < best).astype(float))
+        d = improve / sigma
+    probability = ndtr(d)
+    expected = improve * probability
+    expected += sigma * _normal_pdf(d)
+    flat = ~(sigma > 0.0)
+    if flat.any():
+        expected[flat] = np.maximum(improve[flat], 0.0)
+        probability[flat] = mu[flat] < best
+    return expected, probability
 
 
 def ei(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
@@ -71,7 +76,7 @@ def portfolio_nominate(
     tie-breaking for free by ordering their grids.
     """
     expected, probability = _ei_pi(mu, sigma, best)
-    return np.array([expected.argmax(), probability.argmax(), (-lcb(mu, sigma, kappa)).argmax()])
+    return np.array([expected.argmax(), probability.argmax(), lcb(mu, sigma, kappa).argmin()])
 
 
 Nominees = tuple[np.ndarray, np.ndarray, np.ndarray]  # per acquisition: row, mean, deviation

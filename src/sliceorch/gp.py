@@ -115,23 +115,53 @@ class KernelParams:
             raise ValueError(f"signal_var must be > 0, got {self.signal_var}")
 
 
-def _norm(scaled: np.ndarray) -> np.ndarray:
-    """Euclidean norm r over the last axis of an (m, n, d) array.
+def _row_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right."""
+    total = values[..., 0].copy()
+    for k in range(1, values.shape[-1]):
+        total += values[..., k]
+    return total
 
-    Every kernel path calls this one einsum, so they all sum the d squares
-    in the same order and agree bit for bit.
+
+def _sum_squares(squares: np.ndarray) -> np.ndarray:
+    """Sum of (m, n, d) squares over d, in the one order every kernel path uses.
+
+    The even-index dimensions are summed left to right, then the odd-index
+    ones, and the two partial sums are added. For d <= 7 that is the order
+    in which numpy 2.4's einsum("mnd,mnd->mn") sums, two lanes wide, so the
+    sums keep the bits they had when the kernels called einsum; written out,
+    the order no longer depends on how a numpy release vectorizes einsum.
     """
-    return np.sqrt(np.maximum(np.einsum("mnd,mnd->mn", scaled, scaled), 0.0))
+    total = _row_sum(squares[..., 0::2])
+    if squares.shape[-1] > 1:
+        total += _row_sum(squares[..., 1::2])
+    return total
 
 
-def _matern(r: np.ndarray) -> np.ndarray:
-    """Unit-variance Matern 5/2 shape k(r)."""
-    t = math.sqrt(5.0) * r
-    return (1.0 + t + t * t / 3.0) * np.exp(-t)
+def _norm(scaled: np.ndarray) -> np.ndarray:
+    """Euclidean norm r over the last axis of an (m, n, d) array, in `_sum_squares`' order."""
+    return np.sqrt(_sum_squares(scaled * scaled))
 
 
-def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern covariance at scaled differences (m, n, d), flushed below SQRT_TINY.
+def _matern(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit-variance Matern 5/2 shape k(r) = (1 + t + t^2/3) e^-t, t = sqrt(5) r.
+
+    Written into `out` when given, which may be r itself; the operations
+    and their order are the same either way.
+    """
+    t = np.multiply(r, math.sqrt(5.0), out=out)
+    decay = np.negative(t)
+    np.exp(decay, out=decay)
+    square = t * t
+    square /= 3.0
+    t += 1.0
+    t += square
+    t *= decay
+    return t
+
+
+def _covariance(r: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Matern covariance at distances r, flushed below SQRT_TINY, computed in place in r.
 
     Distances past the cut t = sqrt(5) r = 400 + max(0, ln signal_var) are
     clamped to it first. signal_var * shape(t) < e^-400 t^2 stays far below
@@ -139,10 +169,10 @@ def _covariance(scaled: np.ndarray, params: KernelParams) -> np.ndarray:
     to 0 just as unclamped; but exp(-t) and its products no longer go
     subnormal. An inf or NaN distance is left as it is, so its entry is NaN.
     """
-    r = _norm(scaled)
     cut = (400.0 + max(0.0, math.log(params.signal_var))) / math.sqrt(5.0)
     np.minimum(r, cut, out=r, where=r < math.inf)
-    k = params.signal_var * _matern(r)
+    k = _matern(r, out=r)
+    k *= params.signal_var
     k[k < SQRT_TINY] = 0.0
     return k
 
@@ -153,37 +183,61 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
     Entries below SQRT_TINY are 0.
     """
     diff = a[:, None, :] - b[None, :, :]
-    return _covariance(diff / np.asarray(params.length_scales, dtype=float), params)
+    return _covariance(_norm(diff / np.asarray(params.length_scales, dtype=float)), params)
+
+
+def _combinations(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of (m, k) `columns`, and each row's index among them.
+
+    Ranks the rows one column at a time, by integer code, which is far
+    cheaper than np.unique(axis=0) over float rows; the codes stay below m^2.
+    """
+    code = np.zeros(columns.shape[0], dtype=np.int64)
+    for column in columns.T:
+        levels, level = np.unique(column, return_inverse=True)
+        _, first, code = np.unique(
+            code * len(levels) + level, return_index=True, return_inverse=True
+        )
+    return columns[first], code
 
 
 class KernelLattice:
-    """Kernel columns over one fixed candidate matrix, from per-dimension tables.
+    """Kernel columns over one fixed candidate matrix, from per-lane tables.
 
-    A grid's rows take few distinct values per dimension (the levels), so
-    the scaled differences to a row are looked up instead of computed per
-    candidate: `column` fills a (d, V) table with (level - row_d) / l_d and
-    gathers it through a flat (m, d) index built once here. The gathered
-    differences are the ones kernel_matrix computes, and both pass them
-    through `_covariance`, so a column equals
+    `_sum_squares` sums a row's squared scaled differences in two lanes, the
+    even-index dimensions and the odd-index ones, so a lane's partial sum
+    depends only on the candidate's levels in that lane's dimensions. Each
+    lane keeps the distinct level combinations of the candidates (1,540
+    and 210 of them on the 5-slice joint grid's 42,504 rows) and one inverse
+    index from candidates to combinations. `column` sums each lane over its
+    combinations, from (level - row_k) / l_k squared, gathers the two partial
+    sums through the inverse indices, adds them and takes the Matern
+    covariance in place. Every difference, square and sum is the one
+    kernel_matrix computes, in its order, so a column equals
     kernel_matrix(candidates, row[None, :], params)[:, 0] bit for bit.
     """
 
     def __init__(self, candidates: np.ndarray):
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        levels = [np.unique(candidates[:, k]) for k in range(candidates.shape[1])]
-        width = max(len(v) for v in levels)
-        # Short dimensions repeat their last level; the gather never reads it.
-        self._levels = np.array([np.pad(v, (0, width - len(v)), mode="edge") for v in levels])
-        self._index = np.stack(
-            [k * width + np.searchsorted(v, candidates[:, k]) for k, v in enumerate(levels)],
-            axis=1,
-        )
+        self._lanes = []  # (dimensions, distinct level combinations, inverse index)
+        for first in (0, 1)[: candidates.shape[1]]:
+            dims = np.arange(first, candidates.shape[1], 2)
+            self._lanes.append((dims, *_combinations(candidates[:, dims])))
 
     def column(self, row: np.ndarray, params: KernelParams) -> np.ndarray:
         """kernel_matrix(candidates, row[None, :], params)[:, 0]."""
-        scale = np.asarray(params.length_scales, dtype=float)[:, None]
-        table = (self._levels - np.asarray(row, dtype=float)[:, None]) / scale
-        return _covariance(table.ravel()[self._index][:, None, :], params)[:, 0]
+        scale = np.asarray(params.length_scales, dtype=float)
+        row = np.asarray(row, dtype=float)
+        r = None
+        for dims, combos, inverse in self._lanes:
+            scaled = (combos - row[dims]) / scale[dims]
+            scaled *= scaled
+            part = _row_sum(scaled).take(inverse)
+            if r is None:
+                r = part
+            else:
+                r += part
+        return _covariance(np.sqrt(r, out=r), params)
 
 
 def _chol_with_jitter(gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -260,21 +314,27 @@ class GpModel:
         The cross-covariance k_star = kernel_matrix(x_query, x_train, params)
         is multiplied by the cached `w` in one product, whose last column is
         the mean and whose other columns, squared and summed, are the
-        variance explained by the data. An inf or NaN in k_star carries into
-        the product and raises ValueError. `k_star`, when given, must equal
+        variance explained by the data. `k_star`, when given, must equal
         that kernel matrix; callers that cache kernel columns pass it to skip
         the recomputation.
+
+        An inf or NaN in k_star raises ValueError. It makes its whole row of
+        the product inf or NaN (an inf times a zero weight is NaN), so the
+        row's mean or its sum of squares is not finite, and only those two
+        m-length results are checked. A finite product whose squares
+        overflow, which takes entries above about 1e154, raises too.
         """
         x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
         if k_star is None:
             k_star = kernel_matrix(x_query, self.x_train, self.params)
         out = k_star @ self.w
-        if not np.isfinite(out).all():
-            raise ValueError("cross-covariance must not contain infs or NaNs")
         n = self.w.shape[0]
+        mean = out[:, n]
         var_std = self.params.signal_var - np.einsum("mn,mn->m", out[:, :n], out[:, :n])
+        if not (np.isfinite(mean).all() and np.isfinite(var_std).all()):
+            raise ValueError("cross-covariance must not contain infs or NaNs")
         sigma = self.y_scale * np.sqrt(np.clip(var_std, 0.0, None))
-        return self.y_mean + self.y_scale * out[:, n], sigma
+        return self.y_mean + self.y_scale * mean, sigma
 
 
 def _standardize(targets: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -386,8 +446,10 @@ def log_marginal_likelihood(
     n = data.x.shape[0]
     # Dividing (n, n, d) by n rows of scales instead of one lets numpy loop
     # over n * d contiguous quotients at a time, not d.
-    scaled = data.diff / np.array((params.length_scales,)).repeat(n, axis=0)
-    t = _norm(scaled)
+    squares = data.diff / np.array((params.length_scales,)).repeat(n, axis=0)
+    squares *= squares  # (diff_k / l_k)^2, kept for the length-scale gradient
+    t = _sum_squares(squares)
+    np.sqrt(t, out=t)
     t *= math.sqrt(5.0)
     decay = np.negative(t)
     np.exp(decay, out=decay)
@@ -416,10 +478,9 @@ def log_marginal_likelihood(
     w = alpha[:, None] * alpha[None, :]
     w -= _POTRS(chol, data.eye, lower=1)[0]
     slope *= w
-    scaled *= scaled
     half_signal = 0.5 * params.signal_var
     grad = np.empty(len(params.length_scales) + 2)
-    grad[:-2] = half_signal * np.einsum("ab,abk->k", slope, scaled)
+    grad[:-2] = half_signal * np.einsum("ab,abk->k", slope, squares)
     grad[-2] = half_signal * np.vdot(w, shape)
     grad[-1] = 0.5 * noise_var * w.trace()
     return value, grad

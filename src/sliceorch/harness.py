@@ -126,6 +126,9 @@ _SECTIONS = {
 }
 _LISTS = {"slices": SliceSpec, "events": DynamicsEvent}
 _COERCE = {"name": str, "algorithm": str, "slice_id": str}
+# Fields annotated float take an integer literal as a float, so `3` and `3.0`
+# load, print and hash alike. A bool is an int, and is left to validation.
+_FLOAT_TYPES = {"float", "float | None"}
 
 
 def _build(where: str, cls, raw):
@@ -150,6 +153,11 @@ def _build(where: str, cls, raw):
             value = _build_each(path, _LISTS[f.name], [] if value is None else value)
         elif f.name in _COERCE:
             value = _COERCE[f.name](value)
+        elif f.type in _FLOAT_TYPES and isinstance(value, int) and not isinstance(value, bool):
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise ScenarioError(f"{path}: {exc}") from exc
         kwargs[f.name] = value
     try:
         return cls(**kwargs)

@@ -1,6 +1,7 @@
 """Gaussian-process surrogate against dense closed-form solves, plus the replay buffer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ class TestKernel:
             KernelParams((0.0,), 1.0)
         with pytest.raises(ValueError):
             KernelParams((1.0,), 0.0)
+
+
+class TestPinnedOrder:
+    """gp._norm's written-out order of summing squares against numpy's einsum."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_einsum_bit_for_bit(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 40, size=2))
+            x = rng.standard_normal((m, n, d)) * 10.0 ** rng.uniform(-170.0, 170.0, size=(m, n, d))
+            special = rng.random((m, n, d))
+            x[special < 0.05] = 0.0
+            x[(special >= 0.05) & (special < 0.07)] = math.inf
+            x[(special >= 0.07) & (special < 0.08)] = -math.inf
+            x[(special >= 0.08) & (special < 0.09)] = math.nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.sqrt(np.einsum("mnd,mnd->mn", x, x))
+                got = gp._norm(x)
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestPosterior:
@@ -519,6 +540,31 @@ class TestPredictProduct:
         with pytest.raises(ValueError):
             model.predict(queries, k_star=k_star)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_at_a_flushed_weight_raises(self, bad):
+        """0 * inf is NaN, so a bad entry reaches the mean even where alpha is 0."""
+        x = np.array([[0.0], [1.0], [2.5]])
+        model = fit(x, np.array([1.0, -1.0, 4.0]), KernelParams((1.0,), 1.0), 1e-3)
+        w = model.w.copy()
+        w[2, -1] = 0.0  # a posterior weight flushed below SQRT_TINY
+        model = replace(model, w=w)
+        queries = np.array([[0.5], [1.5], [3.0]])
+        k_star = kernel_matrix(queries, x, model.params)
+        k_star[0, 2] = bad
+        with pytest.raises(ValueError):
+            model.predict(queries, k_star=k_star)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_product_with_overflowing_squares_raises(self):
+        """Entries above about 1e154 square to inf in the variance, which is checked."""
+        x = np.array([[0.0], [1.0], [2.5]])
+        model = fit(x, np.array([1.0, -1.0, 4.0]), KernelParams((1.0,), 1.0), 1e-3)
+        k_star = np.full((2, 3), 1e200)
+        assert np.isfinite(k_star @ model.w).all()
+        with pytest.raises(ValueError):
+            model.predict(np.array([[0.5], [1.5]]), k_star=k_star)
+
     def test_failed_inverse_raises_gp_fit_error(self, monkeypatch):
         monkeypatch.setattr(gp, "_TRTRI", lambda chol, lower: (chol, 1))
         with pytest.raises(GpFitError):
@@ -563,6 +609,43 @@ class TestLatticeColumns:
                 row = grid[rng.integers(grid.shape[0])]
                 expected = kernel_matrix(grid, row[None, :], params)[:, 0]
                 assert np.array_equal(lattice.column(row, params), expected)
+
+
+    WIDE_GRIDS = [
+        np.asarray(enumerate_joint_grid(6, 10, ALGO.min_alive, ALGO.grid_cap), dtype=float),
+        np.asarray(enumerate_joint_grid(7, 10, ALGO.min_alive, ALGO.grid_cap), dtype=float),
+    ]
+
+    @pytest.mark.parametrize("grid", WIDE_GRIDS, ids=["d6", "d7"])
+    def test_wide_joint_grids(self, grid):
+        """Six and seven dimensions give each lane three or four terms."""
+        rng = np.random.default_rng(grid.shape[1])
+        lattice = KernelLattice(grid)
+        for _ in range(12):
+            params, _ = random_params(rng, grid.shape[1])
+            row = grid[rng.integers(grid.shape[0])]
+            expected = kernel_matrix(grid, row[None, :], params)[:, 0]
+            assert np.array_equal(lattice.column(row, params), expected)
+
+    @pytest.mark.parametrize("grid", GRIDS + WIDE_GRIDS)
+    def test_row_off_the_lattice(self, grid):
+        rng = np.random.default_rng(5)
+        lattice = KernelLattice(grid)
+        params, _ = random_params(rng, grid.shape[1])
+        row = rng.uniform(-2.0, 30.0, size=grid.shape[1])
+        expected = kernel_matrix(grid, row[None, :], params)[:, 0]
+        assert np.array_equal(lattice.column(row, params), expected)
+
+    @pytest.mark.parametrize("grid", GRIDS + WIDE_GRIDS)
+    def test_nan_length_scale(self, grid):
+        lattice = KernelLattice(grid)
+        d = grid.shape[1]
+        params = KernelParams((math.nan,) + (2.0,) * (d - 1), 1.5)
+        row = grid[grid.shape[0] // 2]
+        expected = kernel_matrix(grid, row[None, :], params)[:, 0]
+        got = lattice.column(row, params)
+        assert np.isnan(got).any()
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestSubnormalFlush:

@@ -118,6 +118,24 @@ class TestScenarioParsing:
         assert [s.slice_id for s in scn.slices] == ["a", "b"]
         assert scenario_from_dict(scenario_to_dict(scn)) == scn
 
+    def test_integer_literals_in_float_fields_load_as_floats(self):
+        data = base_dict(env={"capacity_h": 6, "per_vrb_rate": 3, "noise_std": 0})
+        data["slices"][0]["profile"]["frame_rate"] = 30
+        data["events"] = [
+            {"slot": 1, "kind": "sla_change", "slice_id": "a", "q_throughput": 8, "q_fps": 12}
+        ]
+        scn = scenario_from_dict(data)
+        assert type(scn.env.per_vrb_rate) is float and type(scn.env.noise_std) is float
+        assert type(scn.slices[0].app_profile.frame_rate) is float
+        assert type(scn.events[0].q_fps) is float
+        assert type(scn.env.capacity_h) is int
+        as_floats = base_dict(env={"capacity_h": 6, "per_vrb_rate": 3.0, "noise_std": 0.0})
+        as_floats["slices"][0]["profile"]["frame_rate"] = 30.0
+        as_floats["events"] = [
+            {"slot": 1, "kind": "sla_change", "slice_id": "a", "q_throughput": 8.0, "q_fps": 12.0}
+        ]
+        assert scenario_digest(scn) == scenario_digest(scenario_from_dict(as_floats))
+
     def test_missing_top_level_field_names_the_path(self):
         data = base_dict()
         del data["slots"]
@@ -561,6 +579,28 @@ class TestCli:
         assert len(rows) - 1 == 15  # joint grid of 2 slices under capacity 6
 
 
+def test_integer_and_float_literals_write_the_same_files(tmp_path):
+    """`per_vrb_rate: 3` and `3.0`, `frame_rate: 30` and `30.0`: the same trace and oracle bytes."""
+    raw = yaml.safe_load(
+        (Path(__file__).resolve().parents[1] / "scenarios" / "default.yaml").read_text()
+    )
+    written = []
+    for rate, frames in ((3, 30), (3.0, 30.0)):
+        data = copy.deepcopy(raw)
+        data["env"]["per_vrb_rate"] = rate
+        data["slices"][0]["profile"]["frame_rate"] = frames
+        out = tmp_path / type(rate).__name__
+        out.mkdir()
+        path = out / "scenario.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = ["run", str(path), "--algo", "exsearch", "--slots", "2", "--out", str(out / "run")]
+        assert main(argv) == 0
+        assert main(["oracle", str(path), "--out", str(out / "oracle.csv")]) == 0
+        written.append([(out / name).read_bytes() for name in ("run/trace.csv", "oracle.csv")])
+    assert b"12.0" in written[1][0]
+    assert written[0] == written[1]
+
+
 class TestFailureContract:
     """Bad inputs exit 2 with `ERROR ScenarioError: ...`, from validate and from run."""
 
@@ -592,6 +632,10 @@ class TestFailureContract:
         data = base_dict(env={"capacity_h": 2, "per_vrb_rate": 3.2, "noise_std": 0.0})
         data["slices"].append(dict(data["slices"][0], slice_id="c"))
         self.rejects_file(self.write(tmp_path, data), "env.capacity_h", tmp_path, capsys)
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        data = base_dict(env={"capacity_h": 6, "per_vrb_rate": 10**400, "noise_std": 0.0})
+        self.rejects_file(self.write(tmp_path, data), "env.per_vrb_rate", tmp_path, capsys)
 
     def test_fractional_slots(self, tmp_path, capsys):
         self.rejects_file(self.write(tmp_path, base_dict(slots=2.5)), "slots", tmp_path, capsys)
