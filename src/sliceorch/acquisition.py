@@ -73,37 +73,11 @@ def portfolio_nominate(
 
     EI and PI share one standardized improvement and one ndtr. Ties resolve
     to the first (lowest-index) candidate, so callers get lexicographic
-    tie-breaking for free by ordering their grids.
+    tie-breaking for free by ordering their grids; the first NaN score beats
+    every number, as argmax and argmin let it.
     """
     expected, probability = _ei_pi(mu, sigma, best)
     return np.array([expected.argmax(), probability.argmax(), lcb(mu, sigma, kappa).argmin()])
-
-
-Nominees = tuple[np.ndarray, np.ndarray, np.ndarray]  # per acquisition: row, mean, deviation
-
-
-def merge_nominees(held: Nominees | None, offered: Nominees, best: float, kappa: float) -> Nominees:
-    """Per acquisition, the nominee that argmax over both sets of rows would keep.
-
-    `held` comes from earlier rows than `offered`, so an offered nominee
-    wins only with a strictly greater score, or with a NaN score that the
-    held one lacks: argmax returns the first NaN, else the first maximum.
-    The scores are elementwise, so a nominee scores the same bits here as
-    among the rows it was nominated from, and merging the nominees of
-    consecutive row blocks one after another nominates what
-    portfolio_nominate does over all rows at once.
-    """
-    if held is None:
-        return offered
-
-    def scores(nominees: Nominees) -> np.ndarray:
-        _, mu, sigma = nominees
-        expected, probability = _ei_pi(mu, sigma, best)
-        return np.array([expected[0], probability[1], -lcb(mu, sigma, kappa)[2]])
-
-    held_score, score = scores(held), scores(offered)
-    take = ~np.isnan(held_score) & (np.isnan(score) | (score > held_score))
-    return tuple(np.where(take, new, old) for old, new in zip(held, offered))
 
 
 @dataclass

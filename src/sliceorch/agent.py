@@ -29,14 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .acquisition import (
-    HedgeState,
-    Nominees,
-    hedge_select,
-    hedge_update,
-    merge_nominees,
-    portfolio_nominate,
-)
+from .acquisition import HedgeState, hedge_select, hedge_update, portfolio_nominate
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .gp import (
     GpModel,
@@ -298,7 +291,8 @@ class PortfolioBo:
     probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows per thread
     whatever the grid's size, and nominates the same rows, bit for bit, as
     scoring the whole grid in one call would. The blocks are scored through
-    `parallel_map` and merged in block order.
+    `parallel_map`, and `portfolio_nominate` picks again among their
+    nominees, sorted by row.
     """
 
     def __init__(
@@ -386,17 +380,21 @@ class PortfolioBo:
             best = best + offset(np.array([o.x for o in self.archive.values()]))
         best = float(best.min())
 
-        def score(rows: slice) -> Nominees:
+        def score(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             mu, sigma = predict(rows)
             if offset is not None:
                 mu = mu + offset(queries[rows])
             local = portfolio_nominate(mu, sigma, best, self.kappa)
             return rows.start + local, mu[local], sigma[local]
 
-        held = None
-        for offered in parallel_map(score, row_blocks(queries.shape[0])):
-            held = merge_nominees(held, offered, best, self.kappa)
-        nominees = held[0]
+        blocks = parallel_map(score, row_blocks(queries.shape[0]))
+        nominees, mu, sigma = (np.concatenate(part) for part in zip(*blocks))
+        if len(blocks) > 1:
+            # Each block nominated its first best row (or first NaN) per
+            # acquisition, so the grid's first best row is among the
+            # nominees; taken in row order, the same rule keeps it.
+            nominees, first = np.unique(nominees, return_index=True)
+            nominees = nominees[portfolio_nominate(mu[first], sigma[first], best, self.kappa)]
         self._last_nominees = queries[nominees]
         chosen = queries[nominees[hedge_select(self.hedge, self.hedge_rng)]]
         if tuple(chosen.tolist()) in self.archive:

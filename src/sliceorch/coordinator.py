@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .agent import AgentContext, SliceAgent
-from .core import Action, CostParams, PerfVector, SliceSpec, total_cost
+from .core import Action, PerfVector, SliceSpec
 from .errors import InfeasibleCapacityError
 from .netenv import RanEnvironment
 
@@ -131,24 +131,13 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str]) 
 
 
 @dataclass
-class IterationRecord:
-    """One consensus iteration: applied cost, residual, and variable snapshots."""
-
-    cost: float
-    residual: float
-    z: dict[str, float]
-    y: dict[str, float]
-
-
-@dataclass
 class SlotOutcome:
-    """Final emitted allocation of one slot plus the consensus-loop trace, if any."""
+    """Final emitted allocation of one slot, with its consensus iterations and residual."""
 
     actions: dict[str, Action] = field(default_factory=dict)
     perfs: dict[str, PerfVector] = field(default_factory=dict)
     iterations: int = 0
     primal_residual: float = 0.0
-    trace: list[IterationRecord] = field(default_factory=list)
 
 
 def orchestrate_slot(
@@ -156,7 +145,6 @@ def orchestrate_slot(
     env: RanEnvironment,
     specs: Sequence[SliceSpec],
     state: CoordinatorState,
-    cost_params: CostParams,
     min_alive: int,
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
@@ -221,7 +209,6 @@ def orchestrate_slot(
         sid: (agents[sid].last_action.sw if agents[sid].last_action is not None else 0.0)
         for sid in order
     }
-    trace: list[IterationRecord] = []
     iterations = 0
     for _ in range(state.max_iters):
         iterations += 1
@@ -230,14 +217,6 @@ def orchestrate_slot(
         actions, perfs = probe(proposals, spread_capacity)
         last_w = {sid: actions[sid].sw for sid in order}
         residual = settle({sid: actions[sid].svrb for sid in order})
-        trace.append(
-            IterationRecord(
-                cost=total_cost(actions.values(), cost_params),
-                residual=residual,
-                z=dict(state.z),
-                y=dict(state.y),
-            )
-        )
         if residual <= state.primal_tol:
             break
 
@@ -251,4 +230,4 @@ def orchestrate_slot(
     }
     actions, perfs = probe(recommended, clamp_capacity)
     residual = settle({sid: actions[sid].svrb for sid in order})
-    return SlotOutcome(actions, perfs, iterations, residual, trace)
+    return SlotOutcome(actions, perfs, iterations, residual)

@@ -45,6 +45,8 @@ _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXFUN = 15000
+# Iterations per start of the hyperparameter search (minimize's maxiter).
+_LBFGSB_MAXITER = 15
 
 
 class ReplayBuffer:
@@ -540,7 +542,6 @@ def optimize_params(
     init: KernelParams,
     noise_var: float,
     reference: KernelParams | None = None,
-    max_iter: int = 15,
 ) -> tuple[KernelParams, float]:
     """Refit hyperparameters by maximizing log marginal likelihood.
 
@@ -580,7 +581,7 @@ def optimize_params(
     starts = (first,) if np.array_equal(first, second) else (first, second)
     best_theta, best_val = None, math.inf
     for theta0 in starts:
-        theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, max_iter)
+        theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, _LBFGSB_MAXITER)
         if value < best_val:
             best_theta, best_val = theta, value
     if not succeeded or best_theta is None or not math.isfinite(best_val):

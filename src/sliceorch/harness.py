@@ -202,8 +202,12 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # one line, as the CLI's last stderr line
+        raise ScenarioError(f"{path}: cannot be read as UTF-8 YAML: {detail}") from exc
     return scenario_from_dict(data)
 
 
@@ -273,7 +277,6 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
             env,
             active,
             state,
-            scenario.cost,
             p.min_alive,
         )
 

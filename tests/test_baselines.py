@@ -360,13 +360,20 @@ class TestBlockedScoring:
         nominees, whole = self.propose(mu, sigma)
         assert nominees == whole == [block + 3] * 3
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 8])
-    def test_coarse_scores_with_many_ties(self, monkeypatch, block_rows):
+    @pytest.mark.parametrize(
+        "block_rows, nan_share",
+        [pytest.param(rows, 0.0, id=str(rows)) for rows in (1, 2, 3, 5, 8)]
+        + [pytest.param(rows, 0.2, id=f"{rows}-nan") for rows in (1, 2, 3, 5, 8)],
+    )
+    def test_coarse_scores_with_many_ties(self, monkeypatch, block_rows, nan_share):
         monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(block_rows)
         for _ in range(20):
             mu = rng.integers(0, 4, 23).astype(float)
             sigma = rng.integers(0, 3, 23).astype(float)
+            if nan_share:  # first-NaN semantics, in the mean and in the deviation
+                mu[rng.random(23) < nan_share] = np.nan
+                sigma[rng.random(23) < nan_share] = np.nan
             nominees, whole = self.propose(mu, sigma)
             assert nominees == whole
 

@@ -619,6 +619,14 @@ class TestFailureContract:
         self.rejects(["validate", path], field, capsys)
         self.rejects(["run", path, "--out", str(tmp_path / "out")], field, capsys)
 
+    @pytest.mark.parametrize(
+        "content", [b"slots: [1,\n", b"\xff\xfeslots: 1\n"], ids=["malformed-yaml", "not-utf8"]
+    )
+    def test_unreadable_file_names_it(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        self.rejects_file(str(path), f"{path}: cannot be read as UTF-8 YAML: ", tmp_path, capsys)
+
     def test_negative_seed(self, scenario_file, tmp_path, capsys):
         argv = ["run", str(scenario_file), "--out", str(tmp_path / "out"), "--seed", "-1"]
         self.rejects(argv, "seed", capsys)
