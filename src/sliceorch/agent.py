@@ -355,6 +355,16 @@ class PortfolioBo:
             self._archive_prices = {k: self._price(o, specs) for k, o in self.archive.items()}
         return self._archive_prices
 
+    def _cheapest(self, specs: Mapping[str, SliceSpec], keys: Sequence[tuple] = ()) -> tuple:
+        """The archived input with the lowest (price, key) among `keys`, priced under `specs`.
+
+        With no `keys`, the whole archive is searched. Archive keys are
+        unique, so distinct entries never tie. This is the commit rule of
+        every subclass's recommendation.
+        """
+        prices = self._prices(specs)
+        return min(keys or prices, key=lambda k: (prices[k], k))
+
     def _propose(
         self,
         queries: np.ndarray,
@@ -477,7 +487,6 @@ class SliceAgent(PortfolioBo):
         super().__init__(spans, rng, hedge_rng, algo, cost, penalty, design_offset)
         self.slice_id = slice_id
         self.grid = grid
-        self.last_action: Action | None = None
 
     def recommend(self, ctx: AgentContext) -> Action:
         """Pick the allocation this slot should commit to.
@@ -489,33 +498,21 @@ class SliceAgent(PortfolioBo):
         SLA. An svRB count never tried weight-free may still challenge the
         incumbent when its re-priced target looks cheaper; committing to it
         produces the missing weight-free evidence, after which it either
-        becomes the new incumbent or is ruled out for good. With nothing
-        feasible on record, the least-bad entry is committed. Requires at
-        least one observation.
+        becomes the new incumbent or is ruled out for good. The commit is the
+        `_cheapest` of these, and with none of them on record, of the whole
+        archive. Requires at least one observation.
         """
-        prices = self._prices({self.slice_id: ctx.spec})
-
-        def rank(o: Observation) -> tuple[float, float, float, float]:
-            return prices[o.key()], *o.key()
-
-        tested: dict[float, Observation] = {}
-        for o in self.archive.values():
-            svrb, sw, _ = o.key()
-            if sw == 0.0 and (svrb not in tested or rank(o) < rank(tested[svrb])):
-                tested[svrb] = o
-        feasible = [
-            o for o in tested.values() if sla_margin(o.perfs[self.slice_id], ctx.spec) > 0.0
-        ]
-        untested = [o for o in self.archive.values() if o.key()[0] not in tested]
-        incumbent = min(feasible, key=rank, default=None)
-        challenger = min(untested, key=rank, default=None)
-        if incumbent is None:
-            best = challenger or min(self.archive.values(), key=rank)
-        elif challenger is not None and rank(challenger) < rank(incumbent):
-            best = challenger
-        else:
-            best = incumbent
-        return Action(int(best.key()[0]), 0.0)
+        specs = {self.slice_id: ctx.spec}
+        weight_free: dict[float, list[tuple]] = {}  # svRB -> its keys probed at sw = 0
+        for key in self.archive:
+            if key[1] == 0.0:
+                weight_free.setdefault(key[0], []).append(key)
+        committable = [k for k in self.archive if k[0] not in weight_free]  # challengers
+        for keys in weight_free.values():
+            key = self._cheapest(specs, keys)
+            if sla_margin(self.archive[key].perfs[self.slice_id], ctx.spec) > 0.0:
+                committable.append(key)  # an incumbent
+        return Action(int(self._cheapest(specs, committable)[0]), 0.0)
 
     def _next_unexplored(self, peers_sw: float) -> np.ndarray | None:
         """Next design point not yet probed under `peers_sw`, or None after a full cycle."""
@@ -531,7 +528,6 @@ class SliceAgent(PortfolioBo):
         The recommendation itself comes from `recommend`, not from here.
         """
         if not self._warm():
-            self._last_nominees = None
             return Action(*design_point(self.grid, self._next_design()))
         pts = self.grid.points()
         queries = np.column_stack([pts, np.full(pts.shape[0], ctx.s)])
@@ -546,7 +542,6 @@ class SliceAgent(PortfolioBo):
 
     def observe(self, action: Action, perf: PerfVector, ctx: AgentContext) -> None:
         """Ingest one probe: push, refit the surrogate, settle hedge rewards."""
-        self.last_action = action
         self._learn(
             np.array([action.svrb, action.sw, ctx.s], dtype=float),
             (action,),

@@ -183,7 +183,6 @@ class GridPortfolioBo(PortfolioBo):
 
     def suggest(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:
         if not self._warm():
-            self._last_nominees = None
             row = self._next_unexplored()
             return self._actions(row if row is not None else self.candidates[self._design_index()])
         columns = self._training_columns()
@@ -204,8 +203,7 @@ class GridPortfolioBo(PortfolioBo):
         """
         if not self.archive:
             return self.suggest(specs)
-        prices = self._prices(specs)
-        return self._actions(self.archive[min(prices, key=lambda k: (prices[k], k))].x)
+        return self._actions(self._cheapest(specs))
 
     def observe(
         self,

@@ -33,6 +33,7 @@ class CoordinatorState:
     dual_init: float
     z: dict[str, float] = field(default_factory=dict)
     y: dict[str, float] = field(default_factory=dict)
+    w: dict[str, float] = field(default_factory=dict)  # sharing weights the last slot committed
 
 
 def project_consensus(x: np.ndarray, y: np.ndarray, capacity: float) -> np.ndarray:
@@ -118,11 +119,13 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str]) 
 
     Departed slices drop their variables. New slices start at the minimum
     alive allocation with the current mean dual, so they inherit the going
-    price of capacity instead of restarting the negotiation.
+    price of capacity instead of restarting the negotiation, and with no
+    committed sharing weight.
     """
     for sid in left:
         state.z.pop(sid, None)
         state.y.pop(sid, None)
+        state.w.pop(sid, None)
     for sid in joined:
         state.z[sid] = 1.0
         state.y[sid] = (
@@ -157,7 +160,9 @@ def orchestrate_slot(
     within primal_tol or after max_iters. The slot then emits each agent's
     best known action under the settled consensus (clamped jointly, probed,
     and fed back like any probe), so the recorded allocation is a
-    recommendation rather than the last exploratory sample.
+    recommendation rather than the last exploratory sample. The first
+    broadcast's peer weights are the ones the previous slot committed
+    (`state.w`, 0 for a slice with none), and the slot stores its own there.
     """
     active = [s for s in specs if s.active]
     order = [s.slice_id for s in active]
@@ -205,10 +210,7 @@ def orchestrate_slot(
             agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)))
         return actions, perfs
 
-    last_w = {
-        sid: (agents[sid].last_action.sw if agents[sid].last_action is not None else 0.0)
-        for sid in order
-    }
+    last_w = {sid: state.w.get(sid, 0.0) for sid in order}
     iterations = 0
     for _ in range(state.max_iters):
         iterations += 1
@@ -230,4 +232,5 @@ def orchestrate_slot(
     }
     actions, perfs = probe(recommended, clamp_capacity)
     residual = settle({sid: actions[sid].svrb for sid in order})
+    state.w = {sid: actions[sid].sw for sid in order}
     return SlotOutcome(actions, perfs, iterations, residual)

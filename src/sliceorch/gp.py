@@ -365,8 +365,6 @@ class TrainingSet:
 
     x: np.ndarray
     y_std: np.ndarray
-    y_mean: float
-    y_scale: float
     diff: np.ndarray
     eye: np.ndarray
     neg_half_y: np.ndarray
@@ -375,9 +373,9 @@ class TrainingSet:
     @classmethod
     def build(cls, inputs: np.ndarray, targets: Sequence[float] | np.ndarray) -> "TrainingSet":
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
-        y_std, y_mean, y_scale = _standardize(np.asarray(targets, dtype=float))
+        y_std = _standardize(np.asarray(targets, dtype=float))[0]
         return cls(
-            x, y_std, y_mean, y_scale, x[:, None, :] - x[None, :, :],
+            x, y_std, x[:, None, :] - x[None, :, :],
             np.eye(x.shape[0]), -0.5 * y_std, bool(np.isfinite(y_std).all()),
         )
 

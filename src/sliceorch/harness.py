@@ -67,6 +67,10 @@ class Scenario:
     algo: AlgoParams = field(default_factory=AlgoParams)
 
     def __post_init__(self) -> None:
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:  # names trace files
+            raise ScenarioError(
+                f"name: must be a non-empty single path component, got {self.name!r}"
+            )
         if not _whole(self.seed) or self.seed < 0:
             raise ScenarioError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if not _whole(self.slots) or self.slots <= 0:
@@ -125,7 +129,7 @@ _SECTIONS = {
     "env": EnvConfig, "cost": CostParams, "app_profile": TrafficProfile, "algo": AlgoParams,
 }
 _LISTS = {"slices": SliceSpec, "events": DynamicsEvent}
-_COERCE = {"name": str, "algorithm": str, "slice_id": str}
+_IDENTIFIERS = {"name", "algorithm", "slice_id"}  # a string, or an integer read as its digits
 # Fields annotated float take an integer literal as a float, so `3` and `3.0`
 # load, print and hash alike. A bool is an int, and is left to validation.
 _FLOAT_TYPES = {"float", "float | None"}
@@ -151,8 +155,10 @@ def _build(where: str, cls, raw):
             value = _build(path, _SECTIONS[f.name], {} if value is None else value)
         elif f.name in _LISTS:
             value = _build_each(path, _LISTS[f.name], [] if value is None else value)
-        elif f.name in _COERCE:
-            value = _COERCE[f.name](value)
+        elif f.name in _IDENTIFIERS and not isinstance(value, str):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"{path}: must be a string, got {type(value).__name__}")
+            value = str(value)
         elif f.type in _FLOAT_TYPES and isinstance(value, int) and not isinstance(value, bool):
             try:
                 value = float(value)
@@ -198,13 +204,35 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.safe_load`'s loader, refusing a mapping that repeats a key.
+
+    YAML requires unique keys, where PyYAML would keep the last value. A key
+    merged in with `<<` may still be overridden.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        key_nodes = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # an unhashable key raises here
+        seen = set()
+        for key_node in key_nodes:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return mapping
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # one line, as the CLI's last stderr line
         raise ScenarioError(f"{path}: cannot be read as UTF-8 YAML: {detail}") from exc

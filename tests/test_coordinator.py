@@ -206,6 +206,11 @@ class TestResize:
         assert set(state.z) == {"a"}
         assert set(state.y) == {"a"}
 
+    def test_leave_drops_the_committed_weight(self):
+        state = new_state(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0}, w={"a": 0.2, "b": 0.4})
+        resize(state, joined=[], left=["b"])
+        assert state.w == {"a": 0.2}
+
     def test_leaving_unknown_slice_is_a_no_op(self):
         state = new_state(z={"a": 4.0}, y={"a": 0.0})
         resize(state, joined=[], left=["ghost"])
@@ -267,6 +272,26 @@ class TestOrchestrateSlot:
         assert set(state.z) == set(outcome.actions)
         total_z = sum(state.z.values())
         assert total_z <= 12.0 + 1e-9
+
+    def test_state_keeps_the_emitted_weights(self):
+        agents, env, specs, state = make_fixture()
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
+        assert state.w == {sid: a.sw for sid, a in outcome.actions.items()}
+
+    def test_committed_weights_seed_the_first_broadcast(self):
+        agents, env, specs, state = make_fixture()
+        orchestrate_slot(agents, env, specs, state, *slot_args())
+        state.w = {"s1": 0.3, "s2": 0.5, "s3": 0.125}
+        seen = []
+        suggest = agents["s1"].suggest
+
+        def recording(ctx):
+            seen.append(ctx.s)
+            return suggest(ctx)
+
+        agents["s1"].suggest = recording
+        orchestrate_slot(agents, env, specs, state, *slot_args())
+        assert seen[0] == 0.625  # s2's and s3's committed weights
 
     def test_rejects_infeasible_population(self):
         agents, env, specs, state = make_fixture()

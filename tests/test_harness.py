@@ -193,6 +193,29 @@ class TestScenarioParsing:
         scn = scenario_from_dict(data)
         assert [e.slot for e in scn.events] == [2, 9]
 
+    def test_integer_identifiers_read_as_their_digits(self):
+        data = base_dict(name=7)
+        data["slices"][0]["slice_id"] = 1
+        data["events"] = [{"slot": 2, "kind": "slice_leave", "slice_id": 1}]
+        scn = scenario_from_dict(data)
+        assert scn.name == "7"
+        assert scn.slices[0].slice_id == "1" and scn.events[0].slice_id == "1"
+
+    def test_merge_keys_may_be_overridden(self, tmp_path):
+        """A repeated key is refused, but a key merged in with `<<` may still be overridden."""
+        path = tmp_path / "merged.yaml"
+        path.write_text(
+            "name: tiny\nseed: 3\nslots: 4\nalgorithm: exsearch\n"
+            "env: {capacity_h: 6, per_vrb_rate: 3.2, noise_std: 0.0}\n"
+            "slices:\n"
+            "  - {slice_id: a, q_throughput: 7.0, q_fps: 10.0,"
+            " profile: &profile {frame_rate: 30.0, frame_size: 0.5}}\n"
+            "  - slice_id: b\n    q_throughput: 7.0\n    q_fps: 10.0\n"
+            "    profile:\n      <<: *profile\n      frame_rate: 24.0\n"
+        )
+        scn = load_scenario(path)
+        assert scn.slices[1].app_profile == TrafficProfile(24.0, 0.5)
+
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
@@ -620,12 +643,57 @@ class TestFailureContract:
         self.rejects(["run", path, "--out", str(tmp_path / "out")], field, capsys)
 
     @pytest.mark.parametrize(
-        "content", [b"slots: [1,\n", b"\xff\xfeslots: 1\n"], ids=["malformed-yaml", "not-utf8"]
+        "content",
+        [b"slots: [1,\n", b"\xff\xfeslots: 1\n", b"? [1, 2]\n: 3\n"],
+        ids=["malformed-yaml", "not-utf8", "unhashable-key"],
     )
     def test_unreadable_file_names_it(self, content, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_bytes(content)
         self.rejects_file(str(path), f"{path}: cannot be read as UTF-8 YAML: ", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "text,mapping,key,line",
+        [
+            ("seed: 1\nslots: 2\nseed: 99\n", "line 1, column 1", "seed", 3),
+            (
+                "name: x\nenv:\n  capacity_h: 6\n  noise_std: 0.0\n  capacity_h: 8\n",
+                "line 3, column 3",
+                "capacity_h",
+                5,
+            ),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_names_it(self, text, mapping, key, line, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        expected = (
+            f'{path}: cannot be read as UTF-8 YAML: while constructing a mapping in "{path}",'
+            f' {mapping} found repeated key {key!r} in "{path}", line {line},'
+        )
+        self.rejects_file(str(path), expected, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ("slices[0].slice_id", [1, 2], "must be a string, got list"),
+            ("slices[0].slice_id", None, "must be a string, got NoneType"),
+            ("slices[0].slice_id", True, "must be a string, got bool"),
+            ("events[0].slice_id", 1.5, "must be a string, got float"),
+            ("algorithm", False, "must be a string, got bool"),
+            ("name", {"a": 1}, "must be a string, got dict"),
+            ("name", "../escaped", "must be a non-empty single path component, got '../escaped'"),
+            ("name", "a/b", "must be a non-empty single path component, got 'a/b'"),
+            ("name", "..", "must be a non-empty single path component, got '..'"),
+            ("name", "", "must be a non-empty single path component, got ''"),
+        ],
+    )
+    def test_bad_identifier(self, path, value, message, tmp_path, capsys):
+        data = full_dict()
+        container, key = locate(data, path)
+        container[key] = value
+        self.rejects_file(self.write(tmp_path, data), f"{path}: {message}", tmp_path, capsys)
 
     def test_negative_seed(self, scenario_file, tmp_path, capsys):
         argv = ["run", str(scenario_file), "--out", str(tmp_path / "out"), "--seed", "-1"]
