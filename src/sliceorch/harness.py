@@ -67,8 +67,8 @@ class Scenario:
     algo: AlgoParams = field(default_factory=AlgoParams)
 
     def __post_init__(self) -> None:
-        if self.name in ("", ".", "..") or Path(self.name).name != self.name:  # names trace files
-            raise ScenarioError(
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name or "\0" in self.name:
+            raise ScenarioError(  # it names trace files
                 f"name: must be a non-empty single path component, got {self.name!r}"
             )
         if not _whole(self.seed) or self.seed < 0:

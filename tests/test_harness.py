@@ -687,6 +687,7 @@ class TestFailureContract:
             ("name", "a/b", "must be a non-empty single path component, got 'a/b'"),
             ("name", "..", "must be a non-empty single path component, got '..'"),
             ("name", "", "must be a non-empty single path component, got ''"),
+            ("name", "a\0b", "must be a non-empty single path component, got 'a\\x00b'"),
         ],
     )
     def test_bad_identifier(self, path, value, message, tmp_path, capsys):
