@@ -284,8 +284,8 @@ class PortfolioBo:
     entry (`_prices`): an entry is priced when `_learn` archives it, and
     the whole archive again only when the specs passed in differ from the
     ones its prices were taken under. The best-so-far of `_propose`, the
-    training targets of `_learn` and the subclasses' recommendation rules
-    all read these prices.
+    training targets of `_learn` and `_cheapest`, the one rule through which
+    the subclasses' recommendations commit, all read these prices.
 
     `_propose` scores the candidates block by block (`row_blocks`), so a
     probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows per thread
@@ -359,8 +359,7 @@ class PortfolioBo:
         """The archived input with the lowest (price, key) among `keys`, priced under `specs`.
 
         With no `keys`, the whole archive is searched. Archive keys are
-        unique, so distinct entries never tie. This is the commit rule of
-        every subclass's recommendation.
+        unique, so distinct entries never tie.
         """
         prices = self._prices(specs)
         return min(keys or prices, key=lambda k: (prices[k], k))

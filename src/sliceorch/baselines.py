@@ -203,7 +203,7 @@ class GridPortfolioBo(PortfolioBo):
         """
         if not self.archive:
             return self.suggest(specs)
-        return self._actions(self._cheapest(specs))
+        return self._actions(self.archive[self._cheapest(specs)].x)
 
     def observe(
         self,
