@@ -39,6 +39,7 @@ from .gp import (
     fit,
     optimize_params,
 )
+from .vsharing import ground
 
 # Candidate rows scored per surrogate call: a block's cross-covariance is
 # about 1 MB at 30 training rows, so a probe's temporaries stay this size
@@ -211,7 +212,7 @@ class CandidateGrid:
     @classmethod
     def for_capacity(cls, capacity_h: int, min_alive: int, sw_step: float) -> "CandidateGrid":
         svrbs = tuple(range(min_alive, capacity_h + 1))
-        n_steps = int(round(1.0 / sw_step))
+        n_steps = ground(1.0 / sw_step)  # whole steps only, so no weight exceeds 1
         sws = tuple(round(i * sw_step, 10) for i in range(n_steps + 1))
         return cls(svrbs, sws)
 

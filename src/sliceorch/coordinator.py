@@ -21,6 +21,7 @@ from .agent import AgentContext, SliceAgent
 from .core import Action, PerfVector, SliceSpec
 from .errors import InfeasibleCapacityError
 from .netenv import RanEnvironment
+from .vsharing import ground
 
 
 @dataclass
@@ -99,10 +100,10 @@ def spread_capacity(
         return {sid: svrbs[sid] for sid in order}
     shift = (total - capacity) / len(order)
     real = {sid: svrbs[sid] - shift for sid in order}
-    fitted = {sid: max(min_alive, math.floor(real[sid] + 1e-9)) for sid in order}
+    fitted = {sid: max(min_alive, ground(real[sid])) for sid in order}
     spare = capacity - sum(fitted.values())
     if spare > 0:
-        frac = {sid: real[sid] - math.floor(real[sid] + 1e-9) for sid in order}
+        frac = {sid: real[sid] - ground(real[sid]) for sid in order}
         for sid in sorted(order, key=lambda s: (-frac[s], order.index(s))):
             if spare == 0:
                 break

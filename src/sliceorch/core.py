@@ -74,7 +74,7 @@ class AlgoParams:
 
     rho: float = 2.0
     primal_tol: float = 0.5
-    max_iters: int = 15
+    max_iters: int = 15  # consensus iterations per slot, and the baselines' probes
     dual_init: float = -5.0
     buffer_capacity: int = 40
     priority_decay: float = 0.95
@@ -88,30 +88,24 @@ class AlgoParams:
     # at 0.5 so that bonus stays worth less than one resource block and
     # recommendations do not creep past the cheapest feasible allocation.
     barrier_coef: float = 0.5
-    violation_penalty: float | None = None  # None: see `penalty`
     sw_step: float = 0.1
     min_alive: int = 1
-    probes_per_slot: int = 15  # baseline BO probe budget, parity with max_iters
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
         _check(self, (
             "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
-            "min_alive", "probes_per_slot", "grid_cap",
+            "min_alive", "grid_cap",
         ), *_COUNT)
         _check(self, ("rho", "hedge_eta"), *_POSITIVE)
         _check(self, ("primal_tol", "noise_var", "kappa", "barrier_coef"), *_NONNEGATIVE)
-        if self.violation_penalty is not None:
-            _check(self, ("violation_penalty",), *_NONNEGATIVE)
         _check(self, ("dual_init",), _finite, "must be finite")
         _check(self, ("priority_decay", "sw_step"),
                lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
 
     def penalty(self, cost: CostParams, capacity: int) -> float:
-        """The SLA violation penalty; unset, it is 10 * u_h * capacity."""
-        if self.violation_penalty is None:
-            return 10.0 * cost.u_h * capacity
-        return self.violation_penalty
+        """The SLA violation penalty: 10 * u_h * capacity."""
+        return 10.0 * cost.u_h * capacity
 
 
 def _whole(value) -> bool:

@@ -39,12 +39,11 @@ _POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 # scipy.optimize.minimize(method="L-BFGS-B")'s defaults: memory (maxcor),
-# factr = ftol / eps, gtol, line-search steps and evaluation limit (maxfun).
+# factr = ftol / eps, gtol and line-search steps.
 _LBFGSB_M = 10
 _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
-_LBFGSB_MAXFUN = 15000
 # Iterations per start of the hyperparameter search (minimize's maxiter).
 _LBFGSB_MAXITER = 15
 
@@ -497,13 +496,14 @@ def _lbfgsb_minimize(
     clipped into the box and evaluated once, `setulb` is re-entered with the
     values of the last point evaluated, a point is evaluated again only when
     `setulb` asks at one that differs from it, and the search stops on the
-    max_iter-th new iterate. Returns minimize's res.x and res.fun.
+    max_iter-th new iterate. minimize's evaluation limit (maxfun = 15000) is
+    left out: _LBFGSB_MAXITER iterations never reach it. Returns res.x, res.fun.
     """
     m, n = _LBFGSB_M, x0.size
     x = np.clip(x0, lower, upper)
     x_seen = x.copy()
     f_seen, g_seen = fun_and_grad(x_seen)
-    evaluations, iterations = 1, 0
+    iterations = 0
     nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
@@ -522,14 +522,11 @@ def _lbfgsb_minimize(
             if not (x == x_seen).all():
                 x_seen = x.copy()
                 f_seen, g_seen = fun_and_grad(x_seen)
-                evaluations += 1
             f, g = f_seen, g_seen
         elif task[0] == 1:  # NEW_X: an iteration finished
             iterations += 1
             if iterations >= max_iter:
                 task[:] = 5, 504  # STOP: iteration limit
-            elif evaluations > _LBFGSB_MAXFUN:
-                task[:] = 5, 502  # STOP: evaluation limit
         else:
             return x, f
 

@@ -233,7 +233,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: int or date literals, bad UTF-8
         detail = " ".join(str(exc).split())  # one line, as the CLI's last stderr line
         raise ScenarioError(f"{path}: cannot be read as UTF-8 YAML: {detail}") from exc
     return scenario_from_dict(data)
@@ -341,7 +341,7 @@ def _bayesian(
                 bo.observe(actions, perfs, specs)
             return SlotOutcome(actions, perfs)
 
-        for _ in range(p.probes_per_slot - 1):
+        for _ in range(p.max_iters - 1):
             probe(lambda bo: bo.suggest(specs))
         # The slot's recorded allocation is the recommendation, not the last
         # exploratory probe.

@@ -18,11 +18,7 @@ import numpy as np
 
 from .core import _COUNT, _NONNEGATIVE, _POSITIVE, Action, PerfVector, SliceSpec, _check, _whole
 from .errors import CapacityExceededError, ScenarioError
-from .vsharing import SliceDemand, share_pool
-
-# Demand is a whole-block ceiling; the epsilon keeps exact ratios assembled
-# from binary floats (e.g. 30*0.7/2.1) from rounding up a phantom block.
-_CEIL_EPS = 1e-9
+from .vsharing import GROUND_EPS, SliceDemand, share_pool
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ def demand_vrbs(profile: TrafficProfile, config: EnvConfig, rng: np.random.Gener
     base = profile.frame_rate * profile.frame_size / config.per_vrb_rate
     if profile.burstiness > 0.0:
         base *= max(0.0, 1.0 + profile.burstiness * rng.standard_normal())
-    return max(0, int(math.ceil(base - _CEIL_EPS)))
+    return max(0, int(math.ceil(base - GROUND_EPS)))
 
 
 def step(

@@ -16,8 +16,9 @@ from typing import Sequence
 
 from .errors import CapacityExceededError
 
-# Grants are grounded to whole blocks with a tiny epsilon so that exact
-# fractions assembled from binary floats (e.g. 6*0.3/0.6) do not lose a block.
+# Whole-block rounding takes a tiny epsilon, so that exact fractions assembled
+# from binary floats neither lose a granted block (6*0.3/0.6, floored here)
+# nor gain a phantom demanded one (30*0.7/2.1, ceiled by netenv.demand_vrbs).
 GROUND_EPS = 1e-9
 
 

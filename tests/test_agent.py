@@ -96,6 +96,15 @@ class TestGrid:
         assert grid.sw_values == tuple(round(i * 0.1, 10) for i in range(11))
         assert grid.points().shape == (132, 2)
 
+    def test_default_lattice(self):
+        lattice = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step).sw_values == lattice
+
+    @pytest.mark.parametrize("sw_step", [0.15, 0.35, 0.6])
+    def test_lattice_stops_at_the_last_whole_step(self, sw_step):
+        sws = CandidateGrid.for_capacity(12, ALGO.min_alive, sw_step).sw_values
+        assert sws[-1] <= 1.0 < sws[-1] + sw_step
+
     def test_points_are_svrb_major(self):
         pts = CandidateGrid.for_capacity(3, ALGO.min_alive, ALGO.sw_step).points()
         assert list(pts[0]) == [1.0, 0.0]

@@ -108,6 +108,16 @@ EASY = {
 
 
 class TestGridPortfolioBo:
+    def test_grid_order_scan_finds_what_the_design_walk_skips(self):
+        # The 12-step van der Corput walk over 12 rows never reaches the
+        # last one, so svRB 12 comes from the grid-order scan.
+        walk = {min(int(agent_module._radical_inverse(i + 1, 2) * 12), 11) for i in range(12)}
+        assert sorted(set(range(12)) - walk) == [5, 8, 11]
+        bo = make_bo(capacity=12, n_init=99)
+        for svrb in range(1, 12):
+            bo.observe({"a": Action(svrb, 0.0)}, {"a": GOOD}, EASY)
+        assert bo.suggest(EASY) == {"a": Action(12, 0.0)}
+
     def test_cold_start_explores_fresh_rows(self):
         bo = make_bo()
         seen = set()

@@ -42,7 +42,7 @@ from sliceorch.harness import (
     write_manifest,
     write_trace_csv,
 )
-from sliceorch.netenv import EnvConfig, TrafficProfile
+from sliceorch.netenv import EnvConfig, RanEnvironment, TrafficProfile
 
 
 def base_dict(**over):
@@ -169,7 +169,7 @@ class TestScenarioParsing:
             scenario_from_dict(data)
 
     def test_invalid_algo_parameter_value_is_rejected(self):
-        data = base_dict(algo_params={"probes_per_slot": 0})
+        data = base_dict(algo_params={"max_iters": 0})
         with pytest.raises(ScenarioError, match="algo_params"):
             scenario_from_dict(data)
 
@@ -258,13 +258,23 @@ class TestScenarioParsing:
 
 
 class TestAlgoParams:
-    def test_rejects_empty_probe_budget(self):
-        with pytest.raises(ValueError, match="probes_per_slot"):
-            AlgoParams(probes_per_slot=0)
-
     def test_penalty_defaults_to_ten_capacities_of_svrb(self):
         assert AlgoParams().penalty(CostParams(u_h=2.0), 12) == 240.0
-        assert AlgoParams(violation_penalty=7.0).penalty(CostParams(u_h=2.0), 12) == 7.0
+
+    @pytest.mark.parametrize("algorithm", ["gbo", "atlas"])
+    def test_baselines_probe_max_iters_times_per_slot(self, algorithm, monkeypatch):
+        steps = []
+        original = RanEnvironment.step
+
+        def counting(self, *args, **kwargs):
+            steps.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RanEnvironment, "step", counting)
+        default = next(path for path in BUNDLED if path.name == "default.yaml")
+        scenario = load_scenario(default)
+        run(replace(scenario, algorithm=algorithm, slots=2, algo=AlgoParams(max_iters=3)))
+        assert len(steps) == 2 * 3
 
     @pytest.mark.parametrize(
         "algorithm, kind, count",
@@ -524,6 +534,13 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "final_cost" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sw_step", [0.15, 0.35, 0.6])  # round(1 / step) steps overshoot 1
+    def test_coarse_sharing_lattice_runs(self, sw_step, tmp_path):
+        data = base_dict(algorithm="adaslicing", slots=3, algo_params={"sw_step": sw_step})
+        path = tmp_path / "coarse.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
     def test_run_overrides_reach_the_outputs(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -778,15 +795,29 @@ class TestFailureContract:
             ("noise_var", -1.0),
             ("kappa", -1.0),
             ("barrier_coef", -1.0),
-            ("violation_penalty", -1.0),
             ("min_alive", 0),
-            ("probes_per_slot", 0),
             ("grid_cap", 0),
         ],
     )
     def test_degenerate_algo_param(self, name, value, tmp_path, capsys):
         data = base_dict(algorithm="adaslicing", algo_params={name: value})
         self.rejects_file(self.write(tmp_path, data), f"algo_params: {name}", tmp_path, capsys)
+
+    @pytest.mark.parametrize("name,value", [("probes_per_slot", 15), ("violation_penalty", 7.0)])
+    def test_removed_algo_param(self, name, value, tmp_path, capsys):
+        data = base_dict(algorithm="gbo", algo_params={name: value})
+        bad = self.write(tmp_path, data)
+        self.rejects_file(bad, f"algo_params.{name}: unknown field", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "literal", ["1" * 5000, "2024-13-45"], ids=["int-of-5000-digits", "impossible-date"]
+    )
+    def test_literal_that_cannot_be_built_names_the_file(self, literal, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        text = yaml.safe_dump(base_dict())
+        assert "\nseed: 3\n" in text
+        path.write_text(text.replace("\nseed: 3\n", f"\nseed: {literal}\n"))
+        self.rejects_file(str(path), f"{path}: cannot be read as UTF-8 YAML: ", tmp_path, capsys)
 
     SECTIONS = ["env", "cost", "slices[1]", "slices[1].profile", "events[0]", "algo_params"]
 

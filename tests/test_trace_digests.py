@@ -91,6 +91,27 @@ def test_trace_digest(scenario, algorithm, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[(scenario, algorithm)]
 
 
+# The table above stops gbo and atlas by slot 4, before the scripted events
+# at slot 10, so it holds the baselines to nothing after an event. These
+# cells run them across the SLA change and the departure.
+EVENT_HORIZON = 11
+EVENT_DIGESTS = {
+    ("dynamics_leave_rejoin.yaml", "atlas"): "9e920872f4b50d79b81e40ccef0668271d69d217aa90fe2009b017b0c6caf0a5",
+    ("dynamics_leave_rejoin.yaml", "gbo"): "76dc2a6887b90685cd503d61d99068860885bcc573db3eb476db14b46bdb4b51",
+    ("sla_change.yaml", "atlas"): "817318566ae3e5c92e4de62588ca4fcc73c88a73157e9874e4f9f9020e2e8e4e",
+    ("sla_change.yaml", "gbo"): "d141b683ac2f4c1bbd492f91c90ac4e86d1355896eee069ca05eec3dda64c7e8",
+}
+
+
+@pytest.mark.parametrize("scenario,algorithm", sorted(EVENT_DIGESTS))
+def test_baseline_digest_across_an_event(scenario, algorithm, tmp_path):
+    base = load_scenario(SCENARIO_DIR / scenario)
+    cell = replace(base, algorithm=algorithm, slots=EVENT_HORIZON)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(cell), [s.slice_id for s in base.slices], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EVENT_DIGESTS[(scenario, algorithm)]
+
+
 # gbo on the 5-slice rung for 6 slots, with the seed of the first `joint`
 # benchmark cell of perfbench seed 2 (cell_seed(2, 0, 0)). 30 of its 90 GP
 # fits have a length scale below 0.02, next to the search's 1e-2 bound, where
