@@ -15,6 +15,7 @@ from .core import (
     CostParams,
     PerfVector,
     SliceSpec,
+    TrafficProfile,
     normalized_performance,
     slice_cost,
     total_cost,
@@ -28,7 +29,7 @@ from .errors import (
     ScenarioError,
     SliceOrchError,
 )
-from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, TrafficProfile
+from .netenv import DynamicsEvent, EnvConfig, RanEnvironment
 
 __all__ = [
     "Action",

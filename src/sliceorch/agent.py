@@ -31,6 +31,7 @@ import numpy as np
 
 from .acquisition import HedgeState, hedge_select, hedge_update, portfolio_nominate
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
+from .errors import GridCapExceededError
 from .gp import (
     GpModel,
     KernelParams,
@@ -276,7 +277,7 @@ class PortfolioBo:
     candidate rows and design sequence; it calls `_propose` for a warm
     suggestion and `_learn` to record a probe. All settings come from the
     scenario's `AlgoParams`; the run's prices, the barrier coefficient and
-    the resolved SLA violation penalty are fixed at construction.
+    the SLA violation penalty, 10 * u_h * `capacity`, are fixed at construction.
 
     An observation is priced as its stored resource cost plus each of its
     slices' SLA barriers (`_price`), under the specs of the call, so stored
@@ -303,12 +304,12 @@ class PortfolioBo:
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
         cost: CostParams,
-        penalty: float,
+        capacity: int,
         design_offset: int = 0,
     ):
         self.cost = cost
         self.barrier_coef = algo.barrier_coef
-        self.penalty = penalty
+        self.penalty = 10.0 * cost.u_h * capacity
         self.rng = rng
         self.hedge = HedgeState(eta=algo.hedge_eta)
         self.hedge_rng = hedge_rng
@@ -461,22 +462,28 @@ class SliceAgent(PortfolioBo):
     Its input rows are (svrb, sw, peers_sw), where peers_sw is the slot's
     aggregated sharing weight of the other slices: exogenous context that
     shifts how much pool the slice's own sw can win. Its candidates are the
-    action grid under the current peer weight, and its design is the grid's
-    Halton (2, 3) sequence.
+    action grid of `capacity` under the current peer weight (at most `grid_cap`
+    actions), and its design is the grid's Halton (2, 3) sequence.
     """
 
     def __init__(
         self,
         slice_id: str,
-        grid: CandidateGrid,
+        capacity: int,
         rng: np.random.Generator,
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
         cost: CostParams,
-        penalty: float,
         peers_sw_span: float = 2.0,
         design_offset: int = 0,
     ):
+        steps = 1.0 / algo.sw_step  # inf when the step is subnormal
+        size = (capacity - algo.min_alive + 1) * (ground(steps) + 1) if steps < math.inf else steps
+        if size > algo.grid_cap:
+            raise GridCapExceededError(
+                f"candidate grid has {size} actions, over the cap of {algo.grid_cap}"
+            )
+        grid = CandidateGrid.for_capacity(capacity, algo.min_alive, algo.sw_step)
         svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
         sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0
         # A per-agent design_offset staggers the design sequence across
@@ -484,7 +491,7 @@ class SliceAgent(PortfolioBo):
         # capacity clamp does not flatten every early probe onto the same
         # symmetric point.
         spans = [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)]
-        super().__init__(spans, rng, hedge_rng, algo, cost, penalty, design_offset)
+        super().__init__(spans, rng, hedge_rng, algo, cost, capacity, design_offset)
         self.slice_id = slice_id
         self.grid = grid
 

@@ -26,7 +26,7 @@ from .coordinator import clamp_capacity
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
 from .gp import KernelLattice, KernelParams
-from .netenv import EnvConfig, TrafficProfile, step
+from .netenv import EnvConfig, step
 from .vsharing import ground
 
 
@@ -106,14 +106,13 @@ class GridPortfolioBo(PortfolioBo):
         hedge_rng: np.random.Generator,
         algo: AlgoParams,
         cost: CostParams,
-        penalty: float,
     ):
         self.slice_ids = list(slice_ids)
         self.candidates = enumerate_joint_grid(
             len(self.slice_ids), capacity, algo.min_alive, algo.grid_cap
         ).astype(float)
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
-        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, penalty)
+        super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, capacity)
         self._lattice = KernelLattice(self.candidates)
         self._kernel_columns = np.empty(
             (self.candidates.shape[0], self.buffer.capacity), order="F"
@@ -300,12 +299,7 @@ def sweep_dataset(
     """
     active = [s for s in specs if s.active]
     clean_config = replace(config, noise_std=0.0, isolation_mode="hard")
-    clean_specs = []
-    for s in active:
-        profile = s.app_profile
-        if profile is not None and profile.burstiness != 0.0:
-            profile = TrafficProfile(profile.frame_rate, profile.frame_size, 0.0)
-        clean_specs.append(replace(s, app_profile=profile))
+    clean_specs = [replace(s, app_profile=replace(s.app_profile, burstiness=0.0)) for s in active]
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 
     grid = enumerate_joint_grid(len(clean_specs), config.capacity_h, min_alive, grid_cap)

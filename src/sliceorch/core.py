@@ -1,5 +1,5 @@
-"""Shared vocabulary: slices, actions, delivered performance, cost, and the
-algorithms' tunables.
+"""Shared vocabulary: slices and their traffic, actions, delivered performance,
+cost, and the algorithms' tunables.
 
 All types are immutable values; the operations on them are pure functions.
 """
@@ -9,10 +9,20 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
-if TYPE_CHECKING:
-    from .netenv import TrafficProfile
+
+@dataclass(frozen=True)
+class TrafficProfile:
+    """Offered load of one slice's application."""
+
+    frame_rate: float  # frames per second offered by the app
+    frame_size: float  # Mb per frame
+    burstiness: float = 0.0  # >= 0, scale of multiplicative demand jitter
+
+    def __post_init__(self) -> None:
+        _check(self, ("frame_rate", "frame_size"), *_POSITIVE)
+        _check(self, ("burstiness",), *_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -22,11 +32,13 @@ class SliceSpec:
     slice_id: str
     q_throughput: float  # Mbps the tenant contracted for
     q_fps: float  # frames per second the tenant contracted for
-    app_profile: "TrafficProfile | None" = None
+    app_profile: TrafficProfile
     active: bool = True
 
     def __post_init__(self) -> None:
         _check(self, ("q_throughput", "q_fps"), *_POSITIVE)
+        if not isinstance(self.app_profile, TrafficProfile):
+            raise ValueError(f"app_profile must be a TrafficProfile, got {self.app_profile!r}")
         if not isinstance(self.active, bool):
             raise ValueError(f"active must be true or false, got {self.active!r}")
 
@@ -102,10 +114,6 @@ class AlgoParams:
         _check(self, ("dual_init",), _finite, "must be finite")
         _check(self, ("priority_decay", "sw_step"),
                lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
-
-    def penalty(self, cost: CostParams, capacity: int) -> float:
-        """The SLA violation penalty: 10 * u_h * capacity."""
-        return 10.0 * cost.u_h * capacity
 
 
 def _whole(value) -> bool:

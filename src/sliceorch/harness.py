@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 import yaml
 
-from .agent import CandidateGrid, SliceAgent
+from .agent import SliceAgent
 from .baselines import (
     GridPortfolioBo,
     OracleDataset,
@@ -41,12 +41,13 @@ from .core import (
     CostParams,
     PerfVector,
     SliceSpec,
+    TrafficProfile,
     _whole,
     normalized_performance,
     slice_cost,
 )
 from .errors import ScenarioError
-from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, TrafficProfile, apply_events
+from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, apply_events
 from .rng import substream
 
 ALGORITHMS = ("adaslicing", "gbo", "atlas", "exsearch")
@@ -88,6 +89,12 @@ class Scenario:
             if ev.slice_id not in ids:
                 raise ScenarioError(f"events[{i}].slice_id: unknown slice {ev.slice_id!r}")
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.slot)))
+        for i, profile in enumerate(s.app_profile for s in self.slices):
+            if not math.isfinite(profile.frame_rate * profile.frame_size / self.env.per_vrb_rate):
+                raise ScenarioError(
+                    f"slices[{i}].profile: offered load over env.per_vrb_rate"
+                    f" {self.env.per_vrb_rate!r} is not a finite vRB count"
+                )
         need = self.algo.min_alive * self._peak_population()
         if need > self.env.capacity_h:
             raise ScenarioError(
@@ -124,7 +131,6 @@ class SlotRecord:
 # A scenario file holds one mapping per dataclass, keyed by its field names,
 # and a field left out takes its dataclass default. What differs by field:
 _FILE_KEYS = {"app_profile": "profile", "algo": "algo_params"}  # field -> file key
-_FILE_REQUIRED = {"app_profile"}  # optional in code, required in a file
 _SECTIONS = {
     "env": EnvConfig, "cost": CostParams, "app_profile": TrafficProfile, "algo": AlgoParams,
 }
@@ -146,7 +152,7 @@ def _build(where: str, cls, raw):
     kwargs = {}
     for key, f in by_key.items():
         if key not in raw:
-            if f.name in _FILE_REQUIRED or (f.default is MISSING and f.default_factory is MISSING):
+            if f.default is MISSING and f.default_factory is MISSING:
                 raise ScenarioError(f"{where}.{key}: missing required field")
             continue
         path = key if cls is Scenario else f"{where}.{key}"  # `env`, not `scenario.env`
@@ -275,8 +281,6 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
     state = CoordinatorState(
         rho=p.rho, primal_tol=p.primal_tol, max_iters=p.max_iters, dual_init=p.dual_init
     )
-    grid = CandidateGrid.for_capacity(scenario.env.capacity_h, p.min_alive, p.sw_step)
-    penalty = p.penalty(scenario.cost, scenario.env.capacity_h)
     peers_span = max(1.0, float(len(scenario.slices) - 1))
     design_offsets = {s.slice_id: i for i, s in enumerate(scenario.slices)}
     agents: dict[str, SliceAgent] = {}
@@ -289,12 +293,11 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
             if sid not in agents:  # departed agents are retained for rejoin
                 agents[sid] = SliceAgent(
                     sid,
-                    grid,
+                    scenario.env.capacity_h,
                     substream(scenario.seed, f"agent:{sid}"),
                     substream(scenario.seed, f"hedge:{sid}"),
                     p,
                     scenario.cost,
-                    penalty,
                     peers_sw_span=peers_span,
                     design_offset=design_offsets[sid],
                 )
@@ -354,15 +357,13 @@ def _grid_bo(
     scenario: Scenario, ids: Sequence[str], stream: str, tag: int | str
 ) -> GridPortfolioBo:
     """A grid optimizer over `ids`, drawing from the `stream` substreams of `tag`."""
-    capacity = scenario.env.capacity_h
     return GridPortfolioBo(
         ids,
-        capacity,
+        scenario.env.capacity_h,
         substream(scenario.seed, f"{stream}:{tag}"),
         substream(scenario.seed, f"{stream}-hedge:{tag}"),
         scenario.algo,
         scenario.cost,
-        scenario.algo.penalty(scenario.cost, capacity),
     )
 
 

@@ -17,21 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import _COUNT, _NONNEGATIVE, _POSITIVE, Action, PerfVector, SliceSpec, _check, _whole
+from .core import TrafficProfile  # also importable from here, beside the rest of the RAN model
 from .errors import CapacityExceededError, ScenarioError
 from .vsharing import GROUND_EPS, SliceDemand, share_pool
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Offered load of one slice's application."""
-
-    frame_rate: float  # frames per second offered by the app
-    frame_size: float  # Mb per frame
-    burstiness: float = 0.0  # >= 0, scale of multiplicative demand jitter
-
-    def __post_init__(self) -> None:
-        _check(self, ("frame_rate", "frame_size"), *_POSITIVE)
-        _check(self, ("burstiness",), *_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -81,6 +69,8 @@ def demand_vrbs(profile: TrafficProfile, config: EnvConfig, rng: np.random.Gener
     base = profile.frame_rate * profile.frame_size / config.per_vrb_rate
     if profile.burstiness > 0.0:
         base *= max(0.0, 1.0 + profile.burstiness * rng.standard_normal())
+        if not math.isfinite(base):
+            raise ScenarioError(f"offered load of {profile} jitters to {base} vRBs")
     return max(0, int(math.ceil(base - GROUND_EPS)))
 
 
@@ -109,11 +99,7 @@ def step(
             f"joint action orchestrates {total_svrb} svRBs over capacity {config.capacity_h}"
         )
 
-    demands: dict[str, int] = {}
-    for s in active:
-        if s.app_profile is None:
-            raise ScenarioError(f"slice {s.slice_id} has no traffic profile")
-        demands[s.slice_id] = demand_vrbs(s.app_profile, config, rng)
+    demands = {s.slice_id: demand_vrbs(s.app_profile, config, rng) for s in active}
 
     if config.isolation_mode == "soft":
         inputs = [

@@ -20,6 +20,7 @@ from sliceorch.agent import (
     sla_margin,
 )
 from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
+from sliceorch.errors import GridCapExceededError
 from sliceorch.netenv import TrafficProfile
 from sliceorch.rng import substream
 
@@ -36,11 +37,9 @@ def make_ctx(z=4.0, y=0.0, rho=2.0, s=0.0, spec=SPEC):
 
 
 def make_agent(design_offset=0, **algo):
-    params = AlgoParams(**algo)
-    grid = CandidateGrid.for_capacity(12, params.min_alive, params.sw_step)
     return SliceAgent(
-        "s1", grid, substream(1, "agent:s1"), substream(1, "hedge:s1"), params,
-        CostParams(), params.penalty(CostParams(), 12), design_offset=design_offset,
+        "s1", 12, substream(1, "agent:s1"), substream(1, "hedge:s1"), AlgoParams(**algo),
+        CostParams(), design_offset=design_offset,
     )
 
 
@@ -104,6 +103,19 @@ class TestGrid:
     def test_lattice_stops_at_the_last_whole_step(self, sw_step):
         sws = CandidateGrid.for_capacity(12, ALGO.min_alive, sw_step).sw_values
         assert sws[-1] <= 1.0 < sws[-1] + sw_step
+
+    @pytest.mark.parametrize("settings", [{}, {"min_alive": 2, "sw_step": 0.3}])
+    def test_agent_builds_the_grid_of_its_capacity(self, settings):
+        algo = AlgoParams(**settings)
+        grid = CandidateGrid.for_capacity(12, algo.min_alive, algo.sw_step)
+        assert make_agent(**settings).grid == grid
+
+    def test_agent_grid_is_capped_before_it_is_built(self):
+        assert len(make_agent(grid_cap=132).grid.points()) == 132  # 12 svRBs x 11 weights
+        with pytest.raises(GridCapExceededError, match="has 132 actions, over the cap of 131"):
+            make_agent(grid_cap=131)
+        with pytest.raises(GridCapExceededError, match="has inf actions"):
+            make_agent(sw_step=1e-320)
 
     def test_points_are_svrb_major(self):
         pts = CandidateGrid.for_capacity(3, ALGO.min_alive, ALGO.sw_step).points()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sliceorch import agent as agent_module
 from sliceorch import baselines, harness
 from sliceorch.acquisition import portfolio_nominate
-from sliceorch.agent import AgentContext, CandidateGrid, SliceAgent, barrier_value, row_blocks
+from sliceorch.agent import AgentContext, SliceAgent, barrier_value, row_blocks
 from sliceorch.baselines import (
     GridPortfolioBo,
     OracleDataset,
@@ -92,10 +92,10 @@ class TestJointGrid:
             enumerate_joint_grid(3, 12, ALIVE, grid_cap=100)
 
 
-def make_bo(ids=("a",), capacity=8, seed=3, cost=CostParams(), penalty=120.0, **algo):
+def make_bo(ids=("a",), capacity=8, seed=3, cost=CostParams(), **algo):
     return GridPortfolioBo(
         list(ids), capacity, substream(seed, "bo"), substream(seed, "bo-hedge"), AlgoParams(**algo),
-        cost, penalty,
+        cost,
     )
 
 
@@ -146,12 +146,13 @@ class TestGridPortfolioBo:
 
     def test_incumbent_follows_the_current_target(self):
         cheap = make_bo(capacity=2)
-        dear = make_bo(capacity=2, cost=CostParams(u_h=100.0), penalty=0.0)
-        for bo in (cheap, dear):
-            bo.observe({"a": Action(1, 0.0)}, {"a": BAD}, EASY)
+        dear = make_bo(capacity=2, cost=CostParams(u_h=100.0))
+        for bo, first in ((cheap, BAD), (dear, PerfVector(1.01, 1.01))):
+            bo.observe({"a": Action(1, 0.0)}, {"a": first}, EASY)
             bo.observe({"a": Action(2, 0.0)}, {"a": GOOD}, EASY)
         assert cheap.incumbent(EASY)["a"].svrb == 2
-        # priced dear enough and without a violation penalty, the cheap row wins
+        # with svRBs priced dear, a thin but feasible margin beats a wide one:
+        # 100 - 0.5 log 0.01 = 102.3 against 200 - 0.5 log 19 = 198.5
         assert dear.incumbent(EASY)["a"].svrb == 1
         # a stricter SLA re-prices the archive: the cheap row's margin turns
         # into a violation
@@ -180,13 +181,11 @@ class TestGridPortfolioBo:
 @pytest.mark.parametrize("perf", [GOOD, BAD, PerfVector(1.3, 0.9)])
 def test_grid_optimizer_and_slice_agent_price_alike(perf):
     """One pricing rule: a sharing-free probe costs the same bits in either optimizer."""
-    cost, penalty = CostParams(u_h=1.3, u_s=0.7), 17.0
+    cost, penalty = CostParams(u_h=1.3, u_s=0.7), 104.0  # 10 * u_h * capacity 8
     spec = SliceSpec("a", 1.1, 1.7, TrafficProfile(30.0, 0.5))
-    bo = make_bo(capacity=8, cost=cost, penalty=penalty)
-    grid = CandidateGrid.for_capacity(8, ALGO.min_alive, ALGO.sw_step)
-    agent = SliceAgent(
-        "a", grid, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, cost, penalty
-    )
+    bo = make_bo(capacity=8, cost=cost)
+    agent = SliceAgent("a", 8, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, cost)
+    assert bo.penalty == agent.penalty == penalty
     bo.observe({"a": Action(5, 0.0)}, {"a": perf}, {"a": spec})
     agent.observe(Action(5, 0.0), perf, AgentContext(z=5.0, y=0.0, rho=2.0, s=0.0, spec=spec))
     (bo_obs,), (agent_obs,) = bo.archive.values(), agent.archive.values()
@@ -417,9 +416,8 @@ class TestPriceCache:
         self.check(bo, THREE)
 
     def test_slice_agent_after_an_sla_change(self):
-        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
         agent = SliceAgent(
-            "a", grid, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, CostParams(), 120.0
+            "a", 12, substream(3, "agent:a"), substream(3, "hedge:a"), ALGO, CostParams()
         )
         spec = SliceSpec("a", 12.0, 10.0, TrafficProfile(30.0, 0.5))
         strict = replace(spec, q_throughput=14.0)
@@ -439,7 +437,7 @@ class TestGboBaseline:
     def make(self, seed=2):
         return GridPortfolioBo(
             ["a", "b"], 6, substream(seed, "gbo"), substream(seed, "gbo-hedge"), ALGO,
-            CostParams(), 120.0,
+            CostParams(),
         )
 
     def test_suggestions_live_on_the_joint_grid(self):
@@ -475,7 +473,7 @@ class TestAtlasAgent:
     def make(self, seed=2):
         return GridPortfolioBo(
             ["a"], 8, substream(seed, "atlas:a"), substream(seed, "atlas-hedge:a"), ALGO,
-            CostParams(), 120.0,
+            CostParams(),
         )
 
     def test_suggestions_stay_in_range(self):

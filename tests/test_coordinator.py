@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from sliceorch.agent import CandidateGrid, SliceAgent
+from sliceorch.agent import SliceAgent
 from sliceorch.coordinator import (
     CoordinatorState,
     SlotOutcome,
@@ -225,16 +225,14 @@ def make_fixture(seed=1, capacity=12):
     ]
     config = EnvConfig(capacity_h=capacity, per_vrb_rate=3.2, noise_std=0.0)
     env = RanEnvironment(config, substream(seed, "env"))
-    grid = CandidateGrid.for_capacity(capacity, ALGO.min_alive, ALGO.sw_step)
     agents = {
         s.slice_id: SliceAgent(
             s.slice_id,
-            grid,
+            capacity,
             substream(seed, f"agent:{s.slice_id}"),
             substream(seed, f"hedge:{s.slice_id}"),
             ALGO,
             CostParams(),
-            ALGO.penalty(CostParams(), capacity),
             design_offset=i,
         )
         for i, s in enumerate(specs)

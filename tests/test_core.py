@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sliceorch import core, netenv
 from sliceorch.core import (
     Action,
     CostParams,
@@ -39,9 +40,18 @@ class TestValidation:
 
     def test_spec_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
-            SliceSpec("s", 0.0, 10.0)
+            SliceSpec("s", 0.0, 10.0, TrafficProfile(30.0, 0.5))
         with pytest.raises(ValueError):
-            SliceSpec("s", 10.0, -1.0)
+            SliceSpec("s", 10.0, -1.0, TrafficProfile(30.0, 0.5))
+
+    def test_spec_requires_a_traffic_profile(self):
+        with pytest.raises(TypeError):
+            SliceSpec("a", 1.0, 1.0)
+        with pytest.raises(ValueError, match="app_profile must be a TrafficProfile"):
+            SliceSpec("a", 1.0, 1.0, None)
+
+    def test_traffic_profile_is_one_type_under_both_modules(self):
+        assert netenv.TrafficProfile is core.TrafficProfile
 
     def test_perf_rejects_negative_metrics(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,13 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"env\.capacity_h"):
             scenario_from_dict(base_dict(env={"noise_std": 0.0}))
 
+    def test_missing_profile_names_the_path(self):
+        data = base_dict()
+        del data["slices"][1]["profile"]
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(data)
+        assert str(info.value) == "slices[1].profile: missing required field"
+
     def test_slice_errors_carry_their_index(self):
         data = base_dict()
         del data["slices"][1]["q_fps"]
@@ -259,7 +266,10 @@ class TestScenarioParsing:
 
 class TestAlgoParams:
     def test_penalty_defaults_to_ten_capacities_of_svrb(self):
-        assert AlgoParams().penalty(CostParams(u_h=2.0), 12) == 240.0
+        cost, rng = CostParams(u_h=2.0), np.random.default_rng(0)
+        bo = GridPortfolioBo(["a"], 12, rng, rng, AlgoParams(), cost)
+        agent = SliceAgent("a", 12, rng, rng, AlgoParams(), cost)
+        assert bo.penalty == agent.penalty == 240.0
 
     @pytest.mark.parametrize("algorithm", ["gbo", "atlas"])
     def test_baselines_probe_max_iters_times_per_slot(self, algorithm, monkeypatch):
@@ -649,10 +659,12 @@ class TestFailureContract:
         path.write_text(yaml.safe_dump(data))
         return str(path)
 
-    def rejects(self, argv, field, capsys):
+    def rejects(self, argv, field, capsys, kind="ScenarioError"):
         assert main(argv) == 2
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last.startswith(f"ERROR ScenarioError: {field}")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"ERROR {kind}: {field}")
         return last
 
     def rejects_file(self, path, field, tmp_path, capsys):
@@ -802,6 +814,34 @@ class TestFailureContract:
     def test_degenerate_algo_param(self, name, value, tmp_path, capsys):
         data = base_dict(algorithm="adaslicing", algo_params={name: value})
         self.rejects_file(self.write(tmp_path, data), f"algo_params: {name}", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "settings", [{"sw_step": 1e-320}, {"grid_cap": 100}], ids=["subnormal-step", "small-cap"]
+    )
+    def test_adaslicing_grid_over_the_cap(self, settings, tmp_path, capsys):
+        # default's grid is 12 svRBs x 11 weights: 132 rows, or unbounded at a
+        # step whose reciprocal overflows
+        bad = self.write(tmp_path, copy.deepcopy(RAW["default.yaml"]) | {"algo_params": settings})
+        argv = ["run", bad, "--out", str(tmp_path / "out"), "--slots", "1"]
+        self.rejects(argv, "candidate grid has ", capsys, kind="GridCapExceededError")
+
+    @pytest.mark.parametrize(
+        "path,key,value",
+        [("env", "per_vrb_rate", 1e-320), ("slices[0].profile", "frame_size", 1e308)],
+    )
+    def test_offered_load_that_overflows(self, path, key, value, tmp_path, capsys):
+        data = copy.deepcopy(RAW["default.yaml"])
+        dict(mappings(data))[path][key] = value
+        expected = "slices[0].profile: offered load over env.per_vrb_rate "
+        self.rejects_file(self.write(tmp_path, data), expected, tmp_path, capsys)
+
+    @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo"])
+    def test_jittered_load_that_overflows(self, algorithm, tmp_path, capsys):
+        data = copy.deepcopy(RAW["default.yaml"])
+        data["slices"][0]["profile"]["burstiness"] = 1e308  # valid: the draw overflows
+        bad = self.write(tmp_path, data)
+        argv = ["run", bad, "--out", str(tmp_path / "out"), "--algo", algorithm, "--slots", "2"]
+        self.rejects(argv, "offered load of TrafficProfile(", capsys)
 
     @pytest.mark.parametrize("name,value", [("probes_per_slot", 15), ("violation_penalty", 7.0)])
     def test_removed_algo_param(self, name, value, tmp_path, capsys):

@@ -51,6 +51,12 @@ class TestDemand:
         b = [demand_vrbs(profile, quiet_config(), np.random.default_rng(3)) for _ in range(4)]
         assert a == b
 
+    def test_jittered_load_that_overflows_is_refused(self):
+        profile = TrafficProfile(30.0, 0.5, burstiness=1e308)
+        assert np.random.default_rng(3).standard_normal() > 1.0  # the draw demand takes
+        with pytest.raises(ScenarioError, match="jitters to inf vRBs"):
+            demand_vrbs(profile, quiet_config(), np.random.default_rng(3))
+
 
 class TestStep:
     def test_hard_isolation_caps_at_own_svrbs(self):
