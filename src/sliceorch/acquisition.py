@@ -3,7 +3,9 @@
 All acquisitions score candidates for *minimization* of the surrogate
 objective; larger scores are more promising. A softmax Hedge bandit picks
 which acquisition's nominee is actually played, learning from full-information
-rewards (every arm is rewarded each round, played or not).
+rewards (every arm is rewarded each round, played or not). EI and PI take
+scipy.special's ndtr, imported when they are first called; in a run, the
+first GP fit has imported it already.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 PORTFOLIO = ("ei", "pi", "lcb")
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -36,6 +37,8 @@ def _ei_pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> tuple[np.ndarray, 
     there are any, their entries are patched to the plain improvement and
     an indicator.
     """
+    from scipy.special import ndtr
+
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu

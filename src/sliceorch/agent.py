@@ -224,6 +224,21 @@ class CandidateGrid:
         return np.column_stack([svrb, sw])
 
 
+def check_action_grid(capacity: int, algo: AlgoParams) -> None:
+    """Refuse an agent's action grid over `algo.grid_cap` actions, without building it.
+
+    The grid of `CandidateGrid.for_capacity` holds (capacity - min_alive + 1)
+    svRB counts times floor(1 / sw_step) + 1 weights; the count is inf when
+    1 / sw_step overflows.
+    """
+    steps = 1.0 / algo.sw_step  # inf when the step is subnormal
+    size = (capacity - algo.min_alive + 1) * (ground(steps) + 1) if steps < math.inf else steps
+    if size > algo.grid_cap:
+        raise GridCapExceededError(
+            f"candidate grid has {size} actions, over the cap of {algo.grid_cap}"
+        )
+
+
 def _radical_inverse(index: int, base: int) -> float:
     """Van der Corput radical inverse, the 1-D ingredient of a Halton point."""
     result, f = 0.0, 1.0 / base
@@ -477,12 +492,7 @@ class SliceAgent(PortfolioBo):
         peers_sw_span: float = 2.0,
         design_offset: int = 0,
     ):
-        steps = 1.0 / algo.sw_step  # inf when the step is subnormal
-        size = (capacity - algo.min_alive + 1) * (ground(steps) + 1) if steps < math.inf else steps
-        if size > algo.grid_cap:
-            raise GridCapExceededError(
-                f"candidate grid has {size} actions, over the cap of {algo.grid_cap}"
-            )
+        check_action_grid(capacity, algo)
         grid = CandidateGrid.for_capacity(capacity, algo.min_alive, algo.sw_step)
         svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
         sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0

@@ -41,6 +41,15 @@ def joint_grid_size(n_slices: int, capacity: int, min_alive: int) -> int:
     return math.comb(slack + n_slices, n_slices)
 
 
+def check_joint_grid(n_slices: int, capacity: int, min_alive: int, grid_cap: int) -> None:
+    """Refuse a joint grid over `grid_cap` actions, without building it."""
+    size = joint_grid_size(n_slices, capacity, min_alive)
+    if size > grid_cap:
+        raise GridCapExceededError(
+            f"joint grid has {size} actions, over the cap of {grid_cap}"
+        )
+
+
 def enumerate_joint_grid(
     n_slices: int, capacity: int, min_alive: int, grid_cap: int
 ) -> np.ndarray:
@@ -49,13 +58,9 @@ def enumerate_joint_grid(
     Built one position at a time: every partial vector is repeated once per
     value its next entry can take, from min_alive up to what the later
     entries' floors leave of the capacity, so each prefix's extensions stay
-    contiguous and ascending.
+    contiguous and ascending. A grid over `grid_cap` actions is refused first.
     """
-    size = joint_grid_size(n_slices, capacity, min_alive)
-    if size > grid_cap:
-        raise GridCapExceededError(
-            f"joint grid has {size} actions, over the cap of {grid_cap}"
-        )
+    check_joint_grid(n_slices, capacity, min_alive, grid_cap)
     grid = np.zeros((1, 0), dtype=np.int64)
     used = np.zeros(1, dtype=np.int64)
     for position in range(n_slices):

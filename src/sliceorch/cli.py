@@ -7,7 +7,8 @@ Subcommands:
                                     cross scenarios x seeds with all algorithms, write
                                     matrix.csv and one trace per cell under traces/
   oracle <scenario.yaml> --out FILE write the exhaustive-search dataset as CSV
-  validate <scenario.yaml>          check a scenario file and exit
+  validate <scenario.yaml>          check a scenario file and the size of the grids
+                                    its algorithm builds, and exit
 
 All subcommands exit 0 on success. On failure the last line printed to stderr
 is machine parsable: `ERROR <kind>: <message>`.
@@ -28,6 +29,7 @@ from . import blas
 from .errors import SliceOrchError
 from .harness import (
     ALGORITHMS,
+    check_grid_cap,
     dump_oracle,
     load_scenario,
     run,
@@ -126,6 +128,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
+    check_grid_cap(scenario)
     print(f"{args.scenario}: ok ({scenario.name}, {len(scenario.slices)} slices)")
     return 0
 

@@ -6,7 +6,9 @@ input rows and scalar targets. The training window comes from a small replay
 buffer whose priorities decay with age, so the surrogate tracks a drifting
 environment instead of averaging over history. The buffer holds any item
 with a `key()` and a `priority`; the optimizers store their observations in
-it. Nothing here knows about slices, actions or prices.
+it. Nothing here knows about slices, actions or prices. scipy's LAPACK
+handles and L-BFGS-B core are imported on the first fit, not with this
+module (`_load_scipy`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import _lbfgsb
 
 from .errors import GpFitError
 
@@ -29,8 +29,33 @@ _JITTER_MAX = 1e-4
 # LAPACK's float64 Cholesky factorization, solve and triangular inverse,
 # called directly: at a few dozen training rows, scipy.linalg.cholesky/
 # cho_solve spend longer on argument handling than LAPACK spends on the
-# arithmetic.
-_POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty((0, 0)),))
+# arithmetic. Then scipy's L-BFGS-B core. All four are bound by _load_scipy.
+_POTRF = _POTRS = _TRTRI = _SETULB = None
+
+
+def _load_scipy() -> None:
+    """Bind the scipy routines that fitting a GP and scoring its candidates call.
+
+    Importing scipy.linalg, scipy.optimize and scipy.special takes about
+    twice as long as importing numpy and the rest of sliceorch, and
+    exhaustive search, `validate` and `oracle` call none of them. So they are
+    imported here, on the first `fit` or `TrainingSet.build`, not when
+    sliceorch is.
+    Every Bayesian optimizer fits on its first observation, before it
+    searches hyperparameters or scores a candidate, so that fit pays for all
+    three, scipy.special (acquisition's ndtr) included. Later calls return
+    at once, and the likelihood reads the handles as module globals, as it
+    did when they were bound at import.
+    """
+    global _POTRF, _POTRS, _TRTRI, _SETULB
+    if _SETULB is not None:
+        return
+    import scipy.special  # noqa: F401  acquisition's ndtr: no candidate scoring pays the import
+    from scipy.linalg import get_lapack_funcs
+    from scipy.optimize._lbfgsb import setulb
+
+    _POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty((0, 0)),))
+    _SETULB = setulb
 
 # Kernel entries and posterior weights below sqrt(tiny) (about 1.5e-154) are
 # set to 0: a product of two of them would be subnormal, and the CPU handles
@@ -371,6 +396,7 @@ class TrainingSet:
 
     @classmethod
     def build(cls, inputs: np.ndarray, targets: Sequence[float] | np.ndarray) -> "TrainingSet":
+        _load_scipy()  # for the likelihood, which takes a TrainingSet
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         y_std = _standardize(np.asarray(targets, dtype=float))[0]
         return cls(
@@ -398,6 +424,7 @@ def fit(
         )
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    _load_scipy()
     y_std, y_mean, y_scale = _standardize(y)
     chol, jitter = _chol_with_jitter(_noisy_gram(x, params, noise_var))
     alpha = _cho_solve(chol, y_std)
@@ -516,8 +543,8 @@ def _lbfgsb_minimize(
     while True:
         # setulb gets its own copy of g each call, as minimize's loop does.
         g = g.astype(np.float64)
-        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
-                       wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        _SETULB(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == 3:  # FG: f and g wanted at x
             if not (x == x_seen).all():
                 x_seen = x.copy()

@@ -23,14 +23,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy
 import yaml
 
-from .agent import SliceAgent
+from .agent import SliceAgent, check_action_grid
 from .baselines import (
     GridPortfolioBo,
     OracleDataset,
     atlas_scale,
+    check_joint_grid,
     exsearch_best,
     sweep_dataset,
 )
@@ -95,20 +95,39 @@ class Scenario:
                     f"slices[{i}].profile: offered load over env.per_vrb_rate"
                     f" {self.env.per_vrb_rate!r} is not a finite vRB count"
                 )
-        need = self.algo.min_alive * self._peak_population()
+        need = self.algo.min_alive * max(self._populations())
         if need > self.env.capacity_h:
             raise ScenarioError(
                 f"env.capacity_h: {self.env.capacity_h} is below the {need} svRBs that"
                 f" min_alive {self.algo.min_alive} needs for the most slices active at once"
             )
 
-    def _peak_population(self) -> int:
-        """Most slices active at once over the horizon, events applied."""
-        specs, peak = list(self.slices), 0
+    def _populations(self) -> list[int]:
+        """Active slice counts from slot 0 and from each event slot of the horizon, in slot order."""
+        specs, counts = list(self.slices), []
         for slot in sorted({0} | {e.slot for e in self.events if e.slot < self.slots}):
             specs = apply_events(slot, self.events, specs)
-            peak = max(peak, sum(s.active for s in specs))
-        return peak
+            counts.append(sum(s.active for s in specs))
+        return counts
+
+
+def check_grid_cap(scenario: Scenario) -> None:
+    """Raise the GridCapExceededError that `run` would raise, building no grid.
+
+    Each grid's size comes from its closed form: for adaslicing, the one
+    action grid every agent builds; for the others, the joint grid of each
+    population in slot order, which is one slice for each of atlas's
+    optimizers. A horizon with no slice active builds no grid.
+    """
+    capacity, algo = scenario.env.capacity_h, scenario.algo
+    populations = [n for n in scenario._populations() if n > 0]
+    if not populations:
+        return
+    if scenario.algorithm == "adaslicing":
+        check_action_grid(capacity, algo)
+    else:
+        for n in [1] if scenario.algorithm == "atlas" else populations:
+            check_joint_grid(n, capacity, algo.min_alive, algo.grid_cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -588,6 +607,8 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
     since a trace's floating-point bits depend on them too. So is the thread
     count of each bundled OpenBLAS, since the run's speed depends on it.
     """
+    import scipy
+
     from . import __version__, blas
 
     path = Path(path)

@@ -28,6 +28,15 @@ from sliceorch.gp import (
 ALGO = AlgoParams()
 
 
+@pytest.fixture(autouse=True)
+def scipy_routines():
+    """Bind gp's LAPACK and L-BFGS-B handles: tests here call the helpers that use them directly.
+
+    In the program, `fit` and `TrainingSet.build` bind them before any helper runs.
+    """
+    gp._load_scipy()
+
+
 def dense_posterior(x, y, params, noise_var, queries):
     """Textbook GP posterior via a dense solve, standardized like the implementation."""
     y = np.asarray(y, dtype=float)

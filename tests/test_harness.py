@@ -651,6 +651,94 @@ def test_integer_and_float_literals_write_the_same_files(tmp_path):
     assert written[0] == written[1]
 
 
+DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.special")  # loaded on the first GP fit
+
+
+def fresh_process(code, *args):
+    """The last stdout line, read as JSON, of `code` run with `args` in a fresh interpreter.
+
+    sliceorch's source is on its path, and OPENBLAS_NUM_THREADS is unset.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestDeferredScipy:
+    """Only a GP fit loads scipy.linalg, scipy.optimize and scipy.special."""
+
+    LOADED = (
+        "import json, sys\n"
+        "from sliceorch import cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["validate", "{f}"], ["oracle", "{f}", "--out", "{o}/oracle.csv"],
+         ["run", "{f}", "--out", "{o}", "--algo", "exsearch"]],
+        ids=["import", "validate", "oracle", "exsearch"],
+    )
+    def test_commands_without_a_gp_load_none(self, argv, scenario_file, tmp_path):
+        argv = [a.format(f=scenario_file, o=tmp_path) for a in argv]
+        assert fresh_process(self.LOADED, *argv) == []
+
+    @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo"])
+    def test_one_slot_of_a_bayesian_optimizer_loads_all(self, algorithm, scenario_file, tmp_path):
+        argv = ["run", scenario_file, "--out", tmp_path, "--algo", algorithm, "--slots", "1"]
+        assert fresh_process(self.LOADED, *argv) == list(DEFERRED)
+
+    @pytest.mark.parametrize(
+        "call", ["fit(x, y, KernelParams((1.0,)), 1e-3)", "TrainingSet.build(x, y)"]
+    )
+    def test_the_first_fit_loads_all(self, call):
+        code = (
+            "import json, sys\n"
+            "from sliceorch.gp import KernelParams, TrainingSet, fit\n"
+            f"assert not [m for m in {DEFERRED!r} if m in sys.modules]\n"
+            "x, y = [[0.0], [1.0]], [1.0, 2.0]\n"
+            f"{call}\n"
+            f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
+        )
+        assert fresh_process(code) == list(DEFERRED)
+
+    def test_the_cli_pins_scipys_openblas_when_scipy_loads_late(self, scenario_file, tmp_path):
+        """blas.set_threads opens scipy's OpenBLAS before scipy.linalg does; both share it."""
+        code = (
+            "import json, os, sys\n"
+            "from sliceorch import blas, cli\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "copies = None\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    copies = {}\n"  # a loaded copy maps the file's offset 0 once
+            "    for line in open('/proc/self/maps'):\n"
+            "        cols = line.split()\n"
+            "        if len(cols) == 6 and 'openblas' in os.path.basename(cols[5]) and int(cols[2], 16) == 0:\n"
+            "            copies[cols[5]] = copies.get(cols[5], 0) + 1\n"
+            "print(json.dumps({'threads': blas.threads(), 'copies': copies}))\n"
+        )
+        out = tmp_path / "out"
+        after = fresh_process(
+            code, "run", scenario_file, "--out", out, "--algo", "adaslicing", "--slots", "1"
+        )
+        manifest = json.loads((out / "manifest.json").read_text())["openblas_threads"]
+        if not manifest:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        assert manifest == {"numpy": 1, "scipy": 1}
+        assert after["threads"] == {"numpy": 1, "scipy": 1}
+        if after["copies"] is not None:
+            assert sorted(after["copies"].values()) == [1, 1]
+
+
 class TestFailureContract:
     """Bad inputs exit 2 with `ERROR ScenarioError: ...`, from validate and from run."""
 
@@ -822,8 +910,31 @@ class TestFailureContract:
         # default's grid is 12 svRBs x 11 weights: 132 rows, or unbounded at a
         # step whose reciprocal overflows
         bad = self.write(tmp_path, copy.deepcopy(RAW["default.yaml"]) | {"algo_params": settings})
-        argv = ["run", bad, "--out", str(tmp_path / "out"), "--slots", "1"]
-        self.rejects(argv, "candidate grid has ", capsys, kind="GridCapExceededError")
+        for argv in (["validate", bad], ["run", bad, "--out", str(tmp_path / "out"), "--slots", "1"]):
+            self.rejects(argv, "candidate grid has ", capsys, kind="GridCapExceededError")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("grid_cap,slots", [(5, 4), (10, 4), (10, 2), (65, 4), (66, 4)])
+    def test_validate_refuses_what_run_refuses_by_grid_cap(
+        self, algorithm, grid_cap, slots, tmp_path, capsys
+    ):
+        # One slice, and two from slot 2: joint grids of 6 rows, then 15; 6 rows
+        # for each atlas optimizer; adaslicing's 6 svRBs x 11 weights = 66.
+        data = base_dict(
+            algorithm=algorithm, slots=slots, algo_params={"grid_cap": grid_cap},
+            events=[{"slot": 2, "kind": "slice_join", "slice_id": "b"}],
+        )
+        data["slices"][1]["active"] = False
+        sizes = {"adaslicing": [66], "atlas": [6]}.get(algorithm, [6, 15][: 1 + (slots > 2)])
+        path = self.write(tmp_path, data)
+        expected = 2 if max(sizes) > grid_cap else 0
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == expected
+        run_err = capsys.readouterr().err.splitlines()
+        assert main(["validate", path]) == expected
+        validate_err = capsys.readouterr().err.splitlines()
+        if expected:
+            assert run_err[-1].startswith("ERROR GridCapExceededError: ")
+            assert validate_err[-1] == run_err[-1]
 
     @pytest.mark.parametrize(
         "path,key,value",
