@@ -1,4 +1,4 @@
-"""Reference baselines, all operating under hard isolation.
+"""Reference baselines, all playing sharing weight 0: hard isolation.
 
 * gbo - one global Bayesian optimizer over the joint svRB vector.
 * atlas - one single-slice gbo per slice, oblivious to the others; their
@@ -9,8 +9,8 @@
 Both Bayesian baselines are `GridPortfolioBo`, a subclass of the main
 agents' optimizer core (`agent.PortfolioBo`): it records, prices and
 proposes the same way, and differs only in its candidate rows (the joint
-svRB grid), its design sequence and its incumbent rule. Sharing weights are
-unused here: hard isolation has no pool to share.
+svRB grid), its design sequence and its incumbent rule. They play weight 0,
+which `netenv.step` delivers as hard isolation in either mode.
 """
 
 from __future__ import annotations
@@ -297,13 +297,13 @@ def sweep_dataset(
     min_alive: int,
     grid_cap: int,
 ) -> OracleDataset:
-    """Evaluate every joint action on the noise-free hard-isolation environment.
+    """Evaluate every joint action on the noise-free environment at weight 0.
 
-    One `step` per grid row, each written straight into the row of the
-    performance columns.
+    Weight 0 is hard isolation in either mode. One `step` per grid row, each
+    written straight into the row of the performance columns.
     """
     active = [s for s in specs if s.active]
-    clean_config = replace(config, noise_std=0.0, isolation_mode="hard")
+    clean_config = replace(config, noise_std=0.0)
     clean_specs = [replace(s, app_profile=replace(s.app_profile, burstiness=0.0)) for s in active]
     rng = np.random.default_rng(0)  # never consulted: noise-free, burstiness 0
 

@@ -115,7 +115,7 @@ def spread_capacity(
     return clamp_capacity(fitted, order, capacity, min_alive)
 
 
-def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str]) -> None:
+def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str], min_alive: int) -> None:
     """Adapt consensus variables to slices joining or leaving.
 
     Departed slices drop their variables. New slices start at the minimum
@@ -128,7 +128,7 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str]) 
         state.y.pop(sid, None)
         state.w.pop(sid, None)
     for sid in joined:
-        state.z[sid] = 1.0
+        state.z[sid] = float(min_alive)
         state.y[sid] = (
             sum(state.y.values()) / len(state.y) if state.y else state.dual_init
         )

@@ -96,9 +96,10 @@ class AlgoParams:
     hyperopt_every: int = 5
     hedge_eta: float = 1.0
     kappa: float = 1.96
-    # The log barrier turns into a bonus once the margin exceeds 1. Kept
-    # at 0.5 so that bonus stays worth less than one resource block and
-    # recommendations do not creep past the cheapest feasible allocation.
+    # The log barrier turns into a bonus once the margin exceeds 1. Near the
+    # SLA boundary it can outweigh a resource block: for slice2 of `default`
+    # under a 6 Mb/s SLA, 3 svRBs price at 2.416 and a feasible 2 at 2.969,
+    # so recommendations over-provision (ROADMAP item 2).
     barrier_coef: float = 0.5
     sw_step: float = 0.1
     min_alive: int = 1

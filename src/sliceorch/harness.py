@@ -307,7 +307,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
         active_ids = [s.slice_id for s in active]
         joined = [sid for sid in active_ids if sid not in state.z]
-        resize(state, joined, [sid for sid in state.z if sid not in active_ids])
+        resize(state, joined, [sid for sid in state.z if sid not in active_ids], p.min_alive)
         for sid in joined:
             if sid not in agents:  # departed agents are retained for rejoin
                 agents[sid] = SliceAgent(
@@ -338,11 +338,12 @@ def _bayesian(
     env: RanEnvironment,
     optimizers: Callable[[int, list[SliceSpec]], list[GridPortfolioBo]],
 ) -> Policy:
-    """Hard-isolation BO probing: `optimizers` gives the slot's optimizers.
+    """BO probing at weight 0: `optimizers` gives the slot's optimizers.
 
     Each probe merges their proposals, rescales them proportionally when they
-    overflow capacity, and feeds every optimizer the outcome. A joint grid
-    never overflows, so the rescale only ever acts on atlas.
+    overflow capacity, plays them at weight 0 (hard isolation in either mode)
+    and feeds every optimizer the outcome. A joint grid never overflows, so
+    the rescale only ever acts on atlas.
     """
     p = scenario.algo
     capacity = scenario.env.capacity_h
@@ -453,10 +454,7 @@ _POLICIES: dict[str, Callable[[Scenario, RanEnvironment], Policy]] = {
 
 def run(scenario: Scenario) -> list[SlotRecord]:
     """Execute a scenario deterministically and return one record per slot."""
-    config = scenario.env
-    if scenario.algorithm != "adaslicing":  # the baselines have no pool to share
-        config = replace(config, isolation_mode="hard")
-    env = RanEnvironment(config, substream(scenario.seed, "env"))
+    env = RanEnvironment(scenario.env, substream(scenario.seed, "env"))
     decide = _POLICIES[scenario.algorithm](scenario, env)
     specs = list(scenario.slices)
     records = []

@@ -3,9 +3,9 @@
 The radio model is deliberately small: every virtual resource block carries a
 fixed per-block rate, each slice's application offers frames at a fixed rate
 and size, and demand is the block count needed to carry that offered load
-(optionally jittered by a burstiness factor). In soft isolation the idle-pool
-sharing of `vsharing` tops up overflowed slices; in hard isolation a slice
-can never use more than its own svRBs.
+(optionally jittered by a burstiness factor). A slice uses its demand, up to
+its own svRBs plus what the idle-pool sharing of `vsharing` grants it. Hard
+isolation grants nothing, and so does soft isolation when every weight is 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .core import _COUNT, _NONNEGATIVE, _POSITIVE, Action, PerfVector, SliceSpec, _check, _whole
 from .core import TrafficProfile  # also importable from here, beside the rest of the RAN model
 from .errors import CapacityExceededError, ScenarioError
-from .vsharing import GROUND_EPS, SliceDemand, share_pool
+from .vsharing import GROUND_EPS, SliceDemand, delivered_vrb, share_pool
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ def step(
 ) -> dict[str, PerfVector]:
     """Apply a joint action for one slot and report delivered performance.
 
-    Order of operations: draw each active slice's demand, resolve final vRBs
-    (sharing in soft mode, min(demand, svrb) in hard mode), then convert
-    blocks to throughput with multiplicative noise. FPS is the offered frame
-    rate capped by what the delivered throughput can carry.
+    Order of operations: draw each active slice's demand, take its grant from
+    the idle pool (in soft isolation with some weight positive; else 0), then
+    convert min(demand, svrb + grant) blocks to throughput with multiplicative
+    noise. FPS is the offered frame rate capped by what that throughput carries.
     """
     active = [s for s in specs if s.active]
     if set(actions) != {s.slice_id for s in active}:
@@ -101,23 +101,24 @@ def step(
 
     demands = {s.slice_id: demand_vrbs(s.app_profile, config, rng) for s in active}
 
-    if config.isolation_mode == "soft":
+    grants: dict[str, int] = {}
+    if config.isolation_mode == "soft" and any(a.sw > 0.0 for a in actions.values()):
         inputs = [
             SliceDemand(s.slice_id, actions[s.slice_id].svrb, actions[s.slice_id].sw, demands[s.slice_id])
             for s in active
         ]
-        final = {a.slice_id: a.final_vrb for a in share_pool(inputs, config.capacity_h)}
-    else:
-        final = {s.slice_id: min(demands[s.slice_id], actions[s.slice_id].svrb) for s in active}
+        grants = {a.slice_id: a.from_pool for a in share_pool(inputs, config.capacity_h)}
 
     perfs: dict[str, PerfVector] = {}
     for s in active:
-        throughput = final[s.slice_id] * config.per_vrb_rate
+        sid = s.slice_id
+        final = delivered_vrb(demands[sid], actions[sid].svrb, grants.get(sid, 0))
+        throughput = final * config.per_vrb_rate
         if config.noise_std > 0.0:
             throughput *= 1.0 + config.noise_std * rng.standard_normal()
         throughput = max(0.0, throughput)
         fps = min(s.app_profile.frame_rate, throughput / s.app_profile.frame_size)
-        perfs[s.slice_id] = PerfVector(throughput, fps)
+        perfs[sid] = PerfVector(throughput, fps)
     return perfs
 
 

@@ -4,8 +4,10 @@ Each slice owns its orchestrated svRBs outright. Capacity nobody is using
 (unorchestrated blocks plus the spare blocks of slices whose demand fits
 inside their own svRBs) forms a pool, and the pool is granted to the
 overflowed slices proportionally to their sharing weights. Sharing never
-takes a block away from a slice that wants it: non-overflowed slices keep
-exactly their demand, and every grant is floored to whole blocks.
+takes a block away from a slice that wants it, and every grant is floored to
+whole blocks. A slice uses its demand, up to its own svRBs plus its grant
+(`delivered_vrb`): blocks granted above the demand go unused. With every
+weight 0 nothing is granted, which is hard isolation.
 """
 
 from __future__ import annotations
@@ -47,11 +49,16 @@ class SliceDemand:
 
 @dataclass(frozen=True)
 class VrbAllocation:
-    """Final vRBs delivered to one slice after sharing."""
+    """One slice's grant from the pool, and the vRBs it then uses."""
 
     slice_id: str
     final_vrb: int
     from_pool: int
+
+
+def delivered_vrb(demanded: int, svrb: int, grant: int) -> int:
+    """vRBs a slice uses: its demand, up to its own svRBs plus its pool grant."""
+    return min(demanded, svrb + grant)
 
 
 def is_overflowed(demand: SliceDemand) -> bool:
@@ -79,29 +86,21 @@ def build_pool(demands: Sequence[SliceDemand], capacity: int) -> int:
 def share_pool(demands: Sequence[SliceDemand], capacity: int) -> list[VrbAllocation]:
     """Grant the idle pool to overflowed slices by sharing weight.
 
-    Non-overflowed slices end up with exactly their demand. Overflowed
-    slices receive floor(pool * sw_i / sum-of-overflowed-sw) extra blocks on
-    top of their own svRBs; grants are not capped by residual demand, so a
-    lone bulk transfer can absorb the whole pool. Flooring remainders stay
-    unallocated. If every overflowed slice has zero weight nothing is
-    distributed.
+    An overflowed slice with a positive weight is granted
+    floor(pool * sw_i / sum-of-overflowed-sw) blocks; every other slice is
+    granted none. A grant is not capped by the slice's residual demand, and
+    what it does not use stays idle. Flooring remainders stay unallocated.
     """
     pool = build_pool(demands, capacity)
     overflowed_sw = sum(d.sw for d in demands if is_overflowed(d))
 
     allocations: list[VrbAllocation] = []
     for d in demands:
-        if not is_overflowed(d):
-            allocations.append(VrbAllocation(d.slice_id, d.demanded_vrb, 0))
-        elif overflowed_sw <= 0.0 or d.sw <= 0.0:
-            allocations.append(VrbAllocation(d.slice_id, d.orchestrated_svrb, 0))
-        else:
-            grant = ground(pool * d.sw / overflowed_sw)
-            allocations.append(VrbAllocation(d.slice_id, d.orchestrated_svrb + grant, grant))
+        grant = ground(pool * d.sw / overflowed_sw) if is_overflowed(d) and d.sw > 0.0 else 0
+        final = delivered_vrb(d.demanded_vrb, d.orchestrated_svrb, grant)
+        allocations.append(VrbAllocation(d.slice_id, final, grant))
 
-    delivered = sum(a.final_vrb for a in allocations)
-    if delivered > capacity:  # structural invariant; documents the conservation argument
-        raise CapacityExceededError(
-            f"internal: sharing delivered {delivered} vRBs over capacity {capacity}"
-        )
+    granted = sum(a.from_pool for a in allocations)
+    if granted > pool:  # structural invariant; documents the conservation argument
+        raise CapacityExceededError(f"internal: granted {granted} vRBs from a pool of {pool}")
     return allocations

@@ -190,30 +190,35 @@ class TestSpread:
 class TestResize:
     def test_first_join_uses_initial_dual(self):
         state = new_state()
-        resize(state, joined=["a"], left=[])
+        resize(state, joined=["a"], left=[], min_alive=ALGO.min_alive)
         assert state.z == {"a": 1.0}
         assert state.y == {"a": -5.0}
 
     def test_later_join_inherits_mean_dual(self):
         state = new_state(z={"a": 4.0, "b": 4.0}, y={"a": -1.0, "b": -3.0})
-        resize(state, joined=["c"], left=[])
+        resize(state, joined=["c"], left=[], min_alive=ALGO.min_alive)
         assert state.z["c"] == 1.0
         assert state.y["c"] == pytest.approx(-2.0)
 
+    def test_join_starts_at_the_minimum_alive_allocation(self):
+        state = new_state(z={"a": 4.0}, y={"a": -1.0})
+        resize(state, joined=["b"], left=[], min_alive=2)
+        assert state.z["b"] == 2.0
+
     def test_leave_drops_variables(self):
         state = new_state(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0})
-        resize(state, joined=[], left=["b"])
+        resize(state, joined=[], left=["b"], min_alive=ALGO.min_alive)
         assert set(state.z) == {"a"}
         assert set(state.y) == {"a"}
 
     def test_leave_drops_the_committed_weight(self):
         state = new_state(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0}, w={"a": 0.2, "b": 0.4})
-        resize(state, joined=[], left=["b"])
+        resize(state, joined=[], left=["b"], min_alive=ALGO.min_alive)
         assert state.w == {"a": 0.2}
 
     def test_leaving_unknown_slice_is_a_no_op(self):
         state = new_state(z={"a": 4.0}, y={"a": 0.0})
-        resize(state, joined=[], left=["ghost"])
+        resize(state, joined=[], left=["ghost"], min_alive=ALGO.min_alive)
         assert set(state.z) == {"a"}
 
 
@@ -238,7 +243,7 @@ def make_fixture(seed=1, capacity=12):
         for i, s in enumerate(specs)
     }
     state = new_state()
-    resize(state, joined=[s.slice_id for s in specs], left=[])
+    resize(state, joined=[s.slice_id for s in specs], left=[], min_alive=ALGO.min_alive)
     return agents, env, specs, state
 
 
@@ -303,6 +308,6 @@ class TestOrchestrateSlot:
             specs[1],
             SliceSpec("s3", 12.0, 10.0, TrafficProfile(32.0, 0.45), active=False),
         ]
-        resize(state, joined=[], left=["s3"])
+        resize(state, joined=[], left=["s3"], min_alive=ALGO.min_alive)
         outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
         assert set(outcome.actions) == {"s1", "s2"}

@@ -1,16 +1,20 @@
 """Scenario i/o, experiment runners, summary metrics, and the CLI."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
+import math
 import os
 import platform
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceorch import blas, harness
+from sliceorch import blas, harness, netenv
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
 from sliceorch.cli import _build_parser, main
@@ -389,6 +393,23 @@ class TestRunners:
         records = run(replace(load_scenario(root / name), algorithm="exsearch"))
         assert len(records) == 30
         assert calls == {"sweep_dataset": sweeps, "exsearch_best": picks}
+
+    @pytest.mark.parametrize("algorithm", ["gbo", "atlas", "exsearch"])
+    def test_baselines_trace_the_same_in_either_isolation_mode(
+        self, algorithm, monkeypatch, tmp_path
+    ):
+        # The baselines play weight 0, so soft mode never shares the pool.
+        def refuse(*args):
+            raise AssertionError("a baseline reached share_pool")
+
+        monkeypatch.setattr(netenv, "share_pool", refuse)
+        default = Path(__file__).resolve().parents[1] / "scenarios" / "default.yaml"
+        base = replace(load_scenario(default), algorithm=algorithm, slots=8)
+        ids = [s.slice_id for s in base.slices]
+        for mode in ("soft", "hard"):
+            cell = replace(base, env=replace(base.env, isolation_mode=mode))
+            write_trace_csv(run(cell), ids, tmp_path / f"{mode}.csv")
+        assert (tmp_path / "soft.csv").read_bytes() == (tmp_path / "hard.csv").read_bytes()
 
     def test_adaslicing_runs_are_reproducible(self):
         data = base_dict(
@@ -1000,3 +1021,55 @@ class TestFailureContract:
             algorithm="adaslicing", env={"capacity_h": 12.5, "per_vrb_rate": 3.2, "noise_std": 0.0}
         )
         self.rejects_file(self.write(tmp_path, data), "env: capacity_h", tmp_path, capsys)
+
+
+def numeric_fields(raw):
+    """(path, key) of every number in a scenario file, and of every algo_params field."""
+    found = [
+        (path, key)
+        for path, mapping in mappings(raw)
+        for key, value in mapping.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
+    return found + [("algo_params", f.name) for f in fields(AlgoParams)]
+
+
+# The fields that accept 0, and the one that accepts a negative number.
+ZERO_OK = {
+    "seed", "slot", "noise_std", "u_h", "u_s", "burstiness",
+    "primal_tol", "noise_var", "kappa", "barrier_coef", "dual_init",
+}
+NEGATIVE_OK = {"dual_init"}
+
+
+def out_of_range(key):
+    values = [st.sampled_from([math.nan, math.inf, -math.inf, True, False])]
+    if key not in NEGATIVE_OK:
+        values.append(st.integers(min_value=-10**9, max_value=-1))
+        values.append(st.floats(max_value=-1e-300, allow_nan=False))
+    if key not in ZERO_OK:
+        values.append(st.sampled_from([0, 0.0]))
+    return st.one_of(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_an_out_of_range_number_exits_2_naming_its_field(data):
+    raw = copy.deepcopy(RAW[data.draw(st.sampled_from(sorted(RAW)))])
+    path, key = data.draw(st.sampled_from(numeric_fields(raw)))
+    value = data.draw(out_of_range(key))
+    if path == "algo_params":
+        raw["algo_params"] = dict(raw.get("algo_params") or {}, **{key: value})
+    else:
+        dict(mappings(raw))[path][key] = value
+    section = key if path == "scenario" else path
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", str(bad)])
+    last = (err.getvalue().splitlines() or [""])[-1]
+    assert code == 2, f"{path}.{key} = {value!r} was accepted"
+    assert last.startswith(f"ERROR ScenarioError: {section}"), last
+    assert re.search(rf"\b{key}\b", last), last

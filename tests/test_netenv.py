@@ -73,9 +73,9 @@ class TestStep:
         assert perfs["s1"].throughput == pytest.approx(5 * 3.2)
 
     def test_soft_isolation_tops_up_from_pool(self):
-        spec = video_slice()  # demand 5 exceeds 2 svrbs, pool is 12 - 2
+        spec = video_slice()  # demand 5 exceeds 2 svrbs; the 10-block pool tops it up to 5
         perfs = step({"s1": Action(2, 0.5)}, [spec], quiet_config(), np.random.default_rng(0))
-        assert perfs["s1"].throughput == pytest.approx(12 * 3.2)
+        assert perfs["s1"].throughput == pytest.approx(5 * 3.2)
 
     def test_soft_isolation_with_zero_weight_gets_no_pool(self):
         spec = video_slice()
@@ -130,6 +130,55 @@ def test_hard_isolation_throughput_is_monotone_in_svrbs(x, y):
     p_hi = step({"s1": Action(hi, 0.0)}, [spec], cfg, rng)["s1"]
     assert p_hi.throughput >= p_lo.throughput
     assert p_hi.fps >= p_lo.fps
+
+
+# Joint actions on a 24-block cell: per slice an svRB count, a weight in
+# tenths, and a traffic profile, at most 4 slices so the svRBs always fit.
+joint_actions = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=10),
+        st.sampled_from([10.0, 24.0, 30.0, 32.0]),
+        st.sampled_from([0.45, 0.5, 0.625]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def joint_slices(raw, burstiness):
+    specs = [
+        SliceSpec(f"s{i}", 12.0, 10.0, TrafficProfile(fr, fs, burstiness))
+        for i, (_, _, fr, fs) in enumerate(raw)
+    ]
+    actions = {f"s{i}": Action(svrb, w10 / 10.0) for i, (svrb, w10, _, _) in enumerate(raw)}
+    return specs, actions
+
+
+@settings(max_examples=200, deadline=None)
+@given(joint_actions, st.integers(min_value=0, max_value=2**32 - 1))
+def test_soft_step_at_zero_weights_is_hard_step(raw, seed):
+    """Hard isolation is soft isolation with every weight 0, noise and jitter included."""
+    specs, actions = joint_slices(raw, burstiness=0.3)
+    soft = EnvConfig(capacity_h=24, per_vrb_rate=3.2, noise_std=0.05, isolation_mode="soft")
+    hard = EnvConfig(capacity_h=24, per_vrb_rate=3.2, noise_std=0.05, isolation_mode="hard")
+    unweighted = {sid: Action(a.svrb, 0.0) for sid, a in actions.items()}
+    got_soft = step(unweighted, specs, soft, np.random.default_rng(seed))
+    got_hard = step(actions, specs, hard, np.random.default_rng(seed))  # hard ignores weights
+    assert got_soft == got_hard
+
+
+@settings(max_examples=200, deadline=None)
+@given(joint_actions, st.sampled_from(["soft", "hard"]))
+def test_no_slice_is_delivered_more_than_it_demands(raw, mode):
+    """Noise-free, throughput never exceeds the demanded blocks' rate in either mode."""
+    specs, actions = joint_slices(raw, burstiness=0.0)
+    cfg = EnvConfig(capacity_h=24, per_vrb_rate=3.2, noise_std=0.0, isolation_mode=mode)
+    rng = np.random.default_rng(0)
+    perfs = step(actions, specs, cfg, rng)
+    for s in specs:
+        demand = demand_vrbs(s.app_profile, cfg, rng)
+        assert perfs[s.slice_id].throughput <= demand * cfg.per_vrb_rate
 
 
 class TestEvents:

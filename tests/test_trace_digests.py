@@ -40,11 +40,11 @@ DIGESTS = {
     ("noisy.yaml", "gbo"): "09ade975380b24fc4f5a81fcc3114817c4e4d88599f8d4dfecda6521ffb0952e",
     ("noisy.yaml", "atlas"): "56259e6f873d27394dcd25840d09998e75038ec8363e15842672f160c52c333f",
     ("noisy.yaml", "exsearch"): "4ea4d58d4d7aa9a11bf4265891a9ba82751fbd376fd6d9710fc042e58cb5b94a",
-    ("scale/slices_1.yaml", "adaslicing"): "cc72398579de409c1f16de666c43b7783ae976e9022cbd8c5fe481eefb6049f4",
+    ("scale/slices_1.yaml", "adaslicing"): "5fa96c6fa6bcf19e79625cfc1e3d1a1f1074de4511886bcba23f0d4574b31637",
     ("scale/slices_1.yaml", "gbo"): "1f3fb3f7d51aebbf3f7a502e4c39c89038896b19b4f59281b4154f2b38612ce1",
     ("scale/slices_1.yaml", "atlas"): "1f3fb3f7d51aebbf3f7a502e4c39c89038896b19b4f59281b4154f2b38612ce1",
     ("scale/slices_1.yaml", "exsearch"): "a79fa60fc7099c8453814467f939091acdf69670ffde0e4f4876faf0c3323b48",
-    ("scale/slices_2.yaml", "adaslicing"): "881d6a33448dbdaf3b35d5b4cd3e9aada877bd55dab35a28b5bd79602f6b64b9",
+    ("scale/slices_2.yaml", "adaslicing"): "869170d9007e9299b25f633a1ee0e925ac21b83322ae2658abbe366111b18103",
     ("scale/slices_2.yaml", "gbo"): "dc69327a075a16bc211f4820fb7120019c0eb4d6238647095dd74848a0e874b9",
     ("scale/slices_2.yaml", "atlas"): "dc69327a075a16bc211f4820fb7120019c0eb4d6238647095dd74848a0e874b9",
     ("scale/slices_2.yaml", "exsearch"): "c15f56c2f6b728aa96f4d4a06ac76e32e7dcb3d0d9b9082272b25bed4af1079b",
@@ -52,11 +52,11 @@ DIGESTS = {
     ("scale/slices_3.yaml", "gbo"): "3f3e26aab6581f29370d7f08bb936521a21019d46867edbdc92559bf684579e8",
     ("scale/slices_3.yaml", "atlas"): "9e84b445e449020fac73a8b01b9ad321ae0401c81160a85ba2b8e0e1f6b7a725",
     ("scale/slices_3.yaml", "exsearch"): "a53773d3a0b4d62042b55c2164804a04dfd363cc9dc5949236fb78680bf98b24",
-    ("scale/slices_4.yaml", "adaslicing"): "0961666cb19f692710c344f50f30a0c892c2fc9e7962652ee08233ac3e7b1e19",
+    ("scale/slices_4.yaml", "adaslicing"): "4262884853a47dd7dc1e33534154df0529bf445ab08ab9c99a9a7077f75fd4b1",
     ("scale/slices_4.yaml", "gbo"): "93d00711b3e536fbfd232fbd3de63d86cb16da318e1a3575754145f82b90b410",
     ("scale/slices_4.yaml", "atlas"): "36c7f1358f208787cd9c762c103663a650fceae936599a0e0aae2de8b37f701e",
     ("scale/slices_4.yaml", "exsearch"): "8b2b6eac941de5b55b7f2742dc067d9dfbfee94f01965151899e69d28a6271b5",
-    ("scale/slices_5.yaml", "adaslicing"): "0e97600675c61dcbece90fc381d467f544eebca6d5204e6c770b18ade203b9a1",
+    ("scale/slices_5.yaml", "adaslicing"): "36a671d562e396a103784247842866f1c45277be87fd69507612992916af9c9d",
     ("scale/slices_5.yaml", "gbo"): "18ae6450821af438ad2ffd9d4712dd16c4ba500dd0d6873e0a99536aa83c363b",
     ("scale/slices_5.yaml", "atlas"): "3a713acee2ce3f2c3ab42c6d17e0f97c8d32ee69b765daa62f01c3c935383cbc",
     ("scale/slices_5.yaml", "exsearch"): "e68de80b8dd2a7cfdc024f0a6204dabb7614459fdc6b0a8e3cbe5b721197597f",

@@ -110,7 +110,7 @@ def test_sharing_conserves_capacity(raw, headroom):
         a = by_id[d.slice_id]
         assert a.from_pool >= 0
         if is_overflowed(d):
-            assert a.final_vrb == d.orchestrated_svrb + a.from_pool
+            assert a.final_vrb == min(d.demanded_vrb, d.orchestrated_svrb + a.from_pool)
         else:
             assert a.final_vrb == d.demanded_vrb
             assert a.from_pool == 0
