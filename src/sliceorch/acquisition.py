@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PORTFOLIO = ("ei", "pi", "lcb")
+KAPPA = 1.96  # the optimizers' LCB exploration weight: a two-sided 95% normal quantile
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 

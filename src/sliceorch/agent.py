@@ -29,10 +29,11 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .acquisition import HedgeState, hedge_select, hedge_update, portfolio_nominate
+from .acquisition import KAPPA, HedgeState, hedge_select, hedge_update, portfolio_nominate
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError
 from .gp import (
+    NOISE_VAR_START,
     GpModel,
     KernelParams,
     ReplayBuffer,
@@ -40,12 +41,13 @@ from .gp import (
     fit,
     optimize_params,
 )
-from .vsharing import ground
 
 # Candidate rows scored per surrogate call: a block's cross-covariance is
 # about 1 MB at 30 training rows, so a probe's temporaries stay this size
 # however large the candidate grid.
 PREDICT_BLOCK_ROWS = 4096
+
+SW_VALUES = tuple(round(i * 0.1, 10) for i in range(11))  # an agent's weights on a shared pool
 
 
 def row_blocks(n_rows: int) -> list[slice]:
@@ -211,11 +213,9 @@ class CandidateGrid:
     sw_values: tuple[float, ...]
 
     @classmethod
-    def for_capacity(cls, capacity_h: int, min_alive: int, sw_step: float) -> "CandidateGrid":
-        svrbs = tuple(range(min_alive, capacity_h + 1))
-        n_steps = ground(1.0 / sw_step)  # whole steps only, so no weight exceeds 1
-        sws = tuple(round(i * sw_step, 10) for i in range(n_steps + 1))
-        return cls(svrbs, sws)
+    def for_capacity(cls, capacity_h: int, min_alive: int, shares_pool: bool = True) -> "CandidateGrid":
+        """svRBs min_alive..capacity_h times SW_VALUES, or weight 0 alone when no pool is shared."""
+        return cls(tuple(range(min_alive, capacity_h + 1)), SW_VALUES if shares_pool else (0.0,))
 
     def points(self) -> np.ndarray:
         """All (svrb, sw) pairs, svrb-major: lexicographic candidate order."""
@@ -224,15 +224,13 @@ class CandidateGrid:
         return np.column_stack([svrb, sw])
 
 
-def check_action_grid(capacity: int, algo: AlgoParams) -> None:
+def check_action_grid(capacity: int, algo: AlgoParams, shares_pool: bool) -> None:
     """Refuse an agent's action grid over `algo.grid_cap` actions, without building it.
 
     The grid of `CandidateGrid.for_capacity` holds (capacity - min_alive + 1)
-    svRB counts times floor(1 / sw_step) + 1 weights; the count is inf when
-    1 / sw_step overflows.
+    svRB counts times len(SW_VALUES) weights, or times 1 when no pool is shared.
     """
-    steps = 1.0 / algo.sw_step  # inf when the step is subnormal
-    size = (capacity - algo.min_alive + 1) * (ground(steps) + 1) if steps < math.inf else steps
+    size = (capacity - algo.min_alive + 1) * (len(SW_VALUES) if shares_pool else 1)
     if size > algo.grid_cap:
         raise GridCapExceededError(
             f"candidate grid has {size} actions, over the cap of {algo.grid_cap}"
@@ -290,8 +288,8 @@ class PortfolioBo:
     hyperparameters, the Hedge bandit over the acquisition portfolio, and a
     cursor into a deterministic space-filling design. A subclass owns its
     candidate rows and design sequence; it calls `_propose` for a warm
-    suggestion and `_learn` to record a probe. All settings come from the
-    scenario's `AlgoParams`; the run's prices, the barrier coefficient and
+    suggestion and `_learn` to record a probe. Its settings are `AlgoParams`,
+    KAPPA and NOISE_VAR_START; the run's prices, the barrier coefficient and
     the SLA violation penalty, 10 * u_h * `capacity`, are fixed at construction.
 
     An observation is priced as its stored resource cost plus each of its
@@ -331,9 +329,8 @@ class PortfolioBo:
         self.buffer = ReplayBuffer(algo.buffer_capacity, algo.priority_decay)
         self.subsample = algo.subsample
         self.n_init = algo.n_init
-        self.noise_var = algo.noise_var
+        self.noise_var = NOISE_VAR_START
         self.hyperopt_every = algo.hyperopt_every
-        self.kappa = algo.kappa
         self._default_params = KernelParams(default_length_scales(spans))
         self.params = self._default_params
         self.gp: GpModel | None = None
@@ -410,7 +407,7 @@ class PortfolioBo:
             mu, sigma = predict(rows)
             if offset is not None:
                 mu = mu + offset(queries[rows])
-            local = portfolio_nominate(mu, sigma, best, self.kappa)
+            local = portfolio_nominate(mu, sigma, best, KAPPA)
             return rows.start + local, mu[local], sigma[local]
 
         blocks = parallel_map(score, row_blocks(queries.shape[0]))
@@ -420,7 +417,7 @@ class PortfolioBo:
             # acquisition, so the grid's first best row is among the
             # nominees; taken in row order, the same rule keeps it.
             nominees, first = np.unique(nominees, return_index=True)
-            nominees = nominees[portfolio_nominate(mu[first], sigma[first], best, self.kappa)]
+            nominees = nominees[portfolio_nominate(mu[first], sigma[first], best, KAPPA)]
         self._last_nominees = queries[nominees]
         chosen = queries[nominees[hedge_select(self.hedge, self.hedge_rng)]]
         if tuple(chosen.tolist()) in self.archive:
@@ -478,7 +475,8 @@ class SliceAgent(PortfolioBo):
     aggregated sharing weight of the other slices: exogenous context that
     shifts how much pool the slice's own sw can win. Its candidates are the
     action grid of `capacity` under the current peer weight (at most `grid_cap`
-    actions), and its design is the grid's Halton (2, 3) sequence.
+    actions; weight 0 alone unless `shares_pool`), and its design is the
+    grid's Halton (2, 3) sequence.
     """
 
     def __init__(
@@ -491,16 +489,16 @@ class SliceAgent(PortfolioBo):
         cost: CostParams,
         peers_sw_span: float = 2.0,
         design_offset: int = 0,
+        shares_pool: bool = True,
     ):
-        check_action_grid(capacity, algo)
-        grid = CandidateGrid.for_capacity(capacity, algo.min_alive, algo.sw_step)
+        check_action_grid(capacity, algo, shares_pool)
+        grid = CandidateGrid.for_capacity(capacity, algo.min_alive, shares_pool)
         svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
-        sw_span = max(grid.sw_values) - min(grid.sw_values) or 1.0
         # A per-agent design_offset staggers the design sequence across
         # agents, keeping their cold-start proposals distinct, so the joint
         # capacity clamp does not flatten every early probe onto the same
-        # symmetric point.
-        spans = [max(svrb_span, 1.0), sw_span, max(peers_sw_span, 1.0)]
+        # symmetric point. The weight axis spans 1, also when weight 0 is alone on it.
+        spans = [max(svrb_span, 1.0), 1.0, max(peers_sw_span, 1.0)]
         super().__init__(spans, rng, hedge_rng, algo, cost, capacity, design_offset)
         self.slice_id = slice_id
         self.grid = grid

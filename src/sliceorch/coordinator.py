@@ -23,15 +23,16 @@ from .errors import InfeasibleCapacityError
 from .netenv import RanEnvironment
 from .vsharing import ground
 
+PRIMAL_TOL = 0.5  # the loop stops once every |x_i - z_i| is within this
+DUAL_INIT = -5.0  # a slice's first dual, when no other slice has one
+
 
 @dataclass
 class CoordinatorState:
     """Consensus variables and loop settings, persisted across slots."""
 
     rho: float
-    primal_tol: float
     max_iters: int
-    dual_init: float
     z: dict[str, float] = field(default_factory=dict)
     y: dict[str, float] = field(default_factory=dict)
     w: dict[str, float] = field(default_factory=dict)  # sharing weights the last slot committed
@@ -130,7 +131,7 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str], 
     for sid in joined:
         state.z[sid] = float(min_alive)
         state.y[sid] = (
-            sum(state.y.values()) / len(state.y) if state.y else state.dual_init
+            sum(state.y.values()) / len(state.y) if state.y else DUAL_INIT
         )
 
 
@@ -158,7 +159,7 @@ def orchestrate_slot(
     jointly to capacity (live probes must respect the infrastructure bound),
     probes the environment once, lets agents ingest their own outcomes, then
     projects and updates duals. Stops when the largest |x_i - z_i| falls
-    within primal_tol or after max_iters. The slot then emits each agent's
+    within PRIMAL_TOL or after max_iters. The slot then emits each agent's
     best known action under the settled consensus (clamped jointly, probed,
     and fed back like any probe), so the recorded allocation is a
     recommendation rather than the last exploratory sample. The first
@@ -220,7 +221,7 @@ def orchestrate_slot(
         actions, perfs = probe(proposals, spread_capacity)
         last_w = {sid: actions[sid].sw for sid in order}
         residual = settle({sid: actions[sid].svrb for sid in order})
-        if residual <= state.primal_tol:
+        if residual <= PRIMAL_TOL:
             break
 
     # Emission: record each agent's recommendation, not the last exploratory

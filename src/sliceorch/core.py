@@ -85,23 +85,18 @@ class AlgoParams:
     """Tunables of the orchestration algorithms; defaults suit the bundled scenarios."""
 
     rho: float = 2.0
-    primal_tol: float = 0.5
     max_iters: int = 15  # consensus iterations per slot, and the baselines' probes
-    dual_init: float = -5.0
     buffer_capacity: int = 40
     priority_decay: float = 0.95
     subsample: int = 30
     n_init: int = 3
-    noise_var: float = 1e-4
     hyperopt_every: int = 5
     hedge_eta: float = 1.0
-    kappa: float = 1.96
     # The log barrier turns into a bonus once the margin exceeds 1. Near the
     # SLA boundary it can outweigh a resource block: for slice2 of `default`
     # under a 6 Mb/s SLA, 3 svRBs price at 2.416 and a feasible 2 at 2.969,
     # so recommendations over-provision (ROADMAP item 2).
     barrier_coef: float = 0.5
-    sw_step: float = 0.1
     min_alive: int = 1
     grid_cap: int = 10**6
 
@@ -111,10 +106,8 @@ class AlgoParams:
             "min_alive", "grid_cap",
         ), *_COUNT)
         _check(self, ("rho", "hedge_eta"), *_POSITIVE)
-        _check(self, ("primal_tol", "noise_var", "kappa", "barrier_coef"), *_NONNEGATIVE)
-        _check(self, ("dual_init",), _finite, "must be finite")
-        _check(self, ("priority_decay", "sw_step"),
-               lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
+        _check(self, ("barrier_coef",), *_NONNEGATIVE)
+        _check(self, ("priority_decay",), lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 def _whole(value) -> bool:

@@ -71,6 +71,7 @@ _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
 # Iterations per start of the hyperparameter search (minimize's maxiter).
 _LBFGSB_MAXITER = 15
+NOISE_VAR_START = 1e-4  # a surrogate's noise variance until its first search, and its reference start
 
 
 class ReplayBuffer:
@@ -599,7 +600,7 @@ def optimize_params(
 
     lower = np.array([math.log(1e-2)] * d + [math.log(1e-4), math.log(1e-8)])
     upper = np.array([math.log(1e3)] * d + [math.log(1e4), math.log(1e-1)])
-    first, second = pack(init, noise_var), pack(reference, 1e-4)
+    first, second = pack(init, noise_var), pack(reference, NOISE_VAR_START)
     starts = (first,) if np.array_equal(first, second) else (first, second)
     best_theta, best_val = None, math.inf
     for theta0 in starts:

@@ -124,7 +124,7 @@ def check_grid_cap(scenario: Scenario) -> None:
     if not populations:
         return
     if scenario.algorithm == "adaslicing":
-        check_action_grid(capacity, algo)
+        check_action_grid(capacity, algo, scenario.env.shares_pool)
     else:
         for n in [1] if scenario.algorithm == "atlas" else populations:
             check_joint_grid(n, capacity, algo.min_alive, algo.grid_cap)
@@ -297,9 +297,7 @@ Policy = Callable[[int, list[SliceSpec]], SlotOutcome]
 def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
     """Per-slice agents negotiating svRBs through the consensus coordinator."""
     p = scenario.algo
-    state = CoordinatorState(
-        rho=p.rho, primal_tol=p.primal_tol, max_iters=p.max_iters, dual_init=p.dual_init
-    )
+    state = CoordinatorState(rho=p.rho, max_iters=p.max_iters)
     peers_span = max(1.0, float(len(scenario.slices) - 1))
     design_offsets = {s.slice_id: i for i, s in enumerate(scenario.slices)}
     agents: dict[str, SliceAgent] = {}
@@ -319,6 +317,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
                     scenario.cost,
                     peers_sw_span=peers_span,
                     design_offset=design_offsets[sid],
+                    shares_pool=scenario.env.shares_pool,
                 )
         if not active:  # an empty slot still retires the departed slices above
             return SlotOutcome()

@@ -38,6 +38,11 @@ class EnvConfig:
         if self.isolation_mode not in ("soft", "hard"):
             raise ValueError(f"isolation_mode must be 'soft' or 'hard', got {self.isolation_mode!r}")
 
+    @property
+    def shares_pool(self) -> bool:
+        """Whether idle blocks go to the slices by weight: soft isolation."""
+        return self.isolation_mode == "soft"
+
 
 @dataclass(frozen=True)
 class DynamicsEvent:
@@ -102,7 +107,7 @@ def step(
     demands = {s.slice_id: demand_vrbs(s.app_profile, config, rng) for s in active}
 
     grants: dict[str, int] = {}
-    if config.isolation_mode == "soft" and any(a.sw > 0.0 for a in actions.values()):
+    if config.shares_pool and any(a.sw > 0.0 for a in actions.values()):
         inputs = [
             SliceDemand(s.slice_id, actions[s.slice_id].svrb, actions[s.slice_id].sw, demands[s.slice_id])
             for s in active

@@ -11,6 +11,7 @@ import pytest
 
 import sliceorch
 from sliceorch.acquisition import (
+    KAPPA,
     HedgeState,
     PORTFOLIO,
     ei,
@@ -21,7 +22,6 @@ from sliceorch.acquisition import (
     pi,
     portfolio_nominate,
 )
-from sliceorch.core import AlgoParams
 
 
 class TestExpectedImprovement:
@@ -73,7 +73,7 @@ class TestPortfolio:
         rng = np.random.default_rng(0)
         mu = rng.uniform(0.0, 5.0, size=40)
         sigma = rng.uniform(0.1, 2.0, size=40)
-        nominees = portfolio_nominate(mu, sigma, best=2.0, kappa=AlgoParams().kappa)
+        nominees = portfolio_nominate(mu, sigma, best=2.0, kappa=KAPPA)
         assert nominees.shape == (len(PORTFOLIO),)
         assert all(0 <= i < 40 for i in nominees)
 
@@ -82,7 +82,7 @@ class TestPortfolio:
         # member of the portfolio must nominate it
         mu = np.array([3.0, 1.0, 2.0])
         sigma = np.zeros(3)
-        nominees = portfolio_nominate(mu, sigma, best=1.5, kappa=AlgoParams().kappa)
+        nominees = portfolio_nominate(mu, sigma, best=1.5, kappa=KAPPA)
         assert list(nominees) == [1, 1, 1]
 
     def test_fused_nominees_equal_the_separate_acquisitions(self):

@@ -90,47 +90,47 @@ class TestObjective:
 
 class TestGrid:
     def test_capacity_grid_shape(self):
-        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
+        grid = CandidateGrid.for_capacity(12, ALGO.min_alive)
         assert grid.svrb_values == tuple(range(1, 13))
         assert grid.sw_values == tuple(round(i * 0.1, 10) for i in range(11))
         assert grid.points().shape == (132, 2)
 
     def test_default_lattice(self):
         lattice = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-        assert CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step).sw_values == lattice
+        assert CandidateGrid.for_capacity(12, ALGO.min_alive).sw_values == lattice
 
-    @pytest.mark.parametrize("sw_step", [0.15, 0.35, 0.6])
-    def test_lattice_stops_at_the_last_whole_step(self, sw_step):
-        sws = CandidateGrid.for_capacity(12, ALGO.min_alive, sw_step).sw_values
-        assert sws[-1] <= 1.0 < sws[-1] + sw_step
-
-    @pytest.mark.parametrize("settings", [{}, {"min_alive": 2, "sw_step": 0.3}])
+    @pytest.mark.parametrize("settings", [{}, {"min_alive": 2}])
     def test_agent_builds_the_grid_of_its_capacity(self, settings):
-        algo = AlgoParams(**settings)
-        grid = CandidateGrid.for_capacity(12, algo.min_alive, algo.sw_step)
+        grid = CandidateGrid.for_capacity(12, AlgoParams(**settings).min_alive)
         assert make_agent(**settings).grid == grid
 
     def test_agent_grid_is_capped_before_it_is_built(self):
         assert len(make_agent(grid_cap=132).grid.points()) == 132  # 12 svRBs x 11 weights
         with pytest.raises(GridCapExceededError, match="has 132 actions, over the cap of 131"):
             make_agent(grid_cap=131)
-        with pytest.raises(GridCapExceededError, match="has inf actions"):
-            make_agent(sw_step=1e-320)
+
+    def test_unshared_pool_offers_weight_zero_alone(self):
+        agent = SliceAgent(
+            "s1", 12, substream(1, "agent:s1"), substream(1, "hedge:s1"), AlgoParams(grid_cap=12),
+            CostParams(), shares_pool=False,
+        )
+        assert agent.grid == CandidateGrid(tuple(range(1, 13)), (0.0,))
+        assert CandidateGrid.for_capacity(12, 1, shares_pool=False) == agent.grid
 
     def test_points_are_svrb_major(self):
-        pts = CandidateGrid.for_capacity(3, ALGO.min_alive, ALGO.sw_step).points()
+        pts = CandidateGrid.for_capacity(3, ALGO.min_alive).points()
         assert list(pts[0]) == [1.0, 0.0]
         assert list(pts[1]) == [1.0, 0.1]
         assert list(pts[11]) == [2.0, 0.0]
 
     def test_design_sequence_is_frozen(self):
-        grid = CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step)
+        grid = CandidateGrid.for_capacity(12, ALGO.min_alive)
         first = [design_point(grid, i) for i in range(6)]
         assert first == [(7, 0.3), (4, 0.7), (10, 0.1), (2, 0.4), (8, 0.8), (5, 0.2)]
         assert design_point(grid, 17) == (4, 0.0)
 
     def test_design_points_stay_on_the_grid(self):
-        grid = CandidateGrid.for_capacity(9, ALGO.min_alive, ALGO.sw_step)
+        grid = CandidateGrid.for_capacity(9, ALGO.min_alive)
         for i in range(80):
             svrb, sw = design_point(grid, i)
             assert svrb in grid.svrb_values

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sliceorch import agent as agent_module
 from sliceorch import baselines, harness
-from sliceorch.acquisition import portfolio_nominate
+from sliceorch.acquisition import KAPPA, portfolio_nominate
 from sliceorch.agent import AgentContext, SliceAgent, barrier_value, row_blocks
 from sliceorch.baselines import (
     GridPortfolioBo,
@@ -299,7 +299,7 @@ def whole_grid_nominees(bo, specs):
     """What a warm suggestion nominates when every candidate is scored in one call."""
     mu, sigma = bo.gp.predict(bo.candidates)
     best = min(bo._price(o, specs) for o in bo.archive.values())
-    return mu, sigma, portfolio_nominate(mu, sigma, best, bo.kappa)
+    return mu, sigma, portfolio_nominate(mu, sigma, best, KAPPA)
 
 
 class TestBlockedScoring:
@@ -349,7 +349,7 @@ class TestBlockedScoring:
         queries = np.arange(mu.shape[0], dtype=float)[:, None]
         bo._propose(queries, EASY, lambda rows: (mu[rows], sigma[rows]), lambda: None)
         best = bo._price(next(iter(bo.archive.values())), EASY)
-        whole = portfolio_nominate(mu, sigma, best, bo.kappa)
+        whole = portfolio_nominate(mu, sigma, best, KAPPA)
         return bo._last_nominees[:, 0].astype(int).tolist(), whole.tolist()
 
     def test_tie_across_a_block_boundary_keeps_the_first_row(self):

@@ -27,7 +27,7 @@ ALGO = AlgoParams()
 
 def new_state(**variables):
     """A consensus state at the scenario defaults."""
-    return CoordinatorState(ALGO.rho, ALGO.primal_tol, ALGO.max_iters, ALGO.dual_init, **variables)
+    return CoordinatorState(ALGO.rho, ALGO.max_iters, **variables)
 
 
 def oracle_projection(c: np.ndarray, capacity: float) -> np.ndarray:

@@ -599,7 +599,7 @@ class TestLatticeColumns:
         # gbo's grid on scale/slices_5
         np.asarray(enumerate_joint_grid(5, 24, ALGO.min_alive, ALGO.grid_cap), dtype=float),
         # svRB x sw, sw on a 0.1 lattice
-        CandidateGrid.for_capacity(12, ALGO.min_alive, ALGO.sw_step).points(),
+        CandidateGrid.for_capacity(12, ALGO.min_alive).points(),
     ]
 
     @pytest.mark.parametrize("nu", [2.5])
@@ -758,7 +758,7 @@ def both_starts_search(inputs, targets, init, noise_var, reference, max_iter=15)
     upper = np.array([math.log(1e3)] * d + [math.log(1e4), math.log(1e-1)])
     fun = TestSearchDriver.objective(data, [])
     best_theta, best_val = None, math.inf
-    for p, nv in ((init, noise_var), (reference, 1e-4)):
+    for p, nv in ((init, noise_var), (reference, gp.NOISE_VAR_START)):
         theta0 = np.log(np.array([*p.length_scales, p.signal_var, max(nv, 1e-8)]))
         theta, value = gp._lbfgsb_minimize(fun, theta0, lower, upper, max_iter)
         if value < best_val:

@@ -28,8 +28,9 @@ from sliceorch import blas, harness, netenv
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
 from sliceorch.cli import _build_parser, main
+from sliceorch.coordinator import CoordinatorState
 from sliceorch.core import CostParams
-from sliceorch.errors import ScenarioError
+from sliceorch.errors import NoFeasibleActionError, ScenarioError
 from sliceorch.harness import (
     ALGORITHMS,
     AlgoParams,
@@ -295,26 +296,67 @@ class TestAlgoParams:
         [("adaslicing", SliceAgent, 2), ("gbo", GridPortfolioBo, 1), ("atlas", GridPortfolioBo, 2)],
     )
     def test_scenario_settings_reach_every_optimizer(self, algorithm, kind, count, monkeypatch):
-        built = []
-        original = PortfolioBo.__init__
+        def instances(cls):
+            built, original = [], cls.__init__
 
-        def recording(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            built.append(self)
+            def recording(self, *args, **kwargs):
+                original(self, *args, **kwargs)
+                built.append(self)
 
-        monkeypatch.setattr(PortfolioBo, "__init__", recording)
+            monkeypatch.setattr(cls, "__init__", recording)
+            return built
+
+        built, states = instances(PortfolioBo), instances(CoordinatorState)
         settings = {
-            "buffer_capacity": 7, "subsample": 4, "n_init": 2, "hedge_eta": 0.3, "kappa": 0.7,
+            "buffer_capacity": 7, "subsample": 4, "n_init": 2, "hedge_eta": 0.3,
+            "priority_decay": 0.8, "barrier_coef": 0.25, "hyperopt_every": 3,
+            "rho": 1.5, "max_iters": 4,
         }
         run(scenario_from_dict(base_dict(algorithm=algorithm, slots=2, algo_params=settings)))
         assert len(built) == count
         for bo in built:
             assert type(bo) is kind
             assert bo.buffer.capacity == 7
+            assert bo.buffer.decay == 0.8
             assert bo.subsample == 4
             assert bo.n_init == 2
             assert bo.hedge.eta == 0.3
-            assert bo.kappa == 0.7
+            assert bo.barrier_coef == 0.25
+            assert bo.hyperopt_every == 3
+        consensus = [(state.rho, state.max_iters) for state in states]
+        assert consensus == ([(1.5, 4)] if algorithm == "adaslicing" else [])
+
+
+class TestHardIsolation:
+    def test_adaslicing_probes_no_sharing_weight(self, monkeypatch):
+        weights = []
+        original = RanEnvironment.step
+
+        def recording(self, actions, specs):
+            weights.extend(a.sw for a in actions.values())
+            return original(self, actions, specs)
+
+        monkeypatch.setattr(RanEnvironment, "step", recording)
+        scenario = load_scenario(next(path for path in BUNDLED if path.name == "default.yaml"))
+        hard = replace(scenario.env, isolation_mode="hard")
+        run(replace(scenario, algorithm="adaslicing", env=hard))
+        assert weights and max(weights) == 0.0
+
+    @pytest.mark.parametrize("grid_cap", [5, 6])
+    def test_validate_and_run_size_the_weightless_grid_alike(self, grid_cap, tmp_path, capsys):
+        # 6 svRBs and weight 0 alone: 6 actions, where soft isolation has 66
+        data = base_dict(algorithm="adaslicing", slots=1, algo_params={"grid_cap": grid_cap})
+        data["env"]["isolation_mode"] = "hard"
+        path = tmp_path / "hard.yaml"
+        path.write_text(yaml.safe_dump(data))
+        expected = 2 if grid_cap < 6 else 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == expected
+        assert main(["validate", str(path)]) == expected
+        if expected:
+            run_err, validate_err = capsys.readouterr().err.splitlines()[-2:]
+            assert run_err == validate_err == (
+                "ERROR GridCapExceededError: candidate grid has 6 actions, over the cap of 5"
+            )
 
 
 class TestDigest:
@@ -565,13 +607,6 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "final_cost" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("sw_step", [0.15, 0.35, 0.6])  # round(1 / step) steps overshoot 1
-    def test_coarse_sharing_lattice_runs(self, sw_step, tmp_path):
-        data = base_dict(algorithm="adaslicing", slots=3, algo_params={"sw_step": sw_step})
-        path = tmp_path / "coarse.yaml"
-        path.write_text(yaml.safe_dump(data))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-
     def test_run_overrides_reach_the_outputs(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -638,6 +673,13 @@ class TestCli:
         assert len(commands) >= 5
         for command in commands:
             _build_parser().parse_args(shlex.split(command[len(prefix):]))
+
+    def test_readme_tables_every_algo_param_with_its_varier(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n| `AlgoParams` field |")[1].split("\n\n")[0]
+        rows = [line.split(" | ") for line in table.splitlines()[2:]]
+        assert [row[0] for row in rows] == [f"| `{f.name}`" for f in fields(AlgoParams)]
+        assert all(len(row) == 4 and row[3].strip(" |") for row in rows)
 
     def test_oracle_writes_the_sweep(self, scenario_file, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -906,15 +948,10 @@ class TestFailureContract:
             ("subsample", 0),
             ("hyperopt_every", 0),
             ("hedge_eta", 0),
-            ("sw_step", 0),
             ("rho", -1.0),
-            ("primal_tol", -1.0),
             ("max_iters", 0),
-            ("dual_init", float("nan")),
             ("priority_decay", 0.0),
             ("n_init", 0),
-            ("noise_var", -1.0),
-            ("kappa", -1.0),
             ("barrier_coef", -1.0),
             ("min_alive", 0),
             ("grid_cap", 0),
@@ -924,12 +961,9 @@ class TestFailureContract:
         data = base_dict(algorithm="adaslicing", algo_params={name: value})
         self.rejects_file(self.write(tmp_path, data), f"algo_params: {name}", tmp_path, capsys)
 
-    @pytest.mark.parametrize(
-        "settings", [{"sw_step": 1e-320}, {"grid_cap": 100}], ids=["subnormal-step", "small-cap"]
-    )
+    @pytest.mark.parametrize("settings", [{"grid_cap": 100}], ids=["small-cap"])
     def test_adaslicing_grid_over_the_cap(self, settings, tmp_path, capsys):
-        # default's grid is 12 svRBs x 11 weights: 132 rows, or unbounded at a
-        # step whose reciprocal overflows
+        # default's grid is 12 svRBs x 11 weights: 132 rows
         bad = self.write(tmp_path, copy.deepcopy(RAW["default.yaml"]) | {"algo_params": settings})
         for argv in (["validate", bad], ["run", bad, "--out", str(tmp_path / "out"), "--slots", "1"]):
             self.rejects(argv, "candidate grid has ", capsys, kind="GridCapExceededError")
@@ -975,7 +1009,19 @@ class TestFailureContract:
         argv = ["run", bad, "--out", str(tmp_path / "out"), "--algo", algorithm, "--slots", "2"]
         self.rejects(argv, "offered load of TrafficProfile(", capsys)
 
-    @pytest.mark.parametrize("name,value", [("probes_per_slot", 15), ("violation_penalty", 7.0)])
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("probes_per_slot", 15),
+            ("violation_penalty", 7.0),
+            # now module constants, set here to their old defaults
+            ("primal_tol", 0.5),
+            ("dual_init", -5.0),
+            ("noise_var", 1e-4),
+            ("kappa", 1.96),
+            ("sw_step", 0.1),
+        ],
+    )
     def test_removed_algo_param(self, name, value, tmp_path, capsys):
         data = base_dict(algorithm="gbo", algo_params={name: value})
         bad = self.write(tmp_path, data)
@@ -1034,19 +1080,16 @@ def numeric_fields(raw):
     return found + [("algo_params", f.name) for f in fields(AlgoParams)]
 
 
-# The fields that accept 0, and the one that accepts a negative number.
-ZERO_OK = {
-    "seed", "slot", "noise_std", "u_h", "u_s", "burstiness",
-    "primal_tol", "noise_var", "kappa", "barrier_coef", "dual_init",
-}
-NEGATIVE_OK = {"dual_init"}
+# The fields that accept 0; none accepts a negative number.
+ZERO_OK = {"seed", "slot", "noise_std", "u_h", "u_s", "burstiness", "barrier_coef"}
 
 
 def out_of_range(key):
-    values = [st.sampled_from([math.nan, math.inf, -math.inf, True, False])]
-    if key not in NEGATIVE_OK:
-        values.append(st.integers(min_value=-10**9, max_value=-1))
-        values.append(st.floats(max_value=-1e-300, allow_nan=False))
+    values = [
+        st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+        st.integers(min_value=-10**9, max_value=-1),
+        st.floats(max_value=-1e-300, allow_nan=False),
+    ]
     if key not in ZERO_OK:
         values.append(st.sampled_from([0, 0.0]))
     return st.one_of(values)
@@ -1073,3 +1116,92 @@ def test_an_out_of_range_number_exits_2_naming_its_field(data):
     assert code == 2, f"{path}.{key} = {value!r} was accepted"
     assert last.startswith(f"ERROR ScenarioError: {section}"), last
     assert re.search(rf"\b{key}\b", last), last
+
+
+SMALL = st.one_of(st.just(0.0), st.floats(0.0, 0.1))  # noise and burstiness
+
+
+@st.composite
+def small_scenarios(draw):
+    """A valid scenario file: 1-3 slices, at most 12 vRBs, little noise, at most one event."""
+    ids = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    slices = [
+        {
+            "slice_id": sid,
+            "q_throughput": draw(st.floats(1.0, 20.0)),
+            "q_fps": draw(st.floats(1.0, 40.0)),
+            "profile": {
+                "frame_rate": draw(st.floats(5.0, 40.0)),
+                "frame_size": draw(st.floats(0.1, 1.0)),
+                "burstiness": draw(SMALL),
+            },
+            "active": draw(st.booleans()),
+        }
+        for sid in ids
+    ]
+    event = st.fixed_dictionaries({
+        "slot": st.integers(0, 3),
+        "kind": st.sampled_from(["slice_join", "slice_leave", "sla_change"]),
+        "slice_id": st.sampled_from(ids),
+        "q_throughput": st.floats(1.0, 20.0),
+        "q_fps": st.floats(1.0, 40.0),
+    })
+    env = {
+        "capacity_h": draw(st.integers(len(ids), 12)),
+        "per_vrb_rate": draw(st.floats(1.0, 4.0)),
+        "noise_std": draw(SMALL),
+        "isolation_mode": draw(st.sampled_from(["soft", "hard"])),
+    }
+    return base_dict(
+        seed=draw(st.integers(0, 2**16)), slots=3, env=env, slices=slices,
+        events=draw(st.lists(event, max_size=1)), algo_params={"max_iters": 2},
+    )
+
+
+def active_per_slot(scenario):
+    """Each slot's active slices, with the events applied as `run` applies them."""
+    specs = list(scenario.slices)
+    for slot in range(scenario.slots):
+        specs = netenv.apply_events(slot, scenario.events, specs)
+        yield [s for s in specs if s.active]
+
+
+def fewest_svrbs(spec, scenario):
+    """Fewest svRBs at weight 0 meeting the slice's SLA on the noise-free RAN, or None."""
+    env, profile = scenario.env, replace(spec.app_profile, burstiness=0.0)
+    demand = netenv.demand_vrbs(profile, env, None)  # burstiness 0 draws nothing
+    for svrb in range(scenario.algo.min_alive, env.capacity_h + 1):
+        throughput = min(demand, svrb) * env.per_vrb_rate
+        fps = min(profile.frame_rate, throughput / profile.frame_size)
+        if throughput >= spec.q_throughput and fps >= spec.q_fps:
+            return svrb
+    return None
+
+
+def some_slot_is_infeasible(scenario):
+    """Whether no joint weight-0 action meets every SLA in some slot with a slice active."""
+    for active in active_per_slot(scenario):
+        need = [fewest_svrbs(s, scenario) for s in active]
+        if None in need or sum(need) > scenario.env.capacity_h:
+            return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_scenarios())
+def test_every_algorithm_commits_an_allocation_within_bounds(raw):
+    scenario = scenario_from_dict(raw)
+    capacity, min_alive = scenario.env.capacity_h, scenario.algo.min_alive
+    for algorithm in ALGORITHMS:
+        cell = replace(scenario, algorithm=algorithm)
+        try:
+            records = run(cell)
+        except NoFeasibleActionError:
+            assert algorithm == "exsearch" and some_slot_is_infeasible(cell)
+            continue
+        assert len(records) == cell.slots
+        for record, active in zip(records, active_per_slot(cell)):
+            actions = record.actions.values()
+            assert set(record.actions) == {s.slice_id for s in active}
+            assert sum(a.svrb for a in actions) <= capacity
+            assert all(a.svrb >= min_alive and 0.0 <= a.sw <= 1.0 for a in actions)
