@@ -11,8 +11,8 @@ known quadratic and is added analytically when candidates are scored.
 record, its pricing rule (stored resource cost plus SLA barriers, cached
 per archive entry until the SLAs change), its propose step (best so far,
 predict and nominate block by block, Hedge-pick, swap an already-probed
-nominee for an unexplored design row) and its learn step (replay buffer,
-archive, GP refits and hyperparameter searches). `SliceAgent` and the
+nominee for an unexplored design row) and its learn step (archive, training
+window, GP refits and hyperparameter searches). `SliceAgent` and the
 baselines' `GridPortfolioBo` subclass it with their own candidate rows,
 design sequences and recommendation rules. `parallel_map` spreads the
 independent row blocks of a large grid over up to two CPUs.
@@ -24,6 +24,7 @@ import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -36,7 +37,6 @@ from .gp import (
     NOISE_VAR_START,
     GpModel,
     KernelParams,
-    ReplayBuffer,
     default_length_scales,
     fit,
     optimize_params,
@@ -263,31 +263,33 @@ class Observation:
     `x` is the probe's surrogate input row. The raw per-slice performance is
     kept rather than a scalar objective, so the probe can be re-priced under
     whatever SLA thresholds hold later; its resource cost does not depend on
-    them and is priced once, when the probe is recorded. `priority` is the
-    replay buffer's.
+    them and is priced once, when the probe is recorded.
     """
 
     x: np.ndarray
     cost: float  # u_h * sum(svRB) + u_s * sum(sw) of the probed actions
     perfs: dict[str, PerfVector]
-    priority: float = 1.0
 
     def __post_init__(self) -> None:
         self._key = tuple(self.x.tolist())
 
     def key(self) -> tuple:
-        """Identity of the probed input: archive key and buffer duplicate test."""
+        """Identity of the probed input: its archive key."""
         return self._key
 
 
 class PortfolioBo:
     """Shared core of the online Bayesian optimizers.
 
-    Holds the replay buffer that feeds the surrogate, an all-time archive of
-    the latest observation per distinct input, the GP with its
-    hyperparameters, the Hedge bandit over the acquisition portfolio, and a
-    cursor into a deterministic space-filling design. A subclass owns its
-    candidate rows and design sequence; it calls `_propose` for a warm
+    Holds an all-time archive of the latest observation per distinct input,
+    in probe order, the GP with its hyperparameters, the Hedge bandit over
+    the acquisition portfolio, and a cursor into a deterministic
+    space-filling design. The archive's last `buffer_capacity` entries are
+    the training window (`buffer`): a re-probed input moves to the end, the
+    oldest input leaves the window but stays in the archive, and each refit
+    trains on `subsample` window entries drawn uniformly without
+    replacement, or on all of them when the window is no larger. A subclass
+    owns its candidate rows and design sequence; it calls `_propose` for a warm
     suggestion and `_learn` to record a probe. Its settings are `AlgoParams`,
     KAPPA and NOISE_VAR_START; the run's prices, the barrier coefficient and
     the SLA violation penalty, 10 * u_h * `capacity`, are fixed at construction.
@@ -326,7 +328,7 @@ class PortfolioBo:
         self.rng = rng
         self.hedge = HedgeState(eta=algo.hedge_eta)
         self.hedge_rng = hedge_rng
-        self.buffer = ReplayBuffer(algo.buffer_capacity, algo.priority_decay)
+        self.buffer_capacity = algo.buffer_capacity
         self.subsample = algo.subsample
         self.n_init = algo.n_init
         self.noise_var = NOISE_VAR_START
@@ -337,10 +339,15 @@ class PortfolioBo:
         self.fit_count = 0
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = design_offset
-        self.archive: dict[tuple, Observation] = {}  # written by _learn
+        self.archive: dict[tuple, Observation] = {}  # in probe order, written by _learn
         # same keys in the same order as archive: _learn writes both, _prices rebuilds it
         self._archive_prices: dict[tuple, float] = {}
         self._priced_specs: dict[str, SliceSpec] | None = None
+
+    @property
+    def buffer(self) -> list[Observation]:
+        """The training window: the last `buffer_capacity` archive entries, oldest first."""
+        return list(islice(reversed(self.archive.values()), self.buffer_capacity))[::-1]
 
     def _warm(self) -> bool:
         """Whether the surrogate has seen enough data to drive the search."""
@@ -444,10 +451,15 @@ class PortfolioBo:
         svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
         obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs)
         prices = self._prices(specs)  # re-prices the archive first if the specs changed
-        self.archive[obs.key()] = obs  # replaces any earlier probe of this input
-        prices[obs.key()] = self._price(obs, specs)
-        self.buffer.push(obs)  # like the archive, keeps only the latest probe of an input
-        sample = self.buffer.sample(self.subsample, self.rng)
+        key = obs.key()
+        # a re-probed input replaces its earlier probe at the end, in both dicts
+        self.archive.pop(key, None)
+        prices.pop(key, None)
+        self.archive[key] = obs
+        prices[key] = self._price(obs, specs)
+        sample = self.buffer
+        if len(sample) > self.subsample:
+            sample = [sample[i] for i in self.rng.choice(len(sample), self.subsample, replace=False)]
         x_train = np.stack([o.x for o in sample])
         y = np.array([prices[o.key()] for o in sample])
         self.fit_count += 1
@@ -556,7 +568,7 @@ class SliceAgent(PortfolioBo):
         return Action(int(row[0]), float(row[1]))
 
     def observe(self, action: Action, perf: PerfVector, ctx: AgentContext) -> None:
-        """Ingest one probe: push, refit the surrogate, settle hedge rewards."""
+        """Ingest one probe: archive it, refit the surrogate, settle hedge rewards."""
         self._learn(
             np.array([action.svrb, action.sw, ctx.s], dtype=float),
             (action,),

@@ -84,17 +84,17 @@ class GridPortfolioBo(PortfolioBo):
     and an input row is such a vector. Over one slice that grid is the svRB
     range itself, which makes this atlas's per-slice optimizer as well as
     gbo's global one. The design is a van der Corput walk over the grid's
-    rows. The archive keeps the incumbent past buffer eviction, and tells
-    the propose step which rows were probed already.
+    rows. The archive keeps the incumbent after it leaves the training
+    window, and tells the propose step which rows were probed already.
 
     Every training row is a candidate row, so the cross-covariance between
     the candidates and the training sample is kept column by column, keyed
-    by row, in one column-major candidates x buffer-capacity matrix with a
-    slot per buffered row. A refit computes only the columns of rows new to
+    by row, in one column-major candidates x buffer_capacity matrix with a
+    slot per window row. A refit computes only the columns of rows new to
     the sample; a hyperparameter search that changes the kernel drops them
-    all. A row that leaves the subsample but stays in the replay buffer
+    all. A row that leaves the subsample but stays in the training window
     keeps its column, since the next refit's sample is likely to draw it
-    again; rows evicted from the buffer lose theirs.
+    again; rows that leave the window lose theirs.
 
     That matrix is the largest state that grows with the grid. A warm
     suggestion scores the candidates in the core's row blocks: each block
@@ -120,9 +120,9 @@ class GridPortfolioBo(PortfolioBo):
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, capacity)
         self._lattice = KernelLattice(self.candidates)
         self._kernel_columns = np.empty(
-            (self.candidates.shape[0], self.buffer.capacity), order="F"
+            (self.candidates.shape[0], self.buffer_capacity), order="F"
         )
-        self._columns: dict[tuple, int] = {}  # buffered row key -> its slot in _kernel_columns
+        self._columns: dict[tuple, int] = {}  # window row key -> its slot in _kernel_columns
         self._columns_params: KernelParams | None = None
 
     def _training_columns(self) -> list[int]:
@@ -138,9 +138,9 @@ class GridPortfolioBo(PortfolioBo):
         if gp.params != self._columns_params:
             self._columns = {}
             self._columns_params = gp.params
-        buffered = {o.key() for o in self.buffer.items}
-        self._columns = {k: c for k, c in self._columns.items() if k in buffered}
-        free = iter(sorted(set(range(self.buffer.capacity)) - set(self._columns.values())))
+        window = {o.key() for o in self.buffer}
+        self._columns = {k: c for k, c in self._columns.items() if k in window}
+        free = iter(sorted(set(range(self.buffer_capacity)) - set(self._columns.values())))
         keys = [tuple(row.tolist()) for row in gp.x_train]
         missing = []
         for key, row in zip(keys, gp.x_train):

@@ -87,7 +87,6 @@ class AlgoParams:
     rho: float = 2.0
     max_iters: int = 15  # consensus iterations per slot, and the baselines' probes
     buffer_capacity: int = 40
-    priority_decay: float = 0.95
     subsample: int = 30
     n_init: int = 3
     hyperopt_every: int = 5
@@ -107,7 +106,6 @@ class AlgoParams:
         ), *_COUNT)
         _check(self, ("rho", "hedge_eta"), *_POSITIVE)
         _check(self, ("barrier_coef",), *_NONNEGATIVE)
-        _check(self, ("priority_decay",), lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 def _whole(value) -> bool:

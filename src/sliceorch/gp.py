@@ -1,20 +1,16 @@
-"""Gaussian-process surrogate and priority replay buffer.
+"""Gaussian-process surrogate.
 
 Exact GP regression with a Matern 5/2 kernel over anisotropic (per-dimension)
 length scales, zero prior mean over standardized targets, fitted on float
-input rows and scalar targets. The training window comes from a small replay
-buffer whose priorities decay with age, so the surrogate tracks a drifting
-environment instead of averaging over history. The buffer holds any item
-with a `key()` and a `priority`; the optimizers store their observations in
-it. Nothing here knows about slices, actions or prices. scipy's LAPACK
-handles and L-BFGS-B core are imported on the first fit, not with this
-module (`_load_scipy`).
+input rows and scalar targets. Which rows it is fitted on is the optimizers'
+choice (`agent.PortfolioBo`); nothing here knows about slices, actions,
+prices or training windows. scipy's LAPACK handles and L-BFGS-B core are
+imported on the first fit, not with this module (`_load_scipy`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,60 +68,6 @@ _LBFGSB_MAXLS = 20
 # Iterations per start of the hyperparameter search (minimize's maxiter).
 _LBFGSB_MAXITER = 15
 NOISE_VAR_START = 1e-4  # a surrogate's noise variance until its first search, and its reference start
-
-
-class ReplayBuffer:
-    """Fixed-capacity buffer with age-decayed priorities.
-
-    Every push decays all retained priorities by `decay` (one aging step per
-    arriving item), inserts the newcomer at priority 1, and evicts the
-    oldest entry once full. Re-observing an input already in the buffer (same
-    `key()`) replaces the stale entry instead of appending a duplicate: repeats
-    carry no new information but would crowd out the diversity the surrogate
-    needs.
-    Sampling is proportional to priority, without replacement.
-    """
-
-    def __init__(self, capacity: int, decay: float):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must lie in (0, 1], got {decay}")
-        self.capacity = capacity
-        self.decay = decay
-        self._items: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> list:
-        """Oldest-first view of the buffer contents."""
-        return list(self._items)
-
-    def push(self, item) -> None:
-        for old in self._items:
-            old.priority *= self.decay
-        key = item.key()
-        for i, old in enumerate(self._items):
-            if old.key() == key:
-                del self._items[i]
-                break
-        if len(self._items) == self.capacity:
-            self._items.popleft()
-        item.priority = 1.0
-        self._items.append(item)
-
-    def sample(self, n: int, rng: np.random.Generator) -> list:
-        """Draw min(n, len) distinct items with probability proportional to priority."""
-        if n <= 0:
-            return []
-        if n >= len(self._items):
-            return list(self._items)
-        priorities = np.array([it.priority for it in self._items], dtype=float)
-        weights = priorities / priorities.sum()
-        idx = rng.choice(len(self._items), size=n, replace=False, p=weights)
-        return [self._items[i] for i in idx]
 
 
 @dataclass(frozen=True)

@@ -640,6 +640,8 @@ def write_matrix_csv(rows: Sequence[MatrixRow], path: str | Path) -> None:
 def dump_oracle(scenario: Scenario) -> OracleDataset:
     """Materialize the exhaustive-search dataset for a scenario's initial slices."""
     active = [s for s in scenario.slices if s.active]
+    if not active:
+        raise ScenarioError("slices: no slice is active at slot 0")
     return sweep_dataset(active, scenario.env, scenario.algo.min_alive, scenario.algo.grid_cap)
 
 

@@ -175,6 +175,56 @@ class TestColdStart:
         assert agent.gp is not None
 
 
+class TestTrainingWindow:
+    """The archive in probe order; its last `buffer_capacity` entries train the surrogate."""
+
+    def probe(self, agent, *svrbs, perf=GOOD):
+        for svrb in svrbs:
+            agent.observe(Action(svrb, 0.0), perf, make_ctx())
+
+    def test_oldest_input_leaves_the_window_but_stays_archived(self):
+        agent = make_agent(buffer_capacity=3)
+        self.probe(agent, 1, 2, 3, 4, 5)
+        assert [o.x[0] for o in agent.buffer] == [3.0, 4.0, 5.0]
+        assert [key[0] for key in agent.archive] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_reprobe_replaces_its_entry_at_the_window_end(self):
+        agent = make_agent(buffer_capacity=4)
+        self.probe(agent, 1, 2)
+        self.probe(agent, 1, perf=BAD)
+        assert [o.x[0] for o in agent.buffer] == [2.0, 1.0]
+        assert agent.buffer[-1].perfs == {"s1": BAD}
+        assert len(agent.archive) == 2
+
+    def test_reprobe_brings_an_input_back_into_the_window(self):
+        agent = make_agent(buffer_capacity=2)
+        self.probe(agent, 1, 2, 3, 1)
+        assert [o.x[0] for o in agent.buffer] == [3.0, 1.0]
+        assert [key[0] for key in agent.archive] == [2.0, 3.0, 1.0]
+
+    def test_prices_follow_the_archive_order(self):
+        # _propose adds the offset of the archive's rows to the prices element by element
+        agent = make_agent()
+        self.probe(agent, 1, 2, 3)
+        self.probe(agent, 1, perf=BAD)
+        prices = agent._prices({agent.slice_id: SPEC})
+        assert list(prices) == list(agent.archive)
+        assert prices[(1.0, 0.0, 0.0)] == price(agent, agent.archive[(1.0, 0.0, 0.0)], make_ctx())
+
+    def test_a_window_no_larger_than_the_subsample_trains_whole(self):
+        agent = make_agent(buffer_capacity=8, subsample=4)
+        self.probe(agent, 1, 2, 3, 4)
+        assert np.array_equal(agent.gp.x_train, np.stack([o.x for o in agent.buffer]))
+
+    def test_a_larger_window_trains_on_a_subsample_of_distinct_entries(self):
+        agent = make_agent(buffer_capacity=6, subsample=3)
+        self.probe(agent, 1, 2, 3, 4, 5, 6, 7)
+        window = {o.key() for o in agent.buffer}
+        drawn = [tuple(row) for row in agent.gp.x_train.tolist()]
+        assert len(drawn) == len(set(drawn)) == 3
+        assert set(drawn) <= window
+
+
 class TestIncumbent:
     def test_incumbent_reprices_under_the_context(self, monkeypatch):
         # The best objective so far, which the acquisitions improve on, is

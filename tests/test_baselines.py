@@ -215,7 +215,7 @@ def blocked_predict(bo):
 
 class TestCrossKernelCache:
     def test_cached_prediction_equals_plain_predict(self):
-        """Bit-identical across hyperparameter searches and buffer evictions."""
+        """Bit-identical across hyperparameter searches and rows leaving the training window."""
         bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
         searches = 0
         for slot in range(30):
@@ -229,11 +229,11 @@ class TestCrossKernelCache:
             mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
             assert np.array_equal(mu, mu_ref)
             assert np.array_equal(sigma, sigma_ref)
-            buffered = {e.key() for e in bo.buffer.items}
-            assert set(bo._columns) <= buffered
-            assert len(bo._columns) <= len(bo.buffer)
+            window = {e.key() for e in bo.buffer}
+            assert set(bo._columns) <= window
+            assert len(bo._columns) <= len(window)
         assert searches > 0
-        assert len(bo.archive) > bo.buffer.capacity  # rows were evicted
+        assert len(bo.archive) > bo.buffer_capacity  # rows left the window
 
 
 def test_grid_optimizer_reuses_lattice_columns(monkeypatch):

@@ -1,4 +1,4 @@
-"""Gaussian-process surrogate against dense closed-form solves, plus the replay buffer."""
+"""Gaussian-process surrogate against dense closed-form solves."""
 
 import math
 from dataclasses import replace
@@ -9,14 +9,13 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import check_grad, minimize
 
 from sliceorch import gp
-from sliceorch.agent import CandidateGrid, Observation
+from sliceorch.agent import CandidateGrid
 from sliceorch.baselines import enumerate_joint_grid
-from sliceorch.core import AlgoParams, PerfVector
+from sliceorch.core import AlgoParams
 from sliceorch.errors import GpFitError
 from sliceorch.gp import (
     KernelLattice,
     KernelParams,
-    ReplayBuffer,
     TrainingSet,
     default_length_scales,
     fit,
@@ -580,11 +579,6 @@ class TestPredictProduct:
             fit(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), KernelParams((1.0,), 1.0), 1e-3)
 
 
-def exp_at(svrb):
-    x = np.array([svrb, 0.0, 0.0], dtype=float)
-    return Observation(x, float(svrb), {"s1": PerfVector(1.0, 1.0)})
-
-
 def log_uniform(rng, low, high, size=None):
     return np.exp(rng.uniform(math.log(low), math.log(high), size=size))
 
@@ -803,61 +797,3 @@ class TestCoincidingStarts:
         calls = self.count_searches(monkeypatch)
         assert optimize_params(x, y, init, 1e-3, reference=init) == expected
         assert len(calls) == 2 and calls[0] != calls[1]
-
-
-class TestReplayBuffer:
-    def test_priorities_decay_once_per_push(self):
-        buf = ReplayBuffer(capacity=5, decay=0.9)
-        for i in range(4):
-            buf.push(exp_at(i))
-        assert [it.priority for it in buf.items] == pytest.approx(
-            [0.9**3, 0.9**2, 0.9, 1.0]
-        )
-
-    def test_eviction_drops_the_oldest(self):
-        buf = ReplayBuffer(capacity=3, decay=1.0)
-        for i in range(5):
-            buf.push(exp_at(i))
-        assert [it.x[0] for it in buf.items] == [2.0, 3.0, 4.0]
-
-    def test_reobserved_input_replaces_the_stale_entry(self):
-        buf = ReplayBuffer(capacity=4, decay=0.9)
-        latest = exp_at(1)  # same input as the first
-        buf.push(exp_at(1))
-        buf.push(exp_at(2))
-        buf.push(latest)
-        assert len(buf) == 2
-        assert [it.x[0] for it in buf.items] == [2.0, 1.0]
-        assert buf.items[-1] is latest
-
-    def test_sample_everything_when_short(self):
-        buf = ReplayBuffer(capacity=8, decay=0.95)
-        for i in range(3):
-            buf.push(exp_at(i))
-        sample = buf.sample(10, np.random.default_rng(0))
-        assert len(sample) == 3
-
-    def test_sampling_tracks_priorities(self):
-        buf = ReplayBuffer(capacity=2, decay=1.0)
-        a, b = exp_at(0), exp_at(1)
-        buf.push(a)
-        buf.push(b)
-        a.priority, b.priority = 3.0, 1.0
-        rng = np.random.default_rng(123)
-        hits = sum(buf.sample(1, rng)[0] is a for _ in range(4000))
-        assert hits / 4000 == pytest.approx(0.75, abs=0.03)
-
-    def test_sampling_is_without_replacement(self):
-        buf = ReplayBuffer(capacity=4, decay=0.95)
-        for i in range(4):
-            buf.push(exp_at(i))
-        sample = buf.sample(3, np.random.default_rng(1))
-        assert len({id(s) for s in sample}) == 3
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(0, ALGO.priority_decay)
-        with pytest.raises(ValueError):
-            ReplayBuffer(4, decay=0.0)
-        with pytest.raises(ValueError):
-            ReplayBuffer(4, decay=1.5)

@@ -309,15 +309,14 @@ class TestAlgoParams:
         built, states = instances(PortfolioBo), instances(CoordinatorState)
         settings = {
             "buffer_capacity": 7, "subsample": 4, "n_init": 2, "hedge_eta": 0.3,
-            "priority_decay": 0.8, "barrier_coef": 0.25, "hyperopt_every": 3,
+            "barrier_coef": 0.25, "hyperopt_every": 3,
             "rho": 1.5, "max_iters": 4,
         }
         run(scenario_from_dict(base_dict(algorithm=algorithm, slots=2, algo_params=settings)))
         assert len(built) == count
         for bo in built:
             assert type(bo) is kind
-            assert bo.buffer.capacity == 7
-            assert bo.buffer.decay == 0.8
+            assert bo.buffer_capacity == 7
             assert bo.subsample == 4
             assert bo.n_init == 2
             assert bo.hedge.eta == 0.3
@@ -950,7 +949,6 @@ class TestFailureContract:
             ("hedge_eta", 0),
             ("rho", -1.0),
             ("max_iters", 0),
-            ("priority_decay", 0.0),
             ("n_init", 0),
             ("barrier_coef", -1.0),
             ("min_alive", 0),
@@ -1020,12 +1018,25 @@ class TestFailureContract:
             ("noise_var", 1e-4),
             ("kappa", 1.96),
             ("sw_step", 0.1),
+            ("priority_decay", 0.95),  # the replay priorities it decayed are gone
         ],
     )
     def test_removed_algo_param(self, name, value, tmp_path, capsys):
         data = base_dict(algorithm="gbo", algo_params={name: value})
         bad = self.write(tmp_path, data)
         self.rejects_file(bad, f"algo_params.{name}: unknown field", tmp_path, capsys)
+
+    def test_oracle_of_a_file_with_no_slice_at_slot_0(self, tmp_path, capsys):
+        # every slice joins later, so the sweep of the initial slices would be empty
+        data = copy.deepcopy(RAW["default.yaml"])
+        for spec in data["slices"]:
+            spec["active"] = False
+        data["events"] = [{"slot": 2, "kind": "slice_join", "slice_id": "slice1"}]
+        path = self.write(tmp_path, data)
+        out = tmp_path / "oracle.csv"
+        self.rejects(["oracle", path, "--out", str(out)], "slices: no slice is active at slot 0", capsys)
+        assert not out.exists()
+        assert main(["run", path, "--out", str(tmp_path / "run"), "--slots", "3"]) == 0
 
     @pytest.mark.parametrize(
         "literal", ["1" * 5000, "2024-13-45"], ids=["int-of-5000-digits", "impossible-date"]

@@ -61,7 +61,7 @@ DIGESTS = {
     ("scale/slices_5.yaml", "atlas"): "3a713acee2ce3f2c3ab42c6d17e0f97c8d32ee69b765daa62f01c3c935383cbc",
     ("scale/slices_5.yaml", "exsearch"): "e68de80b8dd2a7cfdc024f0a6204dabb7614459fdc6b0a8e3cbe5b721197597f",
     ("sla_change.yaml", "adaslicing"): "1e2c69ff85f7596bc7d03750b8f24db6377403246296f9d0afb680ac4a9b08cd",
-    ("sla_change.yaml", "gbo"): "86d2072ef6297d2c350d874b30ed347b28e7f82115b5a96e9c24c22b3af2f512",
+    ("sla_change.yaml", "gbo"): "561ed1026967d96d7402e9adf98d346722a417b0d481c78ae60a0a2a0933282e",
     ("sla_change.yaml", "atlas"): "54acb7a253c5875791ba10021fe10db26dbefd4f1cb8107b33ee884627ef1bb0",
     ("sla_change.yaml", "exsearch"): "da01688c77c60dc067b92c7d6cdbd576af6e209ce8a079c1b4f537c7a3059472",
 }
@@ -99,7 +99,7 @@ EVENT_DIGESTS = {
     ("dynamics_leave_rejoin.yaml", "atlas"): "9e920872f4b50d79b81e40ccef0668271d69d217aa90fe2009b017b0c6caf0a5",
     ("dynamics_leave_rejoin.yaml", "gbo"): "76dc2a6887b90685cd503d61d99068860885bcc573db3eb476db14b46bdb4b51",
     ("sla_change.yaml", "atlas"): "817318566ae3e5c92e4de62588ca4fcc73c88a73157e9874e4f9f9020e2e8e4e",
-    ("sla_change.yaml", "gbo"): "d141b683ac2f4c1bbd492f91c90ac4e86d1355896eee069ca05eec3dda64c7e8",
+    ("sla_change.yaml", "gbo"): "d97968570e051c9f86a8d56b054a626c3911be0623c1cbac3441cee421d6cd3b",
 }
 
 
@@ -113,13 +113,13 @@ def test_baseline_digest_across_an_event(scenario, algorithm, tmp_path):
 
 
 # gbo on the 5-slice rung for 6 slots, with the seed of the first `joint`
-# benchmark cell of perfbench seed 2 (cell_seed(2, 0, 0)). 30 of its 90 GP
+# benchmark cell of perfbench seed 2 (cell_seed(2, 0, 0)). 20 of its 90 GP
 # fits have a length scale below 0.02, next to the search's 1e-2 bound, where
 # kernel entries and posterior weights fall below sqrt(tiny) and are flushed
 # to 0. It holds the flushed posterior to the bits over three times as many
 # fits as the 2-slot gbo cell on this rung.
 BOUND_CELL = ("scale/slices_5.yaml", "gbo", 6, 1214313641)
-BOUND_CELL_DIGEST = "3d40705b4284db4195d6123b5c88bde39b70d59bc5deabc87d03ba6a1cc289fb"
+BOUND_CELL_DIGEST = "2a94e2395c17c7500bed73aed1b9112e91dc1f9da11dc9b48accb50681fd7310"
 
 
 def test_joint_grid_cell_at_the_length_scale_bound(tmp_path):
