@@ -1,8 +1,7 @@
 """Reference baselines, all playing sharing weight 0: hard isolation.
 
 * gbo - one global Bayesian optimizer over the joint svRB vector.
-* atlas - one single-slice gbo per slice, oblivious to the others; their
-  proposals are rescaled proportionally when they jointly exceed capacity.
+* atlas - one single-slice gbo per slice, oblivious to the others.
 * exsearch - exhaustive sweep of the noise-free environment; picks the
   cheapest action meeting every SLA. Serves as the hard-isolation optimum.
 
@@ -10,7 +9,11 @@ Both Bayesian baselines are `GridPortfolioBo`, a subclass of the main
 agents' optimizer core (`agent.PortfolioBo`): it records, prices and
 proposes the same way, and differs only in its candidate rows (the joint
 svRB grid), its design sequence and its incumbent rule. They play weight 0,
-which `netenv.step` delivers as hard isolation in either mode.
+which `netenv.step` delivers as hard isolation in either mode. The harness
+fits their joint proposals to capacity by adaslicing's two rules:
+exploratory probes through `coordinator.spread_capacity`, commits through
+`coordinator.clamp_capacity`. gbo's joint grid never overflows, so only
+atlas's proposals are ever cut.
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .agent import PortfolioBo, _radical_inverse, parallel_map
-from .coordinator import clamp_capacity
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
 from .gp import KernelLattice, KernelParams
 from .netenv import EnvConfig, step
-from .vsharing import ground
 
 
 # -- candidate grids -----------------------------------------------------------
@@ -222,27 +223,6 @@ class GridPortfolioBo(PortfolioBo):
             {sid: perfs[sid] for sid in self.slice_ids},
             specs,
         )
-
-
-# -- proportional rescale (atlas) --------------------------------------------------
-
-
-def atlas_scale(
-    proposals: Mapping[str, int], order: Sequence[str], capacity: int, min_alive: int
-) -> dict[str, int]:
-    """Proportionally rescale over-capacity proposals to fit the budget.
-
-    Each proposal becomes floor(x * capacity / total), floored at min_alive.
-    The min_alive floor can overshoot in corner cases, so the deterministic
-    largest-first clamp guarantees the bound.
-    """
-    total = sum(proposals[sid] for sid in order)
-    if total <= capacity:
-        return {sid: proposals[sid] for sid in order}
-    scaled = {
-        sid: max(min_alive, ground(proposals[sid] * capacity / total)) for sid in order
-    }
-    return clamp_capacity(scaled, order, capacity, min_alive)
 
 
 # -- exhaustive search ------------------------------------------------------------

@@ -29,12 +29,18 @@ from .agent import SliceAgent, check_action_grid
 from .baselines import (
     GridPortfolioBo,
     OracleDataset,
-    atlas_scale,
     check_joint_grid,
     exsearch_best,
     sweep_dataset,
 )
-from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, resize
+from .coordinator import (
+    CoordinatorState,
+    SlotOutcome,
+    clamp_capacity,
+    orchestrate_slot,
+    resize,
+    spread_capacity,
+)
 from .core import (
     Action,
     AlgoParams,
@@ -339,10 +345,12 @@ def _bayesian(
 ) -> Policy:
     """BO probing at weight 0: `optimizers` gives the slot's optimizers.
 
-    Each probe merges their proposals, rescales them proportionally when they
-    overflow capacity, plays them at weight 0 (hard isolation in either mode)
-    and feeds every optimizer the outcome. A joint grid never overflows, so
-    the rescale only ever acts on atlas.
+    Each probe merges their proposals, fits them to capacity as
+    `orchestrate_slot` fits adaslicing's (exploratory probes through
+    `spread_capacity`, the committed incumbent through `clamp_capacity`),
+    plays them at weight 0 (hard isolation in either mode) and feeds every
+    optimizer the outcome. A joint grid never overflows, so the fit only
+    ever acts on atlas.
     """
     p = scenario.algo
     capacity = scenario.env.capacity_h
@@ -354,20 +362,23 @@ def _bayesian(
         order = [s.slice_id for s in active]
         specs = {s.slice_id: s for s in active}
 
-        def probe(propose: Callable[[GridPortfolioBo], dict[str, Action]]) -> SlotOutcome:
+        def probe(
+            propose: Callable[[GridPortfolioBo], dict[str, Action]],
+            fit_capacity: Callable[..., dict[str, int]],
+        ) -> SlotOutcome:
             proposals = {sid: a.svrb for bo in bos for sid, a in propose(bo).items()}
-            applied = atlas_scale(proposals, order, capacity, p.min_alive)
-            actions = {sid: Action(applied[sid], 0.0) for sid in order}
+            fitted = fit_capacity(proposals, order, capacity, p.min_alive)
+            actions = {sid: Action(fitted[sid], 0.0) for sid in order}
             perfs = env.step(actions, active)
             for bo in bos:
                 bo.observe(actions, perfs, specs)
             return SlotOutcome(actions, perfs)
 
         for _ in range(p.max_iters - 1):
-            probe(lambda bo: bo.suggest(specs))
+            probe(lambda bo: bo.suggest(specs), spread_capacity)
         # The slot's recorded allocation is the recommendation, not the last
         # exploratory probe.
-        return probe(lambda bo: bo.incumbent(specs))
+        return probe(lambda bo: bo.incumbent(specs), clamp_capacity)
 
     return decide
 

@@ -18,7 +18,6 @@ from sliceorch.baselines import (
     GridPortfolioBo,
     OracleDataset,
     OracleEntry,
-    atlas_scale,
     enumerate_joint_grid,
     exsearch_best,
     joint_grid_size,
@@ -495,31 +494,6 @@ class TestAtlasAgent:
     def test_incumbent_without_data_falls_back(self):
         agent = self.make()
         assert 1 <= agent.incumbent(EASY)["a"].svrb <= 8
-
-
-class TestAtlasScale:
-    def test_symmetric_overshoot(self):
-        out = atlas_scale({"a": 8, "b": 8, "c": 8}, ["a", "b", "c"], 12, ALIVE)
-        assert out == {"a": 4, "b": 4, "c": 4}
-
-    def test_under_capacity_untouched(self):
-        out = atlas_scale({"a": 5, "b": 3, "c": 2}, ["a", "b", "c"], 12, ALIVE)
-        assert out == {"a": 5, "b": 3, "c": 2}
-
-    def test_scaling_is_proportional(self):
-        assert atlas_scale({"a": 9, "b": 3}, ["a", "b"], 4, ALIVE) == {"a": 3, "b": 1}
-
-    @given(
-        st.lists(st.integers(1, 25), min_size=1, max_size=5),
-        st.integers(0, 20),
-    )
-    def test_scale_invariants(self, values, headroom):
-        order = [f"s{i}" for i in range(len(values))]
-        proposals = dict(zip(order, values))
-        capacity = len(values) + headroom
-        out = atlas_scale(proposals, order, capacity, ALIVE)
-        assert sum(out.values()) <= capacity
-        assert all(out[sid] >= 1 for sid in order)
 
 
 class TestSweepDataset:

@@ -28,8 +28,8 @@ from sliceorch import blas, harness, netenv
 from sliceorch.agent import PortfolioBo, SliceAgent
 from sliceorch.baselines import GridPortfolioBo
 from sliceorch.cli import _build_parser, main
-from sliceorch.coordinator import CoordinatorState
-from sliceorch.core import CostParams
+from sliceorch.coordinator import CoordinatorState, clamp_capacity, spread_capacity
+from sliceorch.core import Action, CostParams
 from sliceorch.errors import NoFeasibleActionError, ScenarioError
 from sliceorch.harness import (
     ALGORITHMS,
@@ -290,6 +290,38 @@ class TestAlgoParams:
         scenario = load_scenario(default)
         run(replace(scenario, algorithm=algorithm, slots=2, algo=AlgoParams(max_iters=3)))
         assert len(steps) == 2 * 3
+
+    def test_atlas_probes_and_commits_through_the_coordinators_capacity_rules(self, monkeypatch):
+        # Each per-slice optimizer proposes a fixed svRB; together they
+        # overflow the 12-vRB cell. Exploratory probes are fitted by
+        # spread_capacity and the commit by clamp_capacity, as adaslicing's.
+        proposals = {"slice1": 8, "slice2": 5, "slice3": 2}
+        order = list(proposals)
+
+        def fixed(self, specs):
+            return {sid: Action(proposals[sid], 0.0) for sid in self.slice_ids}
+
+        monkeypatch.setattr(GridPortfolioBo, "suggest", fixed)
+        monkeypatch.setattr(GridPortfolioBo, "incumbent", fixed)
+        steps = []
+        original = RanEnvironment.step
+
+        def recording(self, actions, *args, **kwargs):
+            steps.append({sid: (a.svrb, a.sw) for sid, a in actions.items()})
+            return original(self, actions, *args, **kwargs)
+
+        monkeypatch.setattr(RanEnvironment, "step", recording)
+        default = next(path for path in BUNDLED if path.name == "default.yaml")
+        scenario = load_scenario(default)
+        (record,) = run(replace(scenario, algorithm="atlas", slots=1, algo=AlgoParams(max_iters=3)))
+        spread = spread_capacity(proposals, order, 12, 1)
+        clamp = clamp_capacity(proposals, order, 12, 1)
+        assert spread == {"slice1": 7, "slice2": 4, "slice3": 1}
+        assert clamp == {"slice1": 5, "slice2": 5, "slice3": 2}
+        assert steps == [{sid: (spread[sid], 0.0) for sid in order}] * 2 + [
+            {sid: (clamp[sid], 0.0) for sid in order}
+        ]
+        assert {sid: a.svrb for sid, a in record.actions.items()} == clamp
 
     @pytest.mark.parametrize(
         "algorithm, kind, count",

@@ -58,7 +58,7 @@ DIGESTS = {
     ("scale/slices_4.yaml", "exsearch"): "8b2b6eac941de5b55b7f2742dc067d9dfbfee94f01965151899e69d28a6271b5",
     ("scale/slices_5.yaml", "adaslicing"): "36a671d562e396a103784247842866f1c45277be87fd69507612992916af9c9d",
     ("scale/slices_5.yaml", "gbo"): "18ae6450821af438ad2ffd9d4712dd16c4ba500dd0d6873e0a99536aa83c363b",
-    ("scale/slices_5.yaml", "atlas"): "3a713acee2ce3f2c3ab42c6d17e0f97c8d32ee69b765daa62f01c3c935383cbc",
+    ("scale/slices_5.yaml", "atlas"): "8d57018fbcfb3eb9ad47d6e8073f5688fc6100d85eb62b4df25055064f9f3170",
     ("scale/slices_5.yaml", "exsearch"): "e68de80b8dd2a7cfdc024f0a6204dabb7614459fdc6b0a8e3cbe5b721197597f",
     ("sla_change.yaml", "adaslicing"): "1e2c69ff85f7596bc7d03750b8f24db6377403246296f9d0afb680ac4a9b08cd",
     ("sla_change.yaml", "gbo"): "561ed1026967d96d7402e9adf98d346722a417b0d481c78ae60a0a2a0933282e",
