@@ -14,8 +14,9 @@ predict and nominate block by block, Hedge-pick, swap an already-probed
 nominee for an unexplored design row) and its learn step (archive, training
 window, GP refits and hyperparameter searches). `SliceAgent` and the
 baselines' `GridPortfolioBo` subclass it with their own candidate rows,
-design sequences and recommendation rules. `parallel_map` spreads the
-independent row blocks of a large grid over up to two CPUs.
+design sequences and recommendation rules. `parallel_map` splits the
+independent row blocks of a large grid between the caller and one helper
+thread.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -66,69 +66,28 @@ def row_blocks(n_rows: int) -> list[slice]:
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Threads that compute items at once, the caller's included. Each holds one
-# row block's or kernel column's temporaries, about 3.5 MB on the 5-slice
-# joint grid: perfbench `joint` (seed 61, 16 s) read 110 MB of peak RSS on
-# one worker, 115 MB on two, and 122 and 150 MB when forced to 4 and 12
-# workers, so more than two would break joint's 5% peak_rss_mb bound.
-MAX_WORKERS = 2
-
-# (pid, executor, helpers) of this process's helper pool, built on first use
-_pool: tuple[int, ThreadPoolExecutor | None, int] | None = None
+# (pid, helper thread or None) of this process, built on first use. One
+# helper, not one per CPU: each item in flight holds about 3.5 MB on the
+# 5-slice joint grid, and perfbench `joint` (seed 61) read 110 MB of peak
+# RSS inline, 115 MB with one helper and 150 MB with eleven.
+_pool: tuple[int, ThreadPoolExecutor | None] | None = None
 
 
-def _cgroup_cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float | None:
-    """CPUs' worth of run time per period that the cgroup at `root` grants.
+def _helper() -> ThreadPoolExecutor | None:
+    """The helper thread beside the caller, or None when the process may use one CPU.
 
-    Reads cgroup v2's `cpu.max` ("<quota> <period>", or "max <period>") or
-    else cgroup v1's `cpu/cpu.cfs_quota_us` (-1 for none) over
-    `cpu/cpu.cfs_period_us`; in a container, `root` is the container's own
-    cgroup. None when no quota is set or none can be read.
-    """
-    try:
-        quota, period = (root / "cpu.max").read_text().split()
-    except (OSError, ValueError):
-        try:
-            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text().strip()
-            period = (root / "cpu" / "cpu.cfs_period_us").read_text().strip()
-        except OSError:
-            return None
-    try:
-        quota_us, period_us = float(quota), float(period)
-    except ValueError:  # "max"
-        return None
-    return quota_us / period_us if quota_us > 0 and period_us > 0 else None
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its CPU affinity, capped by a cgroup CPU quota.
-
-    A quota of q CPUs' worth of time counts as ceil(q) CPUs, so threads
-    beyond the quota are not started only to be throttled.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    quota = _cgroup_cpu_quota()
-    return cpus if quota is None else min(cpus, math.ceil(quota))
-
-
-def _helpers() -> tuple[ThreadPoolExecutor | None, int]:
-    """The helper pool, one thread per CPU beyond the caller's, and its size.
-
-    The caller and its helpers are at most MAX_WORKERS threads.
-
-    A forked child inherits the executor but none of its threads, so the
-    pool is rebuilt whenever the process id changes.
+    A forked child inherits the executor but not its thread, so the helper
+    is rebuilt whenever the process id changes.
     """
     global _pool
     pid = os.getpid()
     if _pool is None or _pool[0] != pid:
-        helpers = min(_cpu_count(), MAX_WORKERS) - 1
-        executor = ThreadPoolExecutor(helpers, "sliceorch") if helpers > 0 else None
-        _pool = (pid, executor, helpers)
-    return _pool[1], _pool[2]
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            cpus = os.cpu_count() or 1
+        _pool = (pid, ThreadPoolExecutor(1, "sliceorch") if cpus > 1 else None)
+    return _pool[1]
 
 
 def _settled(fn: Callable[[T], R], item: T) -> Future:
@@ -142,22 +101,20 @@ def _settled(fn: Callable[[T], R], item: T) -> Future:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """[fn(item) for item in items], with the items spread over the CPUs.
+    """[fn(item) for item in items], split between the caller and one helper thread.
 
-    The calling thread computes every (helpers + 1)-th item itself, from the
-    first, and the helper threads the others, so no more items are in flight
-    than the process has CPUs, nor more than MAX_WORKERS. It returns once
-    every item has finished; the first exception in item order propagates.
-    With no helpers, or fewer than two items, everything runs inline. The items must be independent: numpy
-    releases the interpreter lock in their array work, so they overlap.
+    The calling thread computes the even-position items and the helper the
+    odd ones, so at most two items are in flight. It returns once every
+    item has finished; the first exception in item order propagates. With
+    one CPU, or fewer than two items, everything runs inline. The items
+    must be independent: numpy releases the interpreter lock in their
+    array work, so they overlap.
     """
-    pool, helpers = _helpers()
-    if pool is None or len(items) < 2:
+    helper = _helper()
+    if helper is None or len(items) < 2:
         return [fn(item) for item in items]
-    stride = helpers + 1
-    futures = [None if i % stride == 0 else pool.submit(fn, x) for i, x in enumerate(items)]
-    for i in range(0, len(items), stride):
-        futures[i] = _settled(fn, items[i])
+    odd = [helper.submit(fn, x) for x in items[1::2]]
+    futures = [odd[i // 2] if i % 2 else _settled(fn, x) for i, x in enumerate(items)]
     wait(futures)
     return [f.result() for f in futures]
 

@@ -10,9 +10,9 @@ agents' optimizer core (`agent.PortfolioBo`): it records, prices and
 proposes the same way, and differs only in its candidate rows (the joint
 svRB grid), its design sequence and its incumbent rule. They play weight 0,
 which `netenv.step` delivers as hard isolation in either mode. The harness
-fits their joint proposals to capacity by adaslicing's two rules:
-exploratory probes through `coordinator.spread_capacity`, commits through
-`coordinator.clamp_capacity`. gbo's joint grid never overflows, so only
+plays their joint proposals through `coordinator.probe`, which fits them to
+capacity as it fits adaslicing's: exploratory probes by `spread_capacity`,
+commits by `clamp_capacity`. gbo's joint grid never overflows, so only
 atlas's proposals are ever cut.
 """
 

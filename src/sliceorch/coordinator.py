@@ -91,10 +91,10 @@ def spread_capacity(
 
     Uses the same equal-shift geometry as the consensus projection, then
     integerizes by largest fractional remainder (ties by position in
-    `order`) without exceeding any original request. Unlike the
-    largest-first clamp this preserves the relative differences between
-    requests, so a slice asking for much more than its peers still gets a
-    large probe instead of being shaved back to the pack.
+    `order`) without exceeding any original request. This keeps the gaps
+    between requests, so a slice asking for much more than its peers still
+    gets a large probe, unless min_alive floors bind: `clamp_capacity` then
+    removes the excess left largest-first, so (1, 1, 12) on 12 gives (1, 1, 10).
     """
     total = sum(svrbs[sid] for sid in order)
     if total <= capacity:
@@ -145,6 +145,30 @@ class SlotOutcome:
     primal_residual: float = 0.0
 
 
+def probe(
+    env: RanEnvironment,
+    active: Sequence[SliceSpec],
+    proposals: Mapping[str, Action],
+    min_alive: int,
+    commit: bool,
+    observe: Callable[[dict[str, Action], dict[str, PerfVector]], None],
+) -> tuple[dict[str, Action], dict[str, PerfVector]]:
+    """Fit one joint proposal to capacity, play it, and pass `observe` the outcome.
+
+    Every learner's live steps go through here. An exploratory probe is
+    fitted by `spread_capacity`, a commit by `clamp_capacity`; either keeps
+    each slice's proposed sharing weight.
+    """
+    order = [s.slice_id for s in active]
+    svrbs = {sid: proposals[sid].svrb for sid in order}
+    fit = clamp_capacity if commit else spread_capacity
+    fitted = fit(svrbs, order, env.config.capacity_h, min_alive)
+    actions = {sid: Action(fitted[sid], proposals[sid].sw) for sid in order}
+    perfs = env.step(actions, active)
+    observe(actions, perfs)
+    return actions, perfs
+
+
 def orchestrate_slot(
     agents: Mapping[str, SliceAgent],
     env: RanEnvironment,
@@ -155,14 +179,14 @@ def orchestrate_slot(
     """Run the consensus loop for one orchestration slot.
 
     Each iteration broadcasts (z, y, rho) plus the peers' latest sharing
-    weights to every agent simultaneously, collects proposals, fits them
-    jointly to capacity (live probes must respect the infrastructure bound),
-    probes the environment once, lets agents ingest their own outcomes, then
-    projects and updates duals. Stops when the largest |x_i - z_i| falls
-    within PRIMAL_TOL or after max_iters. The slot then emits each agent's
-    best known action under the settled consensus (clamped jointly, probed,
-    and fed back like any probe), so the recorded allocation is a
-    recommendation rather than the last exploratory sample. The first
+    weights to every agent simultaneously, plays their proposals as one
+    exploratory `probe` (live probes must respect the infrastructure bound),
+    lets agents ingest their own outcomes, then projects and updates duals.
+    Stops when the largest |x_i - z_i| falls within PRIMAL_TOL or after
+    max_iters. The slot then commits each agent's best known action under
+    the settled consensus through `probe`, fed back like any probe, so the
+    recorded allocation is a recommendation rather than the last
+    exploratory sample. The first
     broadcast's peer weights are the ones the previous slot committed
     (`state.w`, 0 for a slice with none), and the slot stores its own there.
     """
@@ -198,19 +222,11 @@ def orchestrate_slot(
             state.y[sid] = float(y_vec[i])
         return float(np.abs(x_vec - z_vec).max())
 
-    def probe(
-        proposals: Mapping[str, Action], fit_capacity: Callable[..., dict[str, int]]
-    ) -> tuple[dict[str, Action], dict[str, PerfVector]]:
-        """Fit the proposals to capacity, probe once, and feed every agent its outcome."""
-        svrbs = {sid: proposals[sid].svrb for sid in order}
-        fitted = fit_capacity(svrbs, order, capacity, min_alive)
-        actions = {sid: Action(fitted[sid], proposals[sid].sw) for sid in order}
-        perfs = env.step(actions, active)
+    def observe(actions: Mapping[str, Action], perfs: Mapping[str, PerfVector]) -> None:
         # Agents learn against the weights that were actually applied.
         sw = {sid: actions[sid].sw for sid in order}
         for sid in order:
             agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)))
-        return actions, perfs
 
     last_w = {sid: state.w.get(sid, 0.0) for sid in order}
     iterations = 0
@@ -218,7 +234,7 @@ def orchestrate_slot(
         iterations += 1
         # Jacobi broadcast: every agent sees the peers' previous-round weights.
         proposals = {sid: agents[sid].suggest(context(sid, peers_sw(last_w, sid))) for sid in order}
-        actions, perfs = probe(proposals, spread_capacity)
+        actions, perfs = probe(env, active, proposals, min_alive, False, observe)
         last_w = {sid: actions[sid].sw for sid in order}
         residual = settle({sid: actions[sid].svrb for sid in order})
         if residual <= PRIMAL_TOL:
@@ -232,7 +248,7 @@ def orchestrate_slot(
     recommended = {
         sid: agents[sid].recommend(context(sid, peers_sw(last_w, sid))) for sid in order
     }
-    actions, perfs = probe(recommended, clamp_capacity)
+    actions, perfs = probe(env, active, recommended, min_alive, True, observe)
     residual = settle({sid: actions[sid].svrb for sid in order})
     state.w = {sid: actions[sid].sw for sid in order}
     return SlotOutcome(actions, perfs, iterations, residual)

@@ -33,14 +33,7 @@ from .baselines import (
     exsearch_best,
     sweep_dataset,
 )
-from .coordinator import (
-    CoordinatorState,
-    SlotOutcome,
-    clamp_capacity,
-    orchestrate_slot,
-    resize,
-    spread_capacity,
-)
+from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, probe, resize
 from .core import (
     Action,
     AlgoParams,
@@ -345,40 +338,33 @@ def _bayesian(
 ) -> Policy:
     """BO probing at weight 0: `optimizers` gives the slot's optimizers.
 
-    Each probe merges their proposals, fits them to capacity as
-    `orchestrate_slot` fits adaslicing's (exploratory probes through
-    `spread_capacity`, the committed incumbent through `clamp_capacity`),
-    plays them at weight 0 (hard isolation in either mode) and feeds every
-    optimizer the outcome. A joint grid never overflows, so the fit only
-    ever acts on atlas.
+    Each probe merges their proposals and plays them through
+    `coordinator.probe`, which fits them to capacity as it fits
+    adaslicing's, and feeds every optimizer the outcome. The optimizers
+    propose weight 0 (hard isolation in either mode). A joint grid never
+    overflows, so the fit only ever acts on atlas.
     """
     p = scenario.algo
-    capacity = scenario.env.capacity_h
 
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
         if not active:
             return SlotOutcome()
         bos = optimizers(slot, active)
-        order = [s.slice_id for s in active]
         specs = {s.slice_id: s for s in active}
 
-        def probe(
-            propose: Callable[[GridPortfolioBo], dict[str, Action]],
-            fit_capacity: Callable[..., dict[str, int]],
-        ) -> SlotOutcome:
-            proposals = {sid: a.svrb for bo in bos for sid, a in propose(bo).items()}
-            fitted = fit_capacity(proposals, order, capacity, p.min_alive)
-            actions = {sid: Action(fitted[sid], 0.0) for sid in order}
-            perfs = env.step(actions, active)
+        def observe(actions: dict[str, Action], perfs: dict[str, PerfVector]) -> None:
             for bo in bos:
                 bo.observe(actions, perfs, specs)
-            return SlotOutcome(actions, perfs)
+
+        def merged(propose: Callable[[GridPortfolioBo], dict[str, Action]]) -> dict[str, Action]:
+            return {sid: a for bo in bos for sid, a in propose(bo).items()}
 
         for _ in range(p.max_iters - 1):
-            probe(lambda bo: bo.suggest(specs), spread_capacity)
+            probe(env, active, merged(lambda bo: bo.suggest(specs)), p.min_alive, False, observe)
         # The slot's recorded allocation is the recommendation, not the last
         # exploratory probe.
-        return probe(lambda bo: bo.incumbent(specs), clamp_capacity)
+        commit = merged(lambda bo: bo.incumbent(specs))
+        return SlotOutcome(*probe(env, active, commit, p.min_alive, True, observe))
 
     return decide
 

@@ -311,15 +311,14 @@ class TestRecommend:
 
 
 def force_cpus(monkeypatch, n):
-    """A fresh helper pool of `n` - 1 threads, as if `n` CPUs and workers were allowed."""
-    monkeypatch.setattr(agent_module, "_cpu_count", lambda: n)
-    monkeypatch.setattr(agent_module, "MAX_WORKERS", n)
+    """A fresh pool, as if the process's CPU affinity held `n` CPUs."""
+    monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(n)), raising=False)
     monkeypatch.setattr(agent_module, "_pool", None)
 
 
 class TestParallelMap:
     def test_results_keep_item_order(self, monkeypatch):
-        force_cpus(monkeypatch, 3)
+        force_cpus(monkeypatch, 2)
 
         def square(x):
             time.sleep(0.002 * (x % 3))  # later items often finish first
@@ -328,17 +327,19 @@ class TestParallelMap:
         assert agent_module.parallel_map(square, list(range(17))) == [x * x for x in range(17)]
 
     def test_caller_takes_every_other_item_beside_one_helper(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
+        force_cpus(monkeypatch, 8)  # still one helper
         main = threading.get_ident()
         ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), list(range(9)))
         assert [t == main for t in ran_on] == [i % 2 == 0 for i in range(9)]
+        assert len(set(ran_on[1::2])) == 1
+        agent_module._pool[1].shutdown()
 
     def test_first_exception_in_item_order_propagates_after_every_item(self, monkeypatch):
         force_cpus(monkeypatch, 2)
         finished = []
 
         def task(x):
-            if x in (4, 3):  # 4 is the caller's, 3 a helper's
+            if x in (4, 3):  # 4 is the caller's, 3 the helper's
                 raise ValueError(f"item {x}")
             time.sleep(0.01 if x == 5 else 0.0)
             finished.append(x)
@@ -352,9 +353,19 @@ class TestParallelMap:
         force_cpus(monkeypatch, 1)
         main = threading.get_ident()
         assert agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2, 3]) == [main] * 3
-        assert agent_module._pool[1:] == (None, 0)
+        assert agent_module._pool[1] is None
         with pytest.raises(KeyError):
             agent_module.parallel_map(lambda x: {}[x], [1, 2])
+
+    @pytest.mark.parametrize("cpu_count, helped", [(None, False), (1, False), (4, True)])
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch, cpu_count, helped):
+        monkeypatch.delattr(agent_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(agent_module.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(agent_module, "_pool", None)
+        main = threading.get_ident()
+        ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2])
+        assert (ran_on[1] != main) == helped == (agent_module._pool[1] is not None)
+        assert ran_on[0] == main
 
     def test_runs_a_single_item_inline(self, monkeypatch):
         force_cpus(monkeypatch, 2)
@@ -363,18 +374,11 @@ class TestParallelMap:
         ]
         assert agent_module.parallel_map(lambda x: x, []) == []
 
-    def test_pool_stops_at_max_workers(self, monkeypatch):
-        monkeypatch.setattr(agent_module, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(agent_module, "_pool", None)
-        assert agent_module.parallel_map(lambda x: x, [1, 2, 3]) == [1, 2, 3]
-        assert agent_module._pool[2] == agent_module.MAX_WORKERS - 1
-        agent_module._pool[1].shutdown()
-
     def test_pool_is_rebuilt_after_a_pid_change(self, monkeypatch):
         force_cpus(monkeypatch, 2)
         assert agent_module.parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-        pid, first, helpers = agent_module._pool
-        assert helpers == 1
+        pid, first = agent_module._pool
+        assert first is not None
         monkeypatch.setattr(agent_module.os, "getpid", lambda: pid + 1)
         main = threading.get_ident()
         ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2, 3])
@@ -384,8 +388,8 @@ class TestParallelMap:
         first.shutdown()
 
     def test_concurrent_column_writes_are_all_kept(self, monkeypatch):
-        """More helpers than CPUs, switching threads often: no write is lost."""
-        force_cpus(monkeypatch, 5)
+        """The caller and the helper writing columns, switching threads often: no write is lost."""
+        force_cpus(monkeypatch, 2)
         out = np.zeros((2000, 64), order="F")
 
         def fill(j):
@@ -402,26 +406,3 @@ class TestParallelMap:
         finally:
             sys.setswitchinterval(interval)
 
-
-class TestCpuCount:
-    @pytest.mark.parametrize(
-        "files, quota",
-        [
-            ({"cpu.max": "150000 100000\n"}, 1.5),
-            ({"cpu.max": "max 100000\n"}, None),
-            ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2.0),
-            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
-            ({}, None),
-        ],
-    )
-    def test_cgroup_quota_from_v2_or_v1_files(self, tmp_path, files, quota):
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        assert agent_module._cgroup_cpu_quota(tmp_path) == quota
-
-    @pytest.mark.parametrize("quota, cpus", [(None, 8), (1.5, 2), (0.5, 1), (16.0, 8)])
-    def test_quota_caps_the_affinity(self, monkeypatch, quota, cpus):
-        monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(8)), raising=False)
-        monkeypatch.setattr(agent_module, "_cgroup_cpu_quota", lambda: quota)
-        assert agent_module._cpu_count() == cpus

@@ -261,14 +261,14 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
 
 
 def test_gbo_runs_bit_identical_with_and_without_helpers(monkeypatch, tmp_path):
-    """A one-helper pool and no pool give gbo the same trace bytes and kernel columns."""
+    """The helper thread and no helper give gbo the same trace bytes and kernel columns."""
     path = Path(__file__).resolve().parents[1] / "scenarios" / "scale" / "slices_5.yaml"
     scenario = replace(harness.load_scenario(path), algorithm="gbo", slots=2)
     ids = [s.slice_id for s in scenario.slices]
     make_grid_bo, column = harness._grid_bo, baselines.KernelLattice.column
     outcomes, threads = {}, {}
     for cpus in (1, 2):
-        monkeypatch.setattr(agent_module, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
         monkeypatch.setattr(agent_module, "_pool", None)
         built, filled_on = [], threads.setdefault(cpus, set())
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from sliceorch import coordinator
 from sliceorch.agent import SliceAgent
 from sliceorch.coordinator import (
     CoordinatorState,
@@ -17,7 +18,7 @@ from sliceorch.coordinator import (
     resize,
     spread_capacity,
 )
-from sliceorch.core import AlgoParams, CostParams, SliceSpec
+from sliceorch.core import Action, AlgoParams, CostParams, SliceSpec
 from sliceorch.errors import InfeasibleCapacityError
 from sliceorch.netenv import EnvConfig, RanEnvironment, TrafficProfile
 from sliceorch.rng import substream
@@ -250,6 +251,31 @@ def make_fixture(seed=1, capacity=12):
 def slot_args(min_alive=ALGO.min_alive):
     """orchestrate_slot's arguments after `state`, at the scenario defaults."""
     return (min_alive,)
+
+
+class TestProbe:
+    @pytest.mark.parametrize("commit, rule", [(False, "spread_capacity"), (True, "clamp_capacity")])
+    def test_explores_by_spread_and_commits_by_clamp(self, commit, rule, monkeypatch):
+        # The rule is looked up by its module-level name and given positional
+        # (svrbs, order, capacity, min_alive): perfbench's wrappers rely on both.
+        _, env, specs, _ = make_fixture()
+        proposals = {"s1": Action(12, 0.3), "s2": Action(4, 0.0), "s3": Action(4, 0.5)}
+        original, calls, seen = getattr(coordinator, rule), [], []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, rule, recording)
+        actions, perfs = coordinator.probe(
+            env, specs, proposals, ALGO.min_alive, commit, lambda *outcome: seen.append(outcome)
+        )
+        order, svrbs = list(proposals), {sid: a.svrb for sid, a in proposals.items()}
+        assert calls == [((svrbs, order, 12, ALGO.min_alive), {})]
+        fitted = original(svrbs, order, 12, ALGO.min_alive)
+        assert fitted == ({"s1": 4, "s2": 4, "s3": 4} if commit else {"s1": 10, "s2": 1, "s3": 1})
+        assert actions == {sid: Action(fitted[sid], proposals[sid].sw) for sid in order}
+        assert seen == [(actions, perfs)]
 
 
 class TestOrchestrateSlot:

@@ -323,6 +323,40 @@ class TestAlgoParams:
         ]
         assert {sid: a.svrb for sid, a in record.actions.items()} == clamp
 
+    def test_adaslicing_probes_and_commits_through_the_coordinators_capacity_rules(self, monkeypatch):
+        # Every agent proposes a fixed weighted action and recommends another;
+        # each set overflows the 12-vRB cell. Probes are fitted by
+        # spread_capacity, the commit by clamp_capacity, and both keep the
+        # proposed weights.
+        suggested = {"slice1": Action(8, 0.3), "slice2": Action(5, 0.0), "slice3": Action(2, 0.5)}
+        recommended = {"slice1": Action(9, 0.2), "slice2": Action(2, 0.0), "slice3": Action(4, 0.4)}
+        order = list(suggested)
+        monkeypatch.setattr(SliceAgent, "suggest", lambda self, ctx: suggested[self.slice_id])
+        monkeypatch.setattr(SliceAgent, "recommend", lambda self, ctx: recommended[self.slice_id])
+        steps = []
+        original = RanEnvironment.step
+
+        def recording(self, actions, *args, **kwargs):
+            steps.append({sid: (a.svrb, a.sw) for sid, a in actions.items()})
+            return original(self, actions, *args, **kwargs)
+
+        monkeypatch.setattr(RanEnvironment, "step", recording)
+        default = next(path for path in BUNDLED if path.name == "default.yaml")
+        scenario = load_scenario(default)
+        (record,) = run(replace(scenario, algorithm="adaslicing", slots=1, algo=AlgoParams(max_iters=3)))
+
+        def fit(rule, proposals):
+            svrbs = rule({sid: a.svrb for sid, a in proposals.items()}, order, 12, 1)
+            return {sid: (svrbs[sid], proposals[sid].sw) for sid in order}
+
+        spread, clamp = fit(spread_capacity, suggested), fit(clamp_capacity, recommended)
+        assert spread == {"slice1": (7, 0.3), "slice2": (4, 0.0), "slice3": (1, 0.5)}
+        assert clamp == {"slice1": (6, 0.2), "slice2": (2, 0.0), "slice3": (4, 0.4)}
+        # The consensus loop runs all three iterations: x = (7, 4, 1)
+        # leaves residuals of 4 and then 1 against the projected targets.
+        assert steps == [spread] * 3 + [clamp]
+        assert {sid: (a.svrb, a.sw) for sid, a in record.actions.items()} == clamp
+
     @pytest.mark.parametrize(
         "algorithm, kind, count",
         [("adaslicing", SliceAgent, 2), ("gbo", GridPortfolioBo, 1), ("atlas", GridPortfolioBo, 2)],
