@@ -98,10 +98,12 @@ class HedgeState:
 
 
 def hedge_probabilities(state: HedgeState) -> np.ndarray:
-    """Softmax of eta-scaled gains, max-shifted so large gains cannot overflow."""
-    scaled = state.eta * state.gains
-    scaled = scaled - scaled.max()
-    expd = np.exp(scaled)
+    """Softmax of eta-scaled gains, max-shifted so large gains cannot overflow.
+
+    The shift comes before the scaling, so a huge eta sends lower gains to -inf (weight 0).
+    """
+    with np.errstate(over="ignore"):
+        expd = np.exp(state.eta * (state.gains - state.gains.max()))
     return expd / expd.sum()
 
 

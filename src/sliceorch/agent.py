@@ -8,8 +8,8 @@ cost + barrier as a function of (svrb, sw, peers_sw); the proximal term is a
 known quadratic and is added analytically when candidates are scored.
 
 `PortfolioBo` is the one optimizer core of the workbench: its `Observation`
-record, its pricing rule (stored resource cost plus SLA barriers, cached
-per archive entry until the SLAs change), its propose step (best so far,
+record, its pricing rule (stored resource cost plus SLA barriers, kept on
+each archive entry until the SLAs change), its propose step (best so far,
 predict and nominate block by block, Hedge-pick, swap an already-probed
 nominee for an unexplored design row) and its learn step (archive, training
 window, GP refits and hyperparameter searches). `SliceAgent` and the
@@ -32,7 +32,7 @@ import numpy as np
 
 from .acquisition import KAPPA, HedgeState, hedge_select, hedge_update, portfolio_nominate
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
-from .errors import GridCapExceededError
+from .errors import GpFitError, GridCapExceededError
 from .gp import (
     NOISE_VAR_START,
     GpModel,
@@ -162,30 +162,11 @@ def proximal_term(svrb: float, ctx: AgentContext) -> float:
     return 0.5 * ctx.rho * (svrb - ctx.z + ctx.y) ** 2
 
 
-@dataclass(frozen=True)
-class CandidateGrid:
-    """Discrete action space: integer svRBs times a sharing-weight lattice."""
-
-    svrb_values: tuple[int, ...]
-    sw_values: tuple[float, ...]
-
-    @classmethod
-    def for_capacity(cls, capacity_h: int, min_alive: int, shares_pool: bool = True) -> "CandidateGrid":
-        """svRBs min_alive..capacity_h times SW_VALUES, or weight 0 alone when no pool is shared."""
-        return cls(tuple(range(min_alive, capacity_h + 1)), SW_VALUES if shares_pool else (0.0,))
-
-    def points(self) -> np.ndarray:
-        """All (svrb, sw) pairs, svrb-major: lexicographic candidate order."""
-        svrb = np.repeat(np.asarray(self.svrb_values, dtype=float), len(self.sw_values))
-        sw = np.tile(np.asarray(self.sw_values, dtype=float), len(self.svrb_values))
-        return np.column_stack([svrb, sw])
-
-
 def check_action_grid(capacity: int, algo: AlgoParams, shares_pool: bool) -> None:
     """Refuse an agent's action grid over `algo.grid_cap` actions, without building it.
 
-    The grid of `CandidateGrid.for_capacity` holds (capacity - min_alive + 1)
-    svRB counts times len(SW_VALUES) weights, or times 1 when no pool is shared.
+    The grid holds (capacity - min_alive + 1) svRB counts times
+    len(SW_VALUES) weights, or times 1 when no pool is shared.
     """
     size = (capacity - algo.min_alive + 1) * (len(SW_VALUES) if shares_pool else 1)
     if size > algo.grid_cap:
@@ -204,12 +185,12 @@ def _radical_inverse(index: int, base: int) -> float:
     return result
 
 
-def design_point(grid: CandidateGrid, index: int) -> tuple[int, float]:
-    """index-th point of the deterministic space-filling (Halton 2,3) design."""
+def design_point(svrbs: Sequence[int], sws: Sequence[float], index: int) -> tuple[int, float]:
+    """index-th point of the deterministic space-filling (Halton 2,3) design over svrbs x sws."""
     u1 = _radical_inverse(index + 1, 2)
     u2 = _radical_inverse(index + 1, 3)
-    svrb = grid.svrb_values[min(int(u1 * len(grid.svrb_values)), len(grid.svrb_values) - 1)]
-    sw = grid.sw_values[min(int(u2 * len(grid.sw_values)), len(grid.sw_values) - 1)]
+    svrb = svrbs[min(int(u1 * len(svrbs)), len(svrbs) - 1)]
+    sw = sws[min(int(u2 * len(sws)), len(sws) - 1)]
     return svrb, sw
 
 
@@ -220,12 +201,14 @@ class Observation:
     `x` is the probe's surrogate input row. The raw per-slice performance is
     kept rather than a scalar objective, so the probe can be re-priced under
     whatever SLA thresholds hold later; its resource cost does not depend on
-    them and is priced once, when the probe is recorded.
+    them and is priced once, when the probe is recorded. `price` is its
+    `PortfolioBo._price` under the specs the archive was last priced under.
     """
 
     x: np.ndarray
     cost: float  # u_h * sum(svRB) + u_s * sum(sw) of the probed actions
     perfs: dict[str, PerfVector]
+    price: float = math.nan  # set when archived, renewed by PortfolioBo._reprice
 
     def __post_init__(self) -> None:
         self._key = tuple(self.x.tolist())
@@ -254,12 +237,13 @@ class PortfolioBo:
     An observation is priced as its stored resource cost plus each of its
     slices' SLA barriers (`_price`), under the specs of the call, so stored
     observations are re-priced under whatever SLA thresholds currently hold.
-    Those change only at SLA events, so the archive keeps one price per
-    entry (`_prices`): an entry is priced when `_learn` archives it, and
-    the whole archive again only when the specs passed in differ from the
-    ones its prices were taken under. The best-so-far of `_propose`, the
-    training targets of `_learn` and `_cheapest`, the one rule through which
-    the subclasses' recommendations commit, all read these prices.
+    Those change only at SLA events, so each archived observation keeps its
+    price (`Observation.price`): an entry is priced when `_learn` archives
+    it, and `_reprice` prices the whole archive again only when the specs
+    passed in differ from the ones its prices were taken under. The
+    best-so-far of `_propose`, the training targets of `_learn` and
+    `_cheapest`, the one rule through which the subclasses' recommendations
+    commit, all read these prices.
 
     `_propose` scores the candidates block by block (`row_blocks`), so a
     probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows per thread
@@ -297,8 +281,6 @@ class PortfolioBo:
         self._last_nominees: np.ndarray | None = None
         self._design_cursor = design_offset
         self.archive: dict[tuple, Observation] = {}  # in probe order, written by _learn
-        # same keys in the same order as archive: _learn writes both, _prices rebuilds it
-        self._archive_prices: dict[tuple, float] = {}
         self._priced_specs: dict[str, SliceSpec] | None = None
 
     @property
@@ -322,16 +304,16 @@ class PortfolioBo:
             barriers += barrier_value(perf, specs[sid], self.barrier_coef, self.penalty)
         return obs.cost + barriers
 
-    def _prices(self, specs: Mapping[str, SliceSpec]) -> dict[tuple, float]:
-        """Each archived observation's `_price` under `specs`, in archive order.
+    def _reprice(self, specs: Mapping[str, SliceSpec]) -> None:
+        """Set each archived observation's `price` to its `_price` under `specs`.
 
         The prices are kept while the specs passed in equal the ones they
         were taken under; other specs re-price the whole archive once.
         """
         if specs != self._priced_specs:
             self._priced_specs = dict(specs)
-            self._archive_prices = {k: self._price(o, specs) for k, o in self.archive.items()}
-        return self._archive_prices
+            for obs in self.archive.values():
+                obs.price = self._price(obs, specs)
 
     def _cheapest(self, specs: Mapping[str, SliceSpec], keys: Sequence[tuple] = ()) -> tuple:
         """The archived input with the lowest (price, key) among `keys`, priced under `specs`.
@@ -339,8 +321,8 @@ class PortfolioBo:
         With no `keys`, the whole archive is searched. Archive keys are
         unique, so distinct entries never tie.
         """
-        prices = self._prices(specs)
-        return min(keys or prices, key=lambda k: (prices[k], k))
+        self._reprice(specs)
+        return min(keys or self.archive, key=lambda k: (self.archive[k].price, k))
 
     def _propose(
         self,
@@ -361,8 +343,8 @@ class PortfolioBo:
         so the probe goes to the subclass's `unexplored()` design row
         instead, when there is one.
         """
-        prices = self._prices(specs)
-        best = np.fromiter(prices.values(), float, len(prices))
+        self._reprice(specs)
+        best = np.fromiter((o.price for o in self.archive.values()), float, len(self.archive))
         if offset is not None:
             best = best + offset(np.array([o.x for o in self.archive.values()]))
         best = float(best.min())
@@ -407,18 +389,16 @@ class PortfolioBo:
         """
         svrbs, sws = sum(a.svrb for a in actions), sum(a.sw for a in actions)
         obs = Observation(x, self.cost.u_h * svrbs + self.cost.u_s * sws, perfs)
-        prices = self._prices(specs)  # re-prices the archive first if the specs changed
-        key = obs.key()
-        # a re-probed input replaces its earlier probe at the end, in both dicts
-        self.archive.pop(key, None)
-        prices.pop(key, None)
-        self.archive[key] = obs
-        prices[key] = self._price(obs, specs)
+        self._reprice(specs)  # re-prices the archive first if the specs changed
+        obs.price = self._price(obs, specs)
+        # a re-probed input replaces its earlier probe at the end
+        self.archive.pop(obs.key(), None)
+        self.archive[obs.key()] = obs
         sample = self.buffer
         if len(sample) > self.subsample:
             sample = [sample[i] for i in self.rng.choice(len(sample), self.subsample, replace=False)]
         x_train = np.stack([o.x for o in sample])
-        y = np.array([prices[o.key()] for o in sample])
+        y = np.array([o.price for o in sample])
         self.fit_count += 1
         if self.fit_count % self.hyperopt_every == 0:
             self.params, self.noise_var = optimize_params(
@@ -428,7 +408,10 @@ class PortfolioBo:
                 self.noise_var,
                 reference=self._default_params,
             )
-        self.gp = fit(x_train, y, self.params, self.noise_var)
+        try:
+            self.gp = fit(x_train, y, self.params, self.noise_var)
+        except ValueError as exc:  # non-finite targets
+            raise GpFitError(f"cannot fit the surrogate: {exc}") from exc
         if self._last_nominees is not None:
             mu_nom, _ = self.gp.predict(self._last_nominees)
             if offset is not None:
@@ -443,9 +426,9 @@ class SliceAgent(PortfolioBo):
     Its input rows are (svrb, sw, peers_sw), where peers_sw is the slot's
     aggregated sharing weight of the other slices: exogenous context that
     shifts how much pool the slice's own sw can win. Its candidates are the
-    action grid of `capacity` under the current peer weight (at most `grid_cap`
-    actions; weight 0 alone unless `shares_pool`), and its design is the
-    grid's Halton (2, 3) sequence.
+    svRB-major `queries`, `svrb_values` x `sw_values` (at most `grid_cap`;
+    weight 0 alone unless `shares_pool`) at the current peer weight, and its
+    design is their Halton (2, 3) sequence.
     """
 
     def __init__(
@@ -461,8 +444,11 @@ class SliceAgent(PortfolioBo):
         shares_pool: bool = True,
     ):
         check_action_grid(capacity, algo, shares_pool)
-        grid = CandidateGrid.for_capacity(capacity, algo.min_alive, shares_pool)
-        svrb_span = max(grid.svrb_values) - min(grid.svrb_values)
+        self.svrb_values = tuple(range(algo.min_alive, capacity + 1))
+        self.sw_values = SW_VALUES if shares_pool else (0.0,)
+        # each suggest fills the peers_sw column of a copy
+        self.queries = np.array([(v, w, 0.0) for v in self.svrb_values for w in self.sw_values])
+        svrb_span = max(self.svrb_values) - min(self.svrb_values)
         # A per-agent design_offset staggers the design sequence across
         # agents, keeping their cold-start proposals distinct, so the joint
         # capacity clamp does not flatten every early probe onto the same
@@ -470,7 +456,6 @@ class SliceAgent(PortfolioBo):
         spans = [max(svrb_span, 1.0), 1.0, max(peers_sw_span, 1.0)]
         super().__init__(spans, rng, hedge_rng, algo, cost, capacity, design_offset)
         self.slice_id = slice_id
-        self.grid = grid
 
     def recommend(self, ctx: AgentContext) -> Action:
         """Pick the allocation this slot should commit to.
@@ -500,8 +485,8 @@ class SliceAgent(PortfolioBo):
 
     def _next_unexplored(self, peers_sw: float) -> np.ndarray | None:
         """Next design point not yet probed under `peers_sw`, or None after a full cycle."""
-        for _ in range(len(self.grid.svrb_values) * len(self.grid.sw_values)):
-            svrb, sw = design_point(self.grid, self._next_design())
+        for _ in range(self.queries.shape[0]):
+            svrb, sw = design_point(self.svrb_values, self.sw_values, self._next_design())
             if (svrb, sw, peers_sw) not in self.archive:
                 return np.array([svrb, sw, peers_sw], dtype=float)
         return None
@@ -512,9 +497,9 @@ class SliceAgent(PortfolioBo):
         The recommendation itself comes from `recommend`, not from here.
         """
         if not self._warm():
-            return Action(*design_point(self.grid, self._next_design()))
-        pts = self.grid.points()
-        queries = np.column_stack([pts, np.full(pts.shape[0], ctx.s)])
+            return Action(*design_point(self.svrb_values, self.sw_values, self._next_design()))
+        queries = self.queries.copy()
+        queries[:, 2] = ctx.s
         row = self._propose(
             queries,
             {self.slice_id: ctx.spec},

@@ -90,9 +90,10 @@ class GridPortfolioBo(PortfolioBo):
 
     Every training row is a candidate row, so the cross-covariance between
     the candidates and the training sample is kept column by column, keyed
-    by row, in one column-major candidates x buffer_capacity matrix with a
-    slot per window row. A refit computes only the columns of rows new to
-    the sample; a hyperparameter search that changes the kernel drops them
+    by row, in one column-major matrix with a slot per window row: archive
+    keys are grid rows, so it is candidates x min(buffer_capacity,
+    candidates). A refit computes only the columns of rows new to the
+    sample; a hyperparameter search that changes the kernel drops them
     all. A row that leaves the subsample but stays in the training window
     keeps its column, since the next refit's sample is likely to draw it
     again; rows that leave the window lose theirs.
@@ -120,9 +121,8 @@ class GridPortfolioBo(PortfolioBo):
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, capacity)
         self._lattice = KernelLattice(self.candidates)
-        self._kernel_columns = np.empty(
-            (self.candidates.shape[0], self.buffer_capacity), order="F"
-        )
+        rows = self.candidates.shape[0]
+        self._kernel_columns = np.empty((rows, min(self.buffer_capacity, rows)), order="F")
         self._columns: dict[tuple, int] = {}  # window row key -> its slot in _kernel_columns
         self._columns_params: KernelParams | None = None
 
@@ -141,7 +141,8 @@ class GridPortfolioBo(PortfolioBo):
             self._columns_params = gp.params
         window = {o.key() for o in self.buffer}
         self._columns = {k: c for k, c in self._columns.items() if k in window}
-        free = iter(sorted(set(range(self.buffer_capacity)) - set(self._columns.values())))
+        taken = set(self._columns.values())
+        free = (slot for slot in range(self._kernel_columns.shape[1]) if slot not in taken)
         keys = [tuple(row.tolist()) for row in gp.x_train]
         missing = []
         for key, row in zip(keys, gp.x_train):

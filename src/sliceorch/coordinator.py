@@ -178,26 +178,28 @@ def orchestrate_slot(
 ) -> SlotOutcome:
     """Run the consensus loop for one orchestration slot.
 
-    Each iteration broadcasts (z, y, rho) plus the peers' latest sharing
-    weights to every agent simultaneously, plays their proposals as one
-    exploratory `probe` (live probes must respect the infrastructure bound),
-    lets agents ingest their own outcomes, then projects and updates duals.
-    Stops when the largest |x_i - z_i| falls within PRIMAL_TOL or after
-    max_iters. The slot then commits each agent's best known action under
-    the settled consensus through `probe`, fed back like any probe, so the
-    recorded allocation is a recommendation rather than the last
-    exploratory sample. The first
+    The slot first `resize`s the state: active slices without a target join,
+    and targets of slices no longer active leave. A slot with no active slice
+    then ends with an empty outcome. Each iteration broadcasts (z, y, rho)
+    plus the peers' latest sharing weights to every agent simultaneously,
+    plays their proposals as one exploratory `probe` (live probes must
+    respect the infrastructure bound), lets agents ingest their own
+    outcomes, then projects and updates duals. Stops when the largest
+    |x_i - z_i| falls within PRIMAL_TOL or after max_iters. The slot then
+    commits each agent's best known action under the settled consensus
+    through `probe`, fed back like any probe, so the recorded allocation is
+    a recommendation rather than the last exploratory sample. The first
     broadcast's peer weights are the ones the previous slot committed
     (`state.w`, 0 for a slice with none), and the slot stores its own there.
     """
     active = [s for s in specs if s.active]
     order = [s.slice_id for s in active]
+    left = [sid for sid in state.z if sid not in order]
+    resize(state, [sid for sid in order if sid not in state.z], left, min_alive)
+    if not order:
+        return SlotOutcome()
     spec_by_id = {s.slice_id: s for s in active}
     capacity = env.config.capacity_h
-    if min_alive * len(order) > capacity:
-        raise InfeasibleCapacityError(
-            f"{len(order)} slices at minimum {min_alive} svRBs exceed capacity {capacity}"
-        )
 
     def context(sid: str, s_value: float) -> AgentContext:
         return AgentContext(

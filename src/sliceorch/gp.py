@@ -379,6 +379,8 @@ def fit(
     w[:, :n] = chol_inv.T
     w[:, n] = alpha
     w[np.abs(w) < SQRT_TINY] = 0.0
+    if not np.isfinite(w).all():  # finite data whose solve or inverse overflowed
+        raise GpFitError("posterior weights are not finite")
     return GpModel(
         params=params,
         noise_var=noise_var,

@@ -33,7 +33,7 @@ from .baselines import (
     exsearch_best,
     sweep_dataset,
 )
-from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, probe, resize
+from .coordinator import CoordinatorState, SlotOutcome, orchestrate_slot, probe
 from .core import (
     Action,
     AlgoParams,
@@ -302,10 +302,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
     agents: dict[str, SliceAgent] = {}
 
     def decide(slot: int, active: list[SliceSpec]) -> SlotOutcome:
-        active_ids = [s.slice_id for s in active]
-        joined = [sid for sid in active_ids if sid not in state.z]
-        resize(state, joined, [sid for sid in state.z if sid not in active_ids], p.min_alive)
-        for sid in joined:
+        for sid in (s.slice_id for s in active):
             if sid not in agents:  # departed agents are retained for rejoin
                 agents[sid] = SliceAgent(
                     sid,
@@ -318,14 +315,9 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
                     design_offset=design_offsets[sid],
                     shares_pool=scenario.env.shares_pool,
                 )
-        if not active:  # an empty slot still retires the departed slices above
-            return SlotOutcome()
+        # the coordinator retires departed slices, also on a slot with none active
         return orchestrate_slot(
-            {sid: agents[sid] for sid in active_ids},
-            env,
-            active,
-            state,
-            p.min_alive,
+            {s.slice_id: agents[s.slice_id] for s in active}, env, active, state, p.min_alive
         )
 
     return decide

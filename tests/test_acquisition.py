@@ -135,6 +135,14 @@ class TestHedge:
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_huge_eta_is_one_hot_on_the_best_arm(self):
+        state = HedgeState(gains=np.array([0.5, 2.0, -1.0]), eta=1e308)
+        probs = hedge_probabilities(state)  # a warning would fail this test
+        assert np.isfinite(probs).all()
+        assert probs.sum() == 1.0
+        assert probs.tolist() == [0.0, 1.0, 0.0]
+        assert hedge_select(state, np.random.default_rng(0)) == 1
+
     def test_selection_follows_the_distribution(self):
         state = HedgeState(gains=np.array([5.0, 0.0, 0.0]), eta=1.0)
         rng = np.random.default_rng(9)

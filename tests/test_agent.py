@@ -10,8 +10,8 @@ import pytest
 
 from sliceorch import agent as agent_module
 from sliceorch.agent import (
+    SW_VALUES,
     AgentContext,
-    CandidateGrid,
     Observation,
     SliceAgent,
     barrier_value,
@@ -20,7 +20,7 @@ from sliceorch.agent import (
     sla_margin,
 )
 from sliceorch.core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
-from sliceorch.errors import GridCapExceededError
+from sliceorch.errors import GpFitError, GridCapExceededError
 from sliceorch.netenv import TrafficProfile
 from sliceorch.rng import substream
 
@@ -90,22 +90,24 @@ class TestObjective:
 
 class TestGrid:
     def test_capacity_grid_shape(self):
-        grid = CandidateGrid.for_capacity(12, ALGO.min_alive)
-        assert grid.svrb_values == tuple(range(1, 13))
-        assert grid.sw_values == tuple(round(i * 0.1, 10) for i in range(11))
-        assert grid.points().shape == (132, 2)
+        agent = make_agent()
+        assert agent.svrb_values == tuple(range(1, 13))
+        assert agent.sw_values == tuple(round(i * 0.1, 10) for i in range(11))
+        assert agent.queries.shape == (132, 3)
 
     def test_default_lattice(self):
         lattice = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-        assert CandidateGrid.for_capacity(12, ALGO.min_alive).sw_values == lattice
+        assert SW_VALUES == lattice
+        assert make_agent().sw_values == lattice
 
     @pytest.mark.parametrize("settings", [{}, {"min_alive": 2}])
     def test_agent_builds_the_grid_of_its_capacity(self, settings):
-        grid = CandidateGrid.for_capacity(12, AlgoParams(**settings).min_alive)
-        assert make_agent(**settings).grid == grid
+        agent = make_agent(**settings)
+        assert agent.svrb_values == tuple(range(AlgoParams(**settings).min_alive, 13))
+        assert agent.sw_values == SW_VALUES
 
     def test_agent_grid_is_capped_before_it_is_built(self):
-        assert len(make_agent(grid_cap=132).grid.points()) == 132  # 12 svRBs x 11 weights
+        assert make_agent(grid_cap=132).queries.shape[0] == 132  # 12 svRBs x 11 weights
         with pytest.raises(GridCapExceededError, match="has 132 actions, over the cap of 131"):
             make_agent(grid_cap=131)
 
@@ -114,27 +116,38 @@ class TestGrid:
             "s1", 12, substream(1, "agent:s1"), substream(1, "hedge:s1"), AlgoParams(grid_cap=12),
             CostParams(), shares_pool=False,
         )
-        assert agent.grid == CandidateGrid(tuple(range(1, 13)), (0.0,))
-        assert CandidateGrid.for_capacity(12, 1, shares_pool=False) == agent.grid
+        assert (agent.svrb_values, agent.sw_values) == (tuple(range(1, 13)), (0.0,))
+        np.testing.assert_array_equal(agent.queries[:, 0], np.arange(1.0, 13.0))
+        assert not agent.queries[:, 1:].any()
 
     def test_points_are_svrb_major(self):
-        pts = CandidateGrid.for_capacity(3, ALGO.min_alive).points()
-        assert list(pts[0]) == [1.0, 0.0]
-        assert list(pts[1]) == [1.0, 0.1]
-        assert list(pts[11]) == [2.0, 0.0]
+        pts = SliceAgent(
+            "s1", 3, substream(1, "agent:s1"), substream(1, "hedge:s1"), ALGO, CostParams()
+        ).queries
+        assert list(pts[0]) == [1.0, 0.0, 0.0]
+        assert list(pts[1]) == [1.0, 0.1, 0.0]
+        assert list(pts[11]) == [2.0, 0.0, 0.0]
+        assert not pts[:, 2].any()
+
+    def test_suggest_leaves_the_query_matrix_unchanged(self):
+        agent = make_agent(n_init=1)
+        before = agent.queries.copy()
+        agent.observe(Action(4, 0.0), GOOD, make_ctx())
+        agent.suggest(make_ctx(s=0.7))
+        np.testing.assert_array_equal(agent.queries, before)
 
     def test_design_sequence_is_frozen(self):
-        grid = CandidateGrid.for_capacity(12, ALGO.min_alive)
-        first = [design_point(grid, i) for i in range(6)]
+        svrbs = tuple(range(ALGO.min_alive, 13))
+        first = [design_point(svrbs, SW_VALUES, i) for i in range(6)]
         assert first == [(7, 0.3), (4, 0.7), (10, 0.1), (2, 0.4), (8, 0.8), (5, 0.2)]
-        assert design_point(grid, 17) == (4, 0.0)
+        assert design_point(svrbs, SW_VALUES, 17) == (4, 0.0)
 
     def test_design_points_stay_on_the_grid(self):
-        grid = CandidateGrid.for_capacity(9, ALGO.min_alive)
+        svrbs = tuple(range(ALGO.min_alive, 10))
         for i in range(80):
-            svrb, sw = design_point(grid, i)
-            assert svrb in grid.svrb_values
-            assert sw in grid.sw_values
+            svrb, sw = design_point(svrbs, SW_VALUES, i)
+            assert svrb in svrbs
+            assert sw in SW_VALUES
 
 
 class TestColdStart:
@@ -168,11 +181,20 @@ class TestColdStart:
         ctx = make_ctx()
         for slot in range(6):
             action = agent.suggest(ctx)
-            assert action.svrb in agent.grid.svrb_values
-            assert action.sw in agent.grid.sw_values
+            assert action.svrb in agent.svrb_values
+            assert action.sw in agent.sw_values
             perf = GOOD if action.svrb >= 4 else BAD
             agent.observe(action, perf, ctx)
         assert agent.gp is not None
+
+
+class TestFitFailure:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_price_that_is_not_finite_fails_as_a_gp_fit_error(self):
+        # an infinite margin has barrier -inf: the GP's targets are not finite
+        agent = make_agent()
+        with pytest.raises(GpFitError, match="cannot fit the surrogate: right-hand side"):
+            agent.observe(Action(4, 0.0), PerfVector(math.inf, math.inf), make_ctx())
 
 
 class TestTrainingWindow:
@@ -207,9 +229,11 @@ class TestTrainingWindow:
         agent = make_agent()
         self.probe(agent, 1, 2, 3)
         self.probe(agent, 1, perf=BAD)
-        prices = agent._prices({agent.slice_id: SPEC})
-        assert list(prices) == list(agent.archive)
-        assert prices[(1.0, 0.0, 0.0)] == price(agent, agent.archive[(1.0, 0.0, 0.0)], make_ctx())
+        agent._reprice({agent.slice_id: SPEC})
+        assert list(agent.archive) == [(2.0, 0.0, 0.0), (3.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+        for obs in agent.archive.values():
+            assert obs.price == price(agent, obs, make_ctx())
+        assert agent.archive[(1.0, 0.0, 0.0)].perfs == {"s1": BAD}
 
     def test_a_window_no_larger_than_the_subsample_trains_whole(self):
         agent = make_agent(buffer_capacity=8, subsample=4)

@@ -117,6 +117,29 @@ class TestGridPortfolioBo:
             bo.observe({"a": Action(svrb, 0.0)}, {"a": GOOD}, EASY)
         assert bo.suggest(EASY) == {"a": Action(12, 0.0)}
 
+    def test_next_unexplored_falls_back_to_grid_order_then_to_none(self):
+        # From cursor 0, 12 steps of the van der Corput walk over atlas's
+        # 12-row grid miss svRBs 6, 9 and 12.
+        walker = make_bo(capacity=12)
+        walk = [int(walker.candidates[walker._design_index()][0]) for _ in range(12)]
+        assert walk == [7, 4, 10, 2, 8, 5, 11, 1, 7, 4, 10, 3]
+        bo = make_bo(capacity=12, n_init=99)
+        for svrb in range(1, 13):
+            if svrb != 6:
+                bo.observe({"a": Action(svrb, 0.0)}, {"a": GOOD}, EASY)
+        assert bo._next_unexplored().tolist() == [6.0]  # from the grid-order scan
+        assert bo._design_cursor == 12  # after a full, fruitless walk
+        bo.observe({"a": Action(6, 0.0)}, {"a": GOOD}, EASY)
+        assert bo._next_unexplored() is None
+        assert bo._design_cursor == 12  # a full archive walks no further
+
+    def test_incumbent_on_an_empty_archive_is_the_cold_suggestion(self):
+        bo, twin = make_bo(capacity=12), make_bo(capacity=12)
+        assert not bo.archive
+        for _ in range(3):
+            assert bo.incumbent(EASY) == twin.suggest(EASY)
+        assert bo._design_cursor == twin._design_cursor == 3
+
     def test_cold_start_explores_fresh_rows(self):
         bo = make_bo()
         seen = set()
@@ -233,6 +256,22 @@ class TestCrossKernelCache:
             assert len(bo._columns) <= len(window)
         assert searches > 0
         assert len(bo.archive) > bo.buffer_capacity  # rows left the window
+
+
+@pytest.mark.parametrize("window, width", [(5, 5), (12, 12), (10**12, 12)])
+def test_kernel_column_cache_is_no_wider_than_the_grid(window, width):
+    # archive keys are grid rows, so the window never holds more than 12
+    bo = make_bo(capacity=12, buffer_capacity=window, n_init=2, subsample=4)
+    assert bo._kernel_columns.shape == (12, width)
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        actions = bo.suggest(EASY)
+        bo.observe(actions, {"a": PerfVector(*rng.uniform(0.5, 3.0, 2))}, EASY)
+        slots = bo._training_columns()
+        assert len(set(bo._columns.values())) == len(bo._columns) <= width
+        for row, slot in zip(bo.gp.x_train, slots):
+            expected = kernel_matrix(bo.candidates, row[None, :], bo.gp.params)[:, 0]
+            np.testing.assert_array_equal(bo._kernel_columns[:, slot], expected)
 
 
 def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
@@ -391,7 +430,7 @@ class TestPriceCache:
 
     def check(self, bo, specs):
         fresh = {k: bo._price(o, specs) for k, o in bo.archive.items()}
-        assert list(bo._archive_prices.items()) == list(fresh.items())
+        assert [(k, o.price) for k, o in bo.archive.items()] == list(fresh.items())
 
     def test_grid_optimizer_after_an_sla_change(self, monkeypatch):
         bo = make_bo("abc", 12, subsample=6)

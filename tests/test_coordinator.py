@@ -1,5 +1,7 @@
 """Consensus projection, capacity fitting, and the per-slot loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,6 +328,34 @@ class TestOrchestrateSlot:
         agents, env, specs, state = make_fixture()
         with pytest.raises(InfeasibleCapacityError):
             orchestrate_slot(agents, env, specs, state, *slot_args(min_alive=5))
+
+    def test_joins_resize_the_state_as_the_fixture_does(self):
+        # make_fixture joins every slice through resize before the slot
+        agents, env, specs, state = make_fixture()
+        fresh_agents, fresh_env, _, _ = make_fixture()
+        fresh = new_state()
+        outcomes = [
+            orchestrate_slot(agents, env, specs, state, *slot_args()),
+            orchestrate_slot(fresh_agents, fresh_env, specs, fresh, *slot_args()),
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert (fresh.z, fresh.y, fresh.w) == (state.z, state.y, state.w)
+
+    def test_leaves_drop_their_variables(self):
+        agents, env, specs, state = make_fixture()
+        orchestrate_slot(agents, env, specs, state, *slot_args())
+        specs = [specs[0], specs[1], replace(specs[2], active=False)]
+        del agents["s3"]
+        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
+        assert set(outcome.actions) == set(state.z) == set(state.y) == set(state.w) == {"s1", "s2"}
+
+    def test_a_slot_with_no_active_slice_retires_every_slice(self):
+        agents, env, specs, state = make_fixture()
+        orchestrate_slot(agents, env, specs, state, *slot_args())
+        idle = [replace(s, active=False) for s in specs]
+        assert orchestrate_slot({}, env, idle, state, *slot_args()) == SlotOutcome()
+        assert state.z == state.y == state.w == {}
+        assert orchestrate_slot({}, env, [], state, *slot_args()) == SlotOutcome()
 
     def test_inactive_slices_are_skipped(self):
         agents, env, specs, state = make_fixture()

@@ -9,7 +9,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import check_grad, minimize
 
 from sliceorch import gp
-from sliceorch.agent import CandidateGrid
+from sliceorch.agent import SW_VALUES
 from sliceorch.baselines import enumerate_joint_grid
 from sliceorch.core import AlgoParams
 from sliceorch.errors import GpFitError
@@ -338,6 +338,13 @@ class TestLapackPath:
         with pytest.raises(ValueError):
             cholesky(gram, lower=True)
 
+    def test_overflowing_posterior_weights_fail_the_fit(self):
+        # finite targets so far apart that their spread overflows, on rows
+        # close enough that K^-1 amplifies them past the float range
+        x = np.array([[0.0], [0.01], [0.02]])
+        with np.errstate(over="ignore"), pytest.raises(GpFitError, match="not finite"):
+            fit(x, np.array([1e308, -1e308, 1e308]), KernelParams((1.0,), 1.0), 1e-3)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_data_keeps_the_value_error(self):
         params = KernelParams((1.0,), 1.0)
@@ -593,7 +600,7 @@ class TestLatticeColumns:
         # gbo's grid on scale/slices_5
         np.asarray(enumerate_joint_grid(5, 24, ALGO.min_alive, ALGO.grid_cap), dtype=float),
         # svRB x sw, sw on a 0.1 lattice
-        CandidateGrid.for_capacity(12, ALGO.min_alive).points(),
+        np.array([[svrb, sw] for svrb in range(ALGO.min_alive, 13) for sw in SW_VALUES]),
     ]
 
     @pytest.mark.parametrize("nu", [2.5])

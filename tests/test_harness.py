@@ -1065,6 +1065,29 @@ class TestFailureContract:
         expected = "slices[0].profile: offered load over env.per_vrb_rate "
         self.rejects_file(self.write(tmp_path, data), expected, tmp_path, capsys)
 
+    # numpy warns of the overflow on its way to the error; the contract is the
+    # exit status and the last stderr line
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo", "atlas"])
+    @pytest.mark.parametrize(
+        "path,key", [("slices[0]", "q_throughput"), ("cost", "u_h"), ("algo_params", "barrier_coef")]
+    )
+    def test_prices_that_overflow_the_surrogate(self, path, key, algorithm, tmp_path, capsys):
+        data = copy.deepcopy(RAW["default.yaml"])
+        data.setdefault("algo_params", {})
+        dict(mappings(data))[path][key] = 1e308  # valid: the GP's targets or weights overflow
+        bad = self.write(tmp_path, data)
+        argv = ["run", bad, "--out", str(tmp_path / "out"), "--algo", algorithm, "--slots", "3"]
+        self.rejects(argv, "", capsys, kind="GpFitError")
+
+    @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo", "atlas"])
+    def test_huge_hedge_eta_runs(self, algorithm, tmp_path):
+        # any warning would fail this test
+        data = copy.deepcopy(RAW["default.yaml"])
+        data.setdefault("algo_params", {})["hedge_eta"] = 1e308
+        argv = ["run", self.write(tmp_path, data), "--out", str(tmp_path / "out"), "--algo", algorithm]
+        assert main(argv + ["--slots", "4"]) == 0
+
     @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo"])
     def test_jittered_load_that_overflows(self, algorithm, tmp_path, capsys):
         data = copy.deepcopy(RAW["default.yaml"])
