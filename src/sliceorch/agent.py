@@ -457,8 +457,8 @@ class SliceAgent(PortfolioBo):
         super().__init__(spans, rng, hedge_rng, algo, cost, capacity, design_offset)
         self.slice_id = slice_id
 
-    def recommend(self, ctx: AgentContext) -> Action:
-        """Pick the allocation this slot should commit to.
+    def recommend(self, spec: SliceSpec) -> Action:
+        """Pick the allocation this slot should commit to under `spec`'s SLA.
 
         Only sharing-free outcomes transfer across slots (an entry observed
         with sharing active may owe its performance to a pool split that no
@@ -471,7 +471,7 @@ class SliceAgent(PortfolioBo):
         `_cheapest` of these, and with none of them on record, of the whole
         archive. Requires at least one observation.
         """
-        specs = {self.slice_id: ctx.spec}
+        specs = {self.slice_id: spec}
         weight_free: dict[float, list[tuple]] = {}  # svRB -> its keys probed at sw = 0
         for key in self.archive:
             if key[1] == 0.0:
@@ -479,7 +479,7 @@ class SliceAgent(PortfolioBo):
         committable = [k for k in self.archive if k[0] not in weight_free]  # challengers
         for keys in weight_free.values():
             key = self._cheapest(specs, keys)
-            if sla_margin(self.archive[key].perfs[self.slice_id], ctx.spec) > 0.0:
+            if sla_margin(self.archive[key].perfs[self.slice_id], spec) > 0.0:
                 committable.append(key)  # an incumbent
         return Action(int(self._cheapest(specs, committable)[0]), 0.0)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -243,8 +243,7 @@ class OracleDataset:
 
     `svrbs` is the joint grid, one integer row per action in lexicographic
     order; `throughput` and `fps` hold each slice's delivered performance, one
-    float column per slice. The arrays are read-only. Indexing and iteration
-    yield `OracleEntry` values with Python-int svRBs and `PerfVector`s.
+    float column per slice. The arrays are read-only.
     """
 
     svrbs: np.ndarray  # (N, k) int
@@ -257,19 +256,6 @@ class OracleDataset:
 
     def __len__(self) -> int:
         return self.svrbs.shape[0]
-
-    def __getitem__(self, index: int) -> OracleEntry:
-        return _entry(
-            self.svrbs[index].tolist(), self.throughput[index].tolist(), self.fps[index].tolist()
-        )
-
-    def __iter__(self) -> Iterator[OracleEntry]:
-        columns = (self.svrbs.tolist(), self.throughput.tolist(), self.fps.tolist())
-        return (_entry(*row) for row in zip(*columns))
-
-
-def _entry(svrbs: list[int], throughput: list[float], fps: list[float]) -> OracleEntry:
-    return OracleEntry(tuple(svrbs), tuple(map(PerfVector, throughput, fps)))
 
 
 def sweep_dataset(
@@ -321,4 +307,6 @@ def exsearch_best(
         raise NoFeasibleActionError(
             "no joint hard-isolation action meets every SLA on this environment"
         )
-    return dataset[int(costs.argmin())]
+    i = int(costs.argmin())
+    perfs = map(PerfVector, dataset.throughput[i].tolist(), dataset.fps[i].tolist())
+    return OracleEntry(tuple(dataset.svrbs[i].tolist()), tuple(perfs))

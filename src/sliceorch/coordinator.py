@@ -35,7 +35,6 @@ class CoordinatorState:
     max_iters: int
     z: dict[str, float] = field(default_factory=dict)
     y: dict[str, float] = field(default_factory=dict)
-    w: dict[str, float] = field(default_factory=dict)  # sharing weights the last slot committed
 
 
 def project_consensus(x: np.ndarray, y: np.ndarray, capacity: float) -> np.ndarray:
@@ -95,10 +94,12 @@ def spread_capacity(
     between requests, so a slice asking for much more than its peers still
     gets a large probe, unless min_alive floors bind: `clamp_capacity` then
     removes the excess left largest-first, so (1, 1, 12) on 12 gives (1, 1, 10).
+    Proposals that fit come back unchanged, once `clamp_capacity` has checked
+    that the min_alive floors fit.
     """
     total = sum(svrbs[sid] for sid in order)
     if total <= capacity:
-        return {sid: svrbs[sid] for sid in order}
+        return clamp_capacity(svrbs, order, capacity, min_alive)
     shift = (total - capacity) / len(order)
     real = {sid: svrbs[sid] - shift for sid in order}
     fitted = {sid: max(min_alive, ground(real[sid])) for sid in order}
@@ -121,13 +122,11 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str], 
 
     Departed slices drop their variables. New slices start at the minimum
     alive allocation with the current mean dual, so they inherit the going
-    price of capacity instead of restarting the negotiation, and with no
-    committed sharing weight.
+    price of capacity instead of restarting the negotiation.
     """
     for sid in left:
         state.z.pop(sid, None)
         state.y.pop(sid, None)
-        state.w.pop(sid, None)
     for sid in joined:
         state.z[sid] = float(min_alive)
         state.y[sid] = (
@@ -188,9 +187,9 @@ def orchestrate_slot(
     |x_i - z_i| falls within PRIMAL_TOL or after max_iters. The slot then
     commits each agent's best known action under the settled consensus
     through `probe`, fed back like any probe, so the recorded allocation is
-    a recommendation rather than the last exploratory sample. The first
-    broadcast's peer weights are the ones the previous slot committed
-    (`state.w`, 0 for a slice with none), and the slot stores its own there.
+    a recommendation rather than the last exploratory sample. An agent
+    recommends from its slice's `SliceSpec` alone and always commits weight
+    0, so the first broadcast's peer weights are 0.
     """
     active = [s for s in specs if s.active]
     order = [s.slice_id for s in active]
@@ -230,7 +229,7 @@ def orchestrate_slot(
         for sid in order:
             agents[sid].observe(actions[sid], perfs[sid], context(sid, peers_sw(sw, sid)))
 
-    last_w = {sid: state.w.get(sid, 0.0) for sid in order}
+    last_w = dict.fromkeys(order, 0.0)
     iterations = 0
     for _ in range(state.max_iters):
         iterations += 1
@@ -247,10 +246,7 @@ def orchestrate_slot(
     # state re-anchors on it so the next slot's proximal term pulls the
     # negotiation toward the recommendation. Every agent observed at least
     # once above, so each has an archive to recommend from.
-    recommended = {
-        sid: agents[sid].recommend(context(sid, peers_sw(last_w, sid))) for sid in order
-    }
+    recommended = {sid: agents[sid].recommend(spec_by_id[sid]) for sid in order}
     actions, perfs = probe(env, active, recommended, min_alive, True, observe)
     residual = settle({sid: actions[sid].svrb for sid in order})
-    state.w = {sid: actions[sid].sw for sid in order}
     return SlotOutcome(actions, perfs, iterations, residual)

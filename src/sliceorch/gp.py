@@ -257,7 +257,6 @@ class GpModel:
     """
 
     params: KernelParams
-    noise_var: float
     x_train: np.ndarray
     y_mean: float
     y_scale: float
@@ -307,11 +306,14 @@ class GpModel:
 
 
 def _standardize(targets: np.ndarray) -> tuple[np.ndarray, float, float]:
-    mean = float(targets.mean())
-    scale = float(targets.std())
-    if not math.isfinite(scale) or scale < 1e-12:
-        scale = 1.0
-    return (targets - mean) / scale, mean, scale
+    # Targets near the float limit overflow to inf or NaN without a numpy
+    # warning; the fit and the likelihood refuse non-finite standardized ones.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(targets.mean())
+        scale = float(targets.std())
+        if not math.isfinite(scale) or scale < 1e-12:
+            scale = 1.0
+        return (targets - mean) / scale, mean, scale
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,6 @@ def fit(
         raise GpFitError("posterior weights are not finite")
     return GpModel(
         params=params,
-        noise_var=noise_var,
         x_train=x,
         y_mean=y_mean,
         y_scale=y_scale,
@@ -547,10 +548,13 @@ def optimize_params(
     first, second = pack(init, noise_var), pack(reference, NOISE_VAR_START)
     starts = (first,) if np.array_equal(first, second) else (first, second)
     best_theta, best_val = None, math.inf
-    for theta0 in starts:
-        theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, _LBFGSB_MAXITER)
-        if value < best_val:
-            best_theta, best_val = theta, value
+    # Targets near the float limit overflow the likelihood to inf or NaN,
+    # which the search never keeps, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta0 in starts:
+            theta, value = _lbfgsb_minimize(negative_lml, theta0, lower, upper, _LBFGSB_MAXITER)
+            if value < best_val:
+                best_theta, best_val = theta, value
     if not succeeded or best_theta is None or not math.isfinite(best_val):
         return init, noise_var
     return unpack(best_theta)

@@ -63,6 +63,8 @@ class DynamicsEvent:
             if self.q_throughput is None or self.q_fps is None:
                 raise ValueError("sla_change events need q_throughput and q_fps")
             _check(self, ("q_throughput", "q_fps"), *_POSITIVE)
+        elif self.q_throughput is not None or self.q_fps is not None:
+            raise ValueError(f"{self.kind} events take no q_throughput or q_fps")
 
 
 def demand_vrbs(profile: TrafficProfile, config: EnvConfig, rng: np.random.Generator) -> int:

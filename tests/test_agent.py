@@ -189,7 +189,6 @@ class TestColdStart:
 
 
 class TestFitFailure:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_price_that_is_not_finite_fails_as_a_gp_fit_error(self):
         # an infinite margin has barrier -inf: the GP's targets are not finite
         agent = make_agent()
@@ -279,50 +278,43 @@ class TestRecommend:
         agent = make_agent()
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         agent.archive[(5, 0.0, 0.0)] = entry(5, 0.0, 0.0, PerfVector(16.0, 30.0))
-        assert agent.recommend(make_ctx()) == Action(4, 0.0)
-
-    def test_ignores_consensus_pressure(self):
-        # The committed action is a business decision, not a negotiation move
-        agent = make_agent()
-        agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
-        agent.archive[(5, 0.0, 0.0)] = entry(5, 0.0, 0.0, PerfVector(16.0, 30.0))
-        assert agent.recommend(make_ctx(z=12.0, y=5.0)) == Action(4, 0.0)
+        assert agent.recommend(SPEC) == Action(4, 0.0)
 
     def test_infeasible_weight_free_entry_is_never_committed(self):
         agent = make_agent()
         agent.archive[(3, 0.0, 0.0)] = entry(3, 0.0, 0.0, BAD)
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
-        assert agent.recommend(make_ctx()) == Action(4, 0.0)
+        assert agent.recommend(SPEC) == Action(4, 0.0)
 
     def test_cheap_sharing_entry_challenges_with_weight_zeroed(self):
         # svrb 2 was only ever seen share-boosted; committing tests it weight-free
         agent = make_agent()
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         agent.archive[(2, 0.3, 0.2)] = entry(2, 0.3, 0.2, GOOD)
-        assert agent.recommend(make_ctx()) == Action(2, 0.0)
+        assert agent.recommend(SPEC) == Action(2, 0.0)
 
     def test_failed_challenge_is_ruled_out(self):
         agent = make_agent()
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         agent.archive[(2, 0.3, 0.2)] = entry(2, 0.3, 0.2, GOOD)
         agent.archive[(2, 0.0, 0.0)] = entry(2, 0.0, 0.0, BAD)
-        assert agent.recommend(make_ctx()) == Action(4, 0.0)
+        assert agent.recommend(SPEC) == Action(4, 0.0)
 
     def test_expensive_untested_entries_do_not_challenge(self):
         agent = make_agent()
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         agent.archive[(9, 0.1, 0.0)] = entry(9, 0.1, 0.0, PerfVector(16.0, 30.0))
-        assert agent.recommend(make_ctx()) == Action(4, 0.0)
+        assert agent.recommend(SPEC) == Action(4, 0.0)
 
     def test_least_bad_entry_when_nothing_feasible(self):
         agent = make_agent()
         agent.archive[(3, 0.0, 0.0)] = entry(3, 0.0, 0.0, BAD)
-        assert agent.recommend(make_ctx()) == Action(3, 0.0)
+        assert agent.recommend(SPEC) == Action(3, 0.0)
 
     def test_weight_is_always_zeroed(self):
         agent = make_agent()
         agent.archive[(5, 0.4, 0.3)] = entry(5, 0.4, 0.3, PerfVector(16.0, 30.0))
-        assert agent.recommend(make_ctx()) == Action(5, 0.0)
+        assert agent.recommend(SPEC) == Action(5, 0.0)
 
     def test_repricing_follows_threshold_changes(self):
         # Doubled thresholds turn the old incumbent infeasible; the stored
@@ -331,7 +323,7 @@ class TestRecommend:
         agent.archive[(4, 0.0, 0.0)] = entry(4, 0.0, 0.0, GOOD)
         agent.archive[(5, 0.2, 0.4)] = entry(5, 0.2, 0.4, PerfVector(16.0, 30.0))
         doubled = SliceSpec("s1", 14.0, 20.0, TrafficProfile(30.0, 0.5))
-        assert agent.recommend(make_ctx(spec=doubled)) == Action(5, 0.0)
+        assert agent.recommend(doubled) == Action(5, 0.0)
 
 
 def force_cpus(monkeypatch, n):

@@ -464,7 +464,7 @@ class TestPriceCache:
             ctx = AgentContext(z=4.0, y=0.0, rho=2.0, s=0.0, spec=spec if slot < 6 else strict)
             action = agent.suggest(ctx)
             agent.observe(action, PerfVector(*rng.uniform(8.0, 20.0, 2)), ctx)
-            agent.recommend(ctx)
+            agent.recommend(ctx.spec)
             self.check(agent, {"a": ctx.spec})
         assert len(agent.archive) > 6
 
@@ -539,16 +539,20 @@ class TestSweepDataset:
     def test_covers_the_whole_grid(self):
         dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
         assert len(dataset) == 220
-        assert [e.svrbs for e in dataset] == list(map(tuple, enumerate_joint_grid(3, 12, ALIVE, CAP).tolist()))
-        assert all(type(v) is int for e in dataset for v in e.svrbs)
+        assert np.array_equal(dataset.svrbs, enumerate_joint_grid(3, 12, ALIVE, CAP))
+        assert dataset.svrbs.dtype.kind == "i"
+        assert dataset.throughput.shape == dataset.fps.shape == (220, 3)
+        for column in (dataset.svrbs, dataset.throughput, dataset.fps):
+            with pytest.raises(ValueError):
+                column[0, 0] = 0
 
     def test_known_allocation_performance(self):
         dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
-        entry = next(e for e in dataset if e.svrbs == (4, 4, 4))
-        assert entry.perfs[0].throughput == pytest.approx(12.8)
-        assert entry.perfs[0].fps == pytest.approx(25.6)
-        assert entry.perfs[1].fps == pytest.approx(20.48)
-        assert entry.perfs[2].fps == pytest.approx(28.444444444444446)
+        row = dataset.svrbs.tolist().index([4, 4, 4])
+        assert dataset.throughput[row, 0] == pytest.approx(12.8)
+        assert dataset.fps[row, 0] == pytest.approx(25.6)
+        assert dataset.fps[row, 1] == pytest.approx(20.48)
+        assert dataset.fps[row, 2] == pytest.approx(28.444444444444446)
 
     def test_noise_and_burstiness_are_stripped(self):
         noisy = EnvConfig(capacity_h=12, per_vrb_rate=3.2, noise_std=0.4)
@@ -570,7 +574,7 @@ class TestSweepDataset:
         specs = [SPECS[0], SPECS[1], SliceSpec("s3", 12.0, 10.0, SPECS[2].app_profile, active=False)]
         dataset = sweep_dataset(specs, CONFIG, ALIVE, CAP)
         assert len(dataset) == joint_grid_size(2, 12, ALIVE)
-        assert all(len(e.svrbs) == 2 for e in dataset)
+        assert dataset.svrbs.shape[1] == dataset.throughput.shape[1] == dataset.fps.shape[1] == 2
 
 
 def dataset_of(entries):
@@ -586,7 +590,9 @@ def scan_best(dataset, specs, cost_params):
     """The scalar scan that exsearch_best replaced, kept as its reference."""
     active = [s for s in specs if s.active]
     best, best_cost = None, math.inf
-    for entry in dataset:
+    columns = (dataset.svrbs.tolist(), dataset.throughput.tolist(), dataset.fps.tolist())
+    for svrbs, throughput, fps in zip(*columns):
+        entry = OracleEntry(tuple(svrbs), tuple(map(PerfVector, throughput, fps)))
         feasible = all(
             p.throughput >= s.q_throughput and p.fps >= s.q_fps
             for p, s in zip(entry.perfs, active)
@@ -690,13 +696,3 @@ class TestExSearch:
                 exsearch_best(dataset, specs, cost)
             return
         assert exsearch_best(dataset, specs, cost) == expected
-
-    def test_entries_read_back_the_columns(self):
-        dataset = sweep_dataset(SPECS, CONFIG, ALIVE, CAP)
-        entries = list(dataset)
-        assert len(entries) == len(dataset) == 220
-        assert entries[-1] == dataset[-1] == dataset[len(dataset) - 1]
-        assert [e.svrbs for e in entries] == list(map(tuple, dataset.svrbs.tolist()))
-        assert [p.fps for p in dataset[7].perfs] == dataset.fps[7].tolist()
-        with pytest.raises(ValueError):
-            dataset.throughput[0, 0] = 0.0

@@ -176,6 +176,10 @@ class TestSpread:
         with pytest.raises(InfeasibleCapacityError):
             spread_capacity({"a": 2, "b": 2}, ["a", "b"], 3, min_alive=2)
 
+    def test_impossible_floor_raises_when_the_proposals_fit(self):
+        with pytest.raises(InfeasibleCapacityError):
+            spread_capacity({"a": 1, "b": 1, "c": 1}, ["a", "b", "c"], 12, min_alive=5)
+
     @given(
         st.lists(st.integers(1, 20), min_size=1, max_size=6),
         st.integers(0, 30),
@@ -213,11 +217,6 @@ class TestResize:
         resize(state, joined=[], left=["b"], min_alive=ALGO.min_alive)
         assert set(state.z) == {"a"}
         assert set(state.y) == {"a"}
-
-    def test_leave_drops_the_committed_weight(self):
-        state = new_state(z={"a": 4.0, "b": 3.0}, y={"a": 0.0, "b": -1.0}, w={"a": 0.2, "b": 0.4})
-        resize(state, joined=[], left=["b"], min_alive=ALGO.min_alive)
-        assert state.w == {"a": 0.2}
 
     def test_leaving_unknown_slice_is_a_no_op(self):
         state = new_state(z={"a": 4.0}, y={"a": 0.0})
@@ -304,15 +303,11 @@ class TestOrchestrateSlot:
         total_z = sum(state.z.values())
         assert total_z <= 12.0 + 1e-9
 
-    def test_state_keeps_the_emitted_weights(self):
-        agents, env, specs, state = make_fixture()
-        outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
-        assert state.w == {sid: a.sw for sid, a in outcome.actions.items()}
-
-    def test_committed_weights_seed_the_first_broadcast(self):
+    def test_every_slot_starts_at_zero_peer_weight(self):
+        # Agents commit weight 0, so the first broadcast of the next slot
+        # carries no peer weight, whatever the slot explored.
         agents, env, specs, state = make_fixture()
         orchestrate_slot(agents, env, specs, state, *slot_args())
-        state.w = {"s1": 0.3, "s2": 0.5, "s3": 0.125}
         seen = []
         suggest = agents["s1"].suggest
 
@@ -322,7 +317,7 @@ class TestOrchestrateSlot:
 
         agents["s1"].suggest = recording
         orchestrate_slot(agents, env, specs, state, *slot_args())
-        assert seen[0] == 0.625  # s2's and s3's committed weights
+        assert seen[0] == 0.0
 
     def test_rejects_infeasible_population(self):
         agents, env, specs, state = make_fixture()
@@ -339,7 +334,7 @@ class TestOrchestrateSlot:
             orchestrate_slot(fresh_agents, fresh_env, specs, fresh, *slot_args()),
         ]
         assert outcomes[0] == outcomes[1]
-        assert (fresh.z, fresh.y, fresh.w) == (state.z, state.y, state.w)
+        assert (fresh.z, fresh.y) == (state.z, state.y)
 
     def test_leaves_drop_their_variables(self):
         agents, env, specs, state = make_fixture()
@@ -347,14 +342,14 @@ class TestOrchestrateSlot:
         specs = [specs[0], specs[1], replace(specs[2], active=False)]
         del agents["s3"]
         outcome = orchestrate_slot(agents, env, specs, state, *slot_args())
-        assert set(outcome.actions) == set(state.z) == set(state.y) == set(state.w) == {"s1", "s2"}
+        assert set(outcome.actions) == set(state.z) == set(state.y) == {"s1", "s2"}
 
     def test_a_slot_with_no_active_slice_retires_every_slice(self):
         agents, env, specs, state = make_fixture()
         orchestrate_slot(agents, env, specs, state, *slot_args())
         idle = [replace(s, active=False) for s in specs]
         assert orchestrate_slot({}, env, idle, state, *slot_args()) == SlotOutcome()
-        assert state.z == state.y == state.w == {}
+        assert state.z == state.y == {}
         assert orchestrate_slot({}, env, [], state, *slot_args()) == SlotOutcome()
 
     def test_inactive_slices_are_skipped(self):

@@ -332,7 +332,7 @@ class TestAlgoParams:
         recommended = {"slice1": Action(9, 0.2), "slice2": Action(2, 0.0), "slice3": Action(4, 0.4)}
         order = list(suggested)
         monkeypatch.setattr(SliceAgent, "suggest", lambda self, ctx: suggested[self.slice_id])
-        monkeypatch.setattr(SliceAgent, "recommend", lambda self, ctx: recommended[self.slice_id])
+        monkeypatch.setattr(SliceAgent, "recommend", lambda self, spec: recommended[self.slice_id])
         steps = []
         original = RanEnvironment.step
 
@@ -972,6 +972,12 @@ class TestFailureContract:
         data["events"][0]["slot"] = 2.5
         self.rejects_file(self.write(tmp_path, data), "events[0]: slot", tmp_path, capsys)
 
+    def test_thresholds_on_a_leave_event(self, tmp_path, capsys):
+        data = full_dict()
+        data["events"][0].update(q_throughput=99.0, q_fps=1.0)
+        field = "events[0]: slice_leave events take no q_throughput or q_fps"
+        self.rejects_file(self.write(tmp_path, data), field, tmp_path, capsys)
+
     @pytest.mark.parametrize(
         "change,field",
         [
@@ -1065,9 +1071,6 @@ class TestFailureContract:
         expected = "slices[0].profile: offered load over env.per_vrb_rate "
         self.rejects_file(self.write(tmp_path, data), expected, tmp_path, capsys)
 
-    # numpy warns of the overflow on its way to the error; the contract is the
-    # exit status and the last stderr line
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("algorithm", ["adaslicing", "gbo", "atlas"])
     @pytest.mark.parametrize(
         "path,key", [("slices[0]", "q_throughput"), ("cost", "u_h"), ("algo_params", "barrier_coef")]
@@ -1239,13 +1242,14 @@ def small_scenarios(draw):
         }
         for sid in ids
     ]
-    event = st.fixed_dictionaries({
-        "slot": st.integers(0, 3),
-        "kind": st.sampled_from(["slice_join", "slice_leave", "sla_change"]),
-        "slice_id": st.sampled_from(ids),
-        "q_throughput": st.floats(1.0, 20.0),
-        "q_fps": st.floats(1.0, 40.0),
-    })
+
+    def event_of(kind):
+        event = {"slot": st.integers(0, 3), "kind": st.just(kind), "slice_id": st.sampled_from(ids)}
+        if kind == "sla_change":  # joins and leaves take no thresholds
+            event.update(q_throughput=st.floats(1.0, 20.0), q_fps=st.floats(1.0, 40.0))
+        return st.fixed_dictionaries(event)
+
+    event = st.sampled_from(["slice_join", "slice_leave", "sla_change"]).flatmap(event_of)
     env = {
         "capacity_h": draw(st.integers(len(ids), 12)),
         "per_vrb_rate": draw(st.floats(1.0, 4.0)),

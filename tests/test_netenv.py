@@ -213,6 +213,12 @@ class TestEvents:
         with pytest.raises(ValueError):
             DynamicsEvent(1, "sla_change", "a", q_throughput=14.0)
 
+    @pytest.mark.parametrize("kind", ["slice_join", "slice_leave"])
+    @pytest.mark.parametrize("thresholds", [{"q_throughput": 99.0}, {"q_fps": 1.0}])
+    def test_population_events_take_no_thresholds(self, kind, thresholds):
+        with pytest.raises(ValueError, match=f"{kind} events take no q_throughput or q_fps"):
+            DynamicsEvent(1, kind, "a", **thresholds)
+
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError):
             DynamicsEvent(1, "slice_restart", "a")
