@@ -4,8 +4,9 @@ All acquisitions score candidates for *minimization* of the surrogate
 objective; larger scores are more promising. A softmax Hedge bandit picks
 which acquisition's nominee is actually played, learning from full-information
 rewards (every arm is rewarded each round, played or not). EI and PI take
-scipy.special's ndtr, imported when they are first called; in a run, the
-first GP fit has imported it already.
+ndtr from scipy's compiled module scipy.special._special_ufuncs, loaded by
+`gp.scipy_extension` when they are first called; in a run, the first GP fit
+has loaded it already. The scipy.special package is never imported.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .gp import scipy_extension
 
 PORTFOLIO = ("ei", "pi", "lcb")
 KAPPA = 1.96  # the optimizers' LCB exploration weight: a two-sided 95% normal quantile
@@ -25,7 +28,7 @@ def _normal_pdf(d: np.ndarray) -> np.ndarray:
 
     scipy.stats costs about as much to import as the rest of the program, so
     the density is written out here and the distribution function is
-    scipy.special.ndtr, which norm.cdf itself calls.
+    ndtr, the ufunc that norm.cdf itself calls.
     """
     return np.exp(-(d**2) / 2.0) / _SQRT_2PI
 
@@ -38,8 +41,7 @@ def _ei_pi(mu: np.ndarray, sigma: np.ndarray, best: float) -> tuple[np.ndarray, 
     there are any, their entries are patched to the plain improvement and
     an indicator.
     """
-    from scipy.special import ndtr
-
+    ndtr = scipy_extension("scipy.special._special_ufuncs").ndtr  # scipy.special.ndtr itself
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu

@@ -3,13 +3,14 @@
 numpy and scipy wheels each ship their own OpenBLAS under `<package>.libs/`.
 A library reads OPENBLAS_NUM_THREADS once, when it is loaded. Importing
 sliceorch loads numpy's, so by the time the command line runs the variable
-is read. scipy's loads with scipy.linalg, on the first GP fit (see
-`gp._load_scipy`), unless `_libraries` opens it first; the dynamic loader
-keeps one copy of a library per process, so scipy.linalg then links the
-copy already open, with the thread count set here. The count is read and
-set through each library's `get_num_threads` and `set_num_threads`, found
-by the symbol names the wheels export. A numpy or scipy built against
-another BLAS has no such library, and then there is nothing to read or set.
+is read. scipy's loads with its LAPACK module scipy.linalg._flapack, on the
+first GP fit (see `gp._load_scipy`), unless `_libraries` opens it first; the
+dynamic loader keeps one copy of a library per process, so _flapack then
+links the copy already open, with the thread count set here. The count is
+read and set through each library's `get_num_threads` and
+`set_num_threads`, found by the symbol names the wheels export. A numpy or
+scipy built against another BLAS has no such library, and then there is
+nothing to read or set.
 """
 
 from __future__ import annotations

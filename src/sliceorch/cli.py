@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
 
 from . import blas
 from .errors import SliceOrchError
@@ -86,11 +87,13 @@ def _apply_overrides(scenario, args):
 
 def _cmd_run(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
+    start = perf_counter()
     records = run(scenario)
+    wall_s = perf_counter() - start
     out = Path(args.out)
     slice_ids = [s.slice_id for s in scenario.slices]
     write_trace_csv(records, slice_ids, out / "trace.csv")
-    write_manifest(scenario, out / "manifest.json")
+    write_manifest(scenario, out / "manifest.json", wall_s)
     last = records[-1]
     print(
         f"{scenario.name}: {scenario.algorithm} seed={scenario.seed} "

@@ -5,13 +5,20 @@ length scales, zero prior mean over standardized targets, fitted on float
 input rows and scalar targets. Which rows it is fitted on is the optimizers'
 choice (`agent.PortfolioBo`); nothing here knows about slices, actions,
 prices or training windows. scipy's LAPACK handles and L-BFGS-B core are
-imported on the first fit, not with this module (`_load_scipy`).
+loaded on the first fit, not with this module, from scipy's compiled
+modules alone; no scipy subpackage is imported (`_load_scipy`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,31 +34,86 @@ _JITTER_MAX = 1e-4
 # cho_solve spend longer on argument handling than LAPACK spends on the
 # arithmetic. Then scipy's L-BFGS-B core. All four are bound by _load_scipy.
 _POTRF = _POTRS = _TRTRI = _SETULB = None
+_SCIPY_LOCK = threading.Lock()
+
+
+def scipy_extension(name: str) -> ModuleType:
+    """scipy's compiled module `name`, loaded from its file in the installed scipy.
+
+    The file is found under the `scipy` package's directory by the
+    interpreter's extension suffixes and loaded without importing the
+    package it sits in: no `__init__` of scipy.linalg, scipy.optimize or
+    scipy.special runs. The module is registered in sys.modules under
+    `name`, so a package imported later links this module object rather
+    than loading the file again; a module already there (its package was
+    imported first) is returned as it is. One gap: the import system sets a
+    package's attribute for a child only when it loads the child itself. So
+    once `name` is loaded here, a later `import scipy.optimize` leaves no
+    attribute `scipy.optimize._lbfgsb`, though `from scipy.optimize import
+    _lbfgsb` gives this module.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    with _SCIPY_LOCK:  # two threads fitting at once load the file once
+        module = sys.modules.get(name)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")  # locates the package, runs no __init__
+        files = [
+            os.path.join(directory, *name.split(".")[1:]) + suffix
+            for directory in (scipy and scipy.submodule_search_locations) or ()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next((f for f in files if os.path.isfile(f)), None)
+        if path is None:
+            raise ImportError(
+                f"{name} is missing from the installed scipy ({_scipy_version()});"
+                " sliceorch needs scipy>=1.17"
+            )
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module  # once complete, since readers outside the lock take it as is
+        return module
+
+
+def _scipy_version() -> str:
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return "none"
 
 
 def _load_scipy() -> None:
     """Bind the scipy routines that fitting a GP and scoring its candidates call.
 
-    Importing scipy.linalg, scipy.optimize and scipy.special takes about
-    twice as long as importing numpy and the rest of sliceorch, and
-    exhaustive search, `validate` and `oracle` call none of them. So they are
-    imported here, on the first `fit` or `TrainingSet.build`, not when
-    sliceorch is.
+    They are LAPACK's dpotrf, dpotrs and dtrtri, L-BFGS-B's setulb and the
+    normal distribution function ndtr, and they live in three compiled
+    modules, each loaded by `scipy_extension`: scipy.linalg._flapack,
+    scipy.optimize._lbfgsb and scipy.special._special_ufuncs. Importing the
+    three packages around them would load about 300 modules and take about
+    twice as long as importing numpy and the rest of sliceorch; exhaustive
+    search, `validate` and `oracle` need none of them. So the three modules
+    are loaded here, on the first `fit` or `TrainingSet.build`, not when
+    sliceorch is imported.
     Every Bayesian optimizer fits on its first observation, before it
-    searches hyperparameters or scores a candidate, so that fit pays for all
-    three, scipy.special (acquisition's ndtr) included. Later calls return
-    at once, and the likelihood reads the handles as module globals, as it
-    did when they were bound at import.
+    searches hyperparameters or scores a candidate, so that fit loads all
+    three, scipy.special._special_ufuncs (acquisition's ndtr) included. Later
+    calls return at once, and the likelihood reads the handles as module
+    globals, as it did when they were bound at import. The handles are the
+    objects that scipy.linalg.get_lapack_funcs returns for float64 arrays.
     """
     global _POTRF, _POTRS, _TRTRI, _SETULB
     if _SETULB is not None:
         return
-    import scipy.special  # noqa: F401  acquisition's ndtr: no candidate scoring pays the import
-    from scipy.linalg import get_lapack_funcs
-    from scipy.optimize._lbfgsb import setulb
+    scipy_extension("scipy.special._special_ufuncs")  # acquisition's ndtr, before any scoring
+    flapack = scipy_extension("scipy.linalg._flapack")
+    _POTRF, _POTRS, _TRTRI = flapack.dpotrf, flapack.dpotrs, flapack.dtrtri
+    _SETULB = scipy_extension("scipy.optimize._lbfgsb").setulb
 
-    _POTRF, _POTRS, _TRTRI = get_lapack_funcs(("potrf", "potrs", "trtri"), (np.empty((0, 0)),))
-    _SETULB = setulb
 
 # Kernel entries and posterior weights below sqrt(tiny) (about 1.5e-154) are
 # set to 0: a product of two of them would be subnormal, and the CPU handles

@@ -586,12 +586,14 @@ def write_trace_csv(records: Sequence[SlotRecord], slice_ids: Sequence[str], pat
     _write_csv(path, trace_columns(slice_ids), (_trace_row(r, slice_ids) for r in records))
 
 
-def write_manifest(scenario: Scenario, path: str | Path) -> None:
-    """Deterministic run manifest: what ran, from which scenario, which code.
+def write_manifest(scenario: Scenario, path: str | Path, wall_s: float) -> None:
+    """Run manifest: what ran, from which scenario, which code, and how long it took.
 
     The interpreter and library versions are recorded beside the package's,
     since a trace's floating-point bits depend on them too. So is the thread
     count of each bundled OpenBLAS, since the run's speed depends on it.
+    `wall_s`, the run's wall time in seconds, is the one field that differs
+    between two identical runs.
     """
     import scipy
 
@@ -611,6 +613,7 @@ def write_manifest(scenario: Scenario, path: str | Path) -> None:
         "scipy_version": scipy.__version__,
         "openblas_threads": blas.threads(),
         "trace_columns": trace_columns([s.slice_id for s in scenario.slices]),
+        "wall_s": wall_s,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

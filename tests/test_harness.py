@@ -610,8 +610,9 @@ class TestFileOutputs:
     def test_manifest_contents(self, tmp_path):
         scn = scenario_from_dict(base_dict())
         path = tmp_path / "manifest.json"
-        write_manifest(scn, path)
+        write_manifest(scn, path, 0.5)
         manifest = json.loads(path.read_text())
+        assert manifest["wall_s"] == 0.5
         assert manifest["name"] == "tiny"
         assert manifest["algorithm"] == "exsearch"
         assert manifest["scenario_sha256"] == scenario_digest(scn)
@@ -671,6 +672,23 @@ class TestCli:
         assert (out / "trace.csv").exists()
         assert (out / "manifest.json").exists()
         assert "final_cost" in capsys.readouterr().out
+
+    def test_manifest_times_the_run_and_leaves_the_trace_alone(self, scenario_file, tmp_path):
+        """`wall_s` is the one manifest field two identical runs disagree on."""
+        manifests, traces = [], []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            argv = ["run", str(scenario_file), "--out", str(out), "--algo", "adaslicing", "--slots", "2"]
+            assert main(argv) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            traces.append((out / "trace.csv").read_bytes())
+        for manifest in manifests:
+            wall_s = manifest.pop("wall_s")
+            assert isinstance(wall_s, float) and wall_s > 0.0
+        assert manifests[0] == manifests[1]
+        scn = replace(load_scenario(scenario_file), algorithm="adaslicing", slots=2)
+        write_trace_csv(run(scn), [s.slice_id for s in scn.slices], tmp_path / "direct.csv")
+        assert traces == [(tmp_path / "direct.csv").read_bytes()] * 2
 
     def test_run_overrides_reach_the_outputs(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -779,7 +797,10 @@ def test_integer_and_float_literals_write_the_same_files(tmp_path):
     assert written[0] == written[1]
 
 
-DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.special")  # loaded on the first GP fit
+DEFERRED = (  # loaded on the first GP fit, without the packages around them
+    "scipy.linalg._flapack", "scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"
+)
+PACKAGES = ("scipy.linalg", "scipy.optimize", "scipy.special")  # never imported by sliceorch
 
 
 def fresh_process(code, *args):
@@ -798,13 +819,14 @@ def fresh_process(code, *args):
 
 
 class TestDeferredScipy:
-    """Only a GP fit loads scipy.linalg, scipy.optimize and scipy.special."""
+    """Only a GP fit loads scipy's three compiled modules, and never their packages."""
 
     LOADED = (
         "import json, sys\n"
         "from sliceorch import cli\n"
         "if sys.argv[1:]:\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
+        f"assert not [m for m in {PACKAGES!r} if m in sys.modules]\n"
         f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
     )
 
@@ -833,18 +855,87 @@ class TestDeferredScipy:
             f"assert not [m for m in {DEFERRED!r} if m in sys.modules]\n"
             "x, y = [[0.0], [1.0]], [1.0, 2.0]\n"
             f"{call}\n"
+            f"assert not [m for m in {PACKAGES!r} if m in sys.modules]\n"
             f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))\n"
         )
         assert fresh_process(code) == list(DEFERRED)
 
+    def test_the_packages_imported_after_a_fit_share_its_modules(self):
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from sliceorch import acquisition, gp\n"
+            "gp.fit([[0.0], [1.0]], [1.0, 2.0], gp.KernelParams((1.0,)), 1e-3)\n"
+            f"leaves = [sys.modules[m] for m in {DEFERRED!r}]\n"
+            "import scipy.linalg, scipy.optimize, scipy.special\n"
+            "from scipy.optimize import _lbfgsb\n"
+            "handles = scipy.linalg.get_lapack_funcs(('potrf', 'potrs', 'trtri'), (np.empty((0, 0)),))\n"
+            "ndtr = gp.scipy_extension('scipy.special._special_ufuncs').ndtr\n"
+            "result = scipy.optimize.minimize(\n"
+            "    lambda v: ((v - 1.0) ** 2).sum(), np.zeros(2), method='L-BFGS-B')\n"
+            "calls = []\n"  # acquisition looks ndtr up in the loaded module on each call
+            "leaves[2].ndtr = lambda d: calls.append(d) or ndtr(d)\n"
+            "acquisition.ei(np.array([0.0]), np.array([1.0]), 0.5)\n"
+            "leaves[2].ndtr = ndtr\n"
+            "print(json.dumps({\n"
+            f"    'same_modules': [sys.modules[m] is l for m, l in zip({DEFERRED!r}, leaves)],\n"
+            "    'lapack': [h is g for h, g in zip(handles, (gp._POTRF, gp._POTRS, gp._TRTRI))],\n"
+            "    'ndtr': scipy.special.ndtr is ndtr,\n"
+            "    'ei': len(calls) == 1,\n"
+            "    'lbfgsb': _lbfgsb is leaves[1] and _lbfgsb.setulb is gp._SETULB,\n"
+            "    'attribute': hasattr(scipy.optimize, '_lbfgsb'),\n"
+            "    'minimize': bool(result.success) and np.allclose(result.x, 1.0),\n"
+            "}))\n"
+        )
+        assert fresh_process(code) == {
+            "same_modules": [True] * 3, "lapack": [True] * 3, "ndtr": True, "ei": True,
+            "lbfgsb": True,
+            "attribute": False,  # the gap `scipy_extension` documents
+            "minimize": True,
+        }
+
+    def test_a_fit_after_the_packages_loads_nothing_twice(self):
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import scipy.linalg, scipy.optimize, scipy.special\n"
+            f"before = [sys.modules[m] for m in {DEFERRED!r}]\n"
+            "from sliceorch import gp\n"
+            "gp.fit([[0.0], [1.0]], [1.0, 2.0], gp.KernelParams((1.0,)), 1e-3)\n"
+            "handles = scipy.linalg.get_lapack_funcs(('potrf', 'potrs', 'trtri'), (np.empty((0, 0)),))\n"
+            "print(json.dumps({\n"
+            f"    'returned': [gp.scipy_extension(m) is b for m, b in zip({DEFERRED!r}, before)],\n"
+            f"    'registered': [sys.modules[m] is b for m, b in zip({DEFERRED!r}, before)],\n"
+            "    'lapack': [h is g for h, g in zip(handles, (gp._POTRF, gp._POTRS, gp._TRTRI))],\n"
+            "    'setulb': gp._SETULB is scipy.optimize._lbfgsb.setulb,\n"
+            "    'ndtr': gp.scipy_extension('scipy.special._special_ufuncs').ndtr is scipy.special.ndtr,\n"
+            "}))\n"
+        )
+        assert fresh_process(code) == {
+            "returned": [True] * 3, "registered": [True] * 3, "lapack": [True] * 3,
+            "setulb": True, "ndtr": True,
+        }
+
+    def test_a_missing_module_names_itself_and_the_scipy_version(self):
+        from sliceorch import gp
+
+        with pytest.raises(ImportError) as raised:
+            gp.scipy_extension("scipy.linalg._no_such_module")
+        assert str(raised.value) == (
+            f"scipy.linalg._no_such_module is missing from the installed scipy ({scipy.__version__});"
+            " sliceorch needs scipy>=1.17"
+        )
+        assert "scipy.linalg._no_such_module" not in sys.modules
+
     def test_the_cli_pins_scipys_openblas_when_scipy_loads_late(self, scenario_file, tmp_path):
-        """blas.set_threads opens scipy's OpenBLAS before scipy.linalg does; both share it."""
+        """blas.set_threads opens scipy's OpenBLAS before _flapack does; both share it."""
         code = (
             "import json, os, sys\n"
             "from sliceorch import blas, cli\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'scipy.linalg._flapack' not in sys.modules\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.linalg._flapack' in sys.modules\n"
+            f"assert not [m for m in {PACKAGES!r} if m in sys.modules]\n"
             "copies = None\n"
             "if os.path.exists('/proc/self/maps'):\n"
             "    copies = {}\n"  # a loaded copy maps the file's offset 0 once
