@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agent import PortfolioBo, _radical_inverse, parallel_map
+from .agent import PortfolioBo, _radical_inverse, parallel_map, row_blocks
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
 from .gp import KernelLattice, KernelParams
@@ -267,7 +267,10 @@ def sweep_dataset(
     """Evaluate every joint action on the noise-free environment at weight 0.
 
     Weight 0 is hard isolation in either mode. One `step` per grid row, each
-    written straight into the row of the performance columns.
+    written straight into the row of the performance columns. The grid is
+    turned into Python rows one `row_blocks` block at a time, so besides the
+    three output arrays the sweep holds at most PREDICT_BLOCK_ROWS rows as
+    Python objects.
     """
     active = [s for s in specs if s.active]
     clean_config = replace(config, noise_std=0.0)
@@ -278,12 +281,13 @@ def sweep_dataset(
     throughput = np.empty(grid.shape)
     fps = np.empty(grid.shape)
     ids = [s.slice_id for s in clean_specs]
-    for i, combo in enumerate(grid.tolist()):
-        perfs = step(
-            {sid: Action(v, 0.0) for sid, v in zip(ids, combo)}, clean_specs, clean_config, rng
-        )
-        throughput[i] = [perfs[sid].throughput for sid in ids]
-        fps[i] = [perfs[sid].fps for sid in ids]
+    for block in row_blocks(grid.shape[0]):
+        for i, combo in enumerate(grid[block].tolist(), start=block.start):
+            perfs = step(
+                {sid: Action(v, 0.0) for sid, v in zip(ids, combo)}, clean_specs, clean_config, rng
+            )
+            throughput[i] = [perfs[sid].throughput for sid in ids]
+            fps[i] = [perfs[sid].fps for sid in ids]
     return OracleDataset(grid, throughput, fps)
 
 

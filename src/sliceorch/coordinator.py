@@ -138,8 +138,8 @@ def resize(state: CoordinatorState, joined: Sequence[str], left: Sequence[str], 
 class SlotOutcome:
     """Final emitted allocation of one slot, with its consensus iterations and residual."""
 
-    actions: dict[str, Action] = field(default_factory=dict)
-    perfs: dict[str, PerfVector] = field(default_factory=dict)
+    actions: Mapping[str, Action] = field(default_factory=dict)
+    perfs: Mapping[str, PerfVector] = field(default_factory=dict)
     iterations: int = 0
     primal_residual: float = 0.0
 

@@ -20,12 +20,13 @@ import platform
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
-from .agent import SliceAgent, check_action_grid
+from .agent import SliceAgent, check_action_grid, row_blocks
 from .baselines import (
     GridPortfolioBo,
     OracleDataset,
@@ -131,17 +132,39 @@ def check_grid_cap(scenario: Scenario) -> None:
 
 @dataclass(frozen=True, slots=True)
 class SlotRecord:
-    """Emitted allocation and delivered performance of one slot."""
+    """Emitted allocation and delivered performance of one slot.
+
+    A record keeps only what the slot produced: the `actions` and `perfs`
+    mappings the policy returned, uncopied (a policy that reuses a mapping
+    across slots hands out a read-only view of it), the slice specs and
+    cost parameters in force, and the two slot totals. `run` passes one
+    spec sequence per stretch of slots without events, so records share it.
+    `per_slice_cost` and `norm_perf` are derived from these when read.
+    """
 
     slot: int
-    actions: dict[str, Action]
-    perfs: dict[str, PerfVector]
-    per_slice_cost: dict[str, float]
+    actions: Mapping[str, Action]
+    perfs: Mapping[str, PerfVector]
+    specs: Sequence[SliceSpec]
+    cost: CostParams
     total_cost: float
-    norm_perf: dict[str, float]
     mean_norm_perf: float
     admm_iterations: int
     primal_residual: float
+
+    @property
+    def per_slice_cost(self) -> dict[str, float]:
+        """Each allocated slice's `slice_cost` under the record's cost parameters."""
+        return {sid: slice_cost(a, self.cost) for sid, a in self.actions.items()}
+
+    @property
+    def norm_perf(self) -> dict[str, float]:
+        """Each allocated slice's `normalized_performance` under the SLA in force."""
+        return {
+            s.slice_id: normalized_performance(self.perfs[s.slice_id], s)
+            for s in self.specs
+            if s.slice_id in self.actions
+        }
 
 
 # -- scenario i/o ---------------------------------------------------------------
@@ -269,18 +292,22 @@ def load_scenario(path: str | Path) -> Scenario:
 def _make_record(
     slot: int, outcome: SlotOutcome, specs: Sequence[SliceSpec], cost: CostParams
 ) -> SlotRecord:
+    """The record of one slot: `run` calls this once per slot, at the slot's end.
+
+    The outcome's mappings and `specs` are kept as given. The totals are
+    exact sums (`fsum`), so they do not depend on the order of the slices,
+    and a slot with no active slice totals 0.
+    """
     actions, perfs = outcome.actions, outcome.perfs
-    spec_by_id = {s.slice_id: s for s in specs}
-    per_cost = {sid: slice_cost(a, cost) for sid, a in actions.items()}
-    norm = {sid: normalized_performance(perfs[sid], spec_by_id[sid]) for sid in actions}
+    norms = [normalized_performance(perfs[s.slice_id], s) for s in specs if s.slice_id in actions]
     return SlotRecord(
         slot=slot,
-        actions=dict(actions),
-        perfs=dict(perfs),
-        per_slice_cost=per_cost,
-        total_cost=math.fsum(per_cost.values()),
-        norm_perf=norm,
-        mean_norm_perf=(math.fsum(norm.values()) / len(norm)) if norm else 0.0,
+        actions=actions,
+        perfs=perfs,
+        specs=specs,
+        cost=cost,
+        total_cost=math.fsum(slice_cost(a, cost) for a in actions.values()),
+        mean_norm_perf=(math.fsum(norms) / len(norms)) if norms else 0.0,
         admm_iterations=outcome.iterations,
         primal_residual=outcome.primal_residual,
     )
@@ -409,8 +436,9 @@ def _exsearch(scenario: Scenario, env: RanEnvironment) -> Policy:
 
     A population's sweep depends on its ids and traffic profiles, and the
     pick on those plus the SLA thresholds, so each is computed once per
-    distinct key and reused. The environment still steps every slot, since
-    each step draws from its random stream.
+    distinct key and reused; the pick is a read-only mapping, since every
+    slot of its epoch returns, and records, the same one. The environment
+    still steps every slot, since each step draws from its random stream.
     """
     p = scenario.algo
     datasets: dict[tuple, OracleDataset] = {}
@@ -425,7 +453,9 @@ def _exsearch(scenario: Scenario, env: RanEnvironment) -> Policy:
             if population not in datasets:
                 datasets[population] = sweep_dataset(active, scenario.env, p.min_alive, p.grid_cap)
             best = exsearch_best(datasets[population], active, scenario.cost)
-            picks[epoch] = {s.slice_id: Action(v, 0.0) for s, v in zip(active, best.svrbs)}
+            picks[epoch] = MappingProxyType(
+                {s.slice_id: Action(v, 0.0) for s, v in zip(active, best.svrbs)}
+            )
         actions = picks[epoch]
         return SlotOutcome(actions, env.step(actions, active))
 
@@ -444,7 +474,7 @@ def run(scenario: Scenario) -> list[SlotRecord]:
     """Execute a scenario deterministically and return one record per slot."""
     env = RanEnvironment(scenario.env, substream(scenario.seed, "env"))
     decide = _POLICIES[scenario.algorithm](scenario, env)
-    specs = list(scenario.slices)
+    specs: Sequence[SliceSpec] = scenario.slices
     records = []
     for slot in range(scenario.slots):
         specs = apply_events(slot, scenario.events, specs)
@@ -568,13 +598,14 @@ def _trace_row(r: SlotRecord, slice_ids: Sequence[str]) -> list:
         r.slot, r.admm_iterations, repr(r.primal_residual),
         repr(r.total_cost), repr(r.mean_norm_perf),
     ]
+    costs, norms = r.per_slice_cost, r.norm_perf
     for sid in slice_ids:
         if sid not in r.actions:
             row += [""] * 6
             continue
         action, perf = r.actions[sid], r.perfs[sid]
         row += [action.svrb, repr(action.sw), repr(perf.throughput), repr(perf.fps)]
-        row += [repr(r.per_slice_cost[sid]), repr(r.norm_perf[sid])]
+        row += [repr(costs[sid]), repr(norms[sid])]
     return row
 
 
@@ -640,10 +671,16 @@ def dump_oracle(scenario: Scenario) -> OracleDataset:
 def write_oracle_csv(
     dataset: OracleDataset, slice_ids: Sequence[str], path: str | Path
 ) -> None:
-    """One row per joint action: each slice's svRB, then throughputs, then FPS."""
+    """One row per joint action: each slice's svRB, then throughputs, then FPS.
+
+    Integers are written with str and floats with repr. The columns are
+    turned into Python rows one `row_blocks` block at a time, so the writer
+    holds at most PREDICT_BLOCK_ROWS rows as Python objects.
+    """
     header = [f"{sid}_{col}" for col in ("svrb", "throughput", "fps") for sid in slice_ids]
-    columns = (dataset.svrbs.tolist(), dataset.throughput.tolist(), dataset.fps.tolist())
+    columns = (dataset.svrbs, dataset.throughput, dataset.fps)
     _write_csv(path, header, (
-        [str(v) for v in svrbs] + [repr(v) for v in throughput] + [repr(v) for v in fps]
-        for svrbs, throughput, fps in zip(*columns)
+        [*map(str, svrbs), *map(repr, throughput), *map(repr, fps)]
+        for block in row_blocks(len(dataset))
+        for svrbs, throughput, fps in zip(*(column[block].tolist() for column in columns))
     ))

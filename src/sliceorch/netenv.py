@@ -131,8 +131,13 @@ def step(
 
 def apply_events(
     slot: int, events: Sequence[DynamicsEvent], specs: Sequence[SliceSpec]
-) -> list[SliceSpec]:
-    """Apply the events scheduled for `slot` and return the updated specs."""
+) -> Sequence[SliceSpec]:
+    """Apply the events scheduled for `slot` and return the updated specs.
+
+    With no event at `slot` this is `specs` itself; otherwise a new tuple.
+    """
+    if all(ev.slot != slot for ev in events):
+        return specs
     updated = list(specs)
     known = {s.slice_id: i for i, s in enumerate(updated)}
     for ev in events:
@@ -147,7 +152,7 @@ def apply_events(
             updated[i] = replace(updated[i], active=False)
         else:
             updated[i] = replace(updated[i], q_throughput=ev.q_throughput, q_fps=ev.q_fps)
-    return updated
+    return tuple(updated)
 
 
 class RanEnvironment:

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from sliceorch import agent as agent_module
 from sliceorch import baselines, harness
 from sliceorch.acquisition import KAPPA, portfolio_nominate
-from sliceorch.agent import AgentContext, SliceAgent, barrier_value, row_blocks
+from sliceorch.agent import (
+    PREDICT_BLOCK_ROWS,
+    AgentContext,
+    SliceAgent,
+    barrier_value,
+    row_blocks,
+)
 from sliceorch.baselines import (
     GridPortfolioBo,
     OracleDataset,
@@ -575,6 +582,27 @@ class TestSweepDataset:
         dataset = sweep_dataset(specs, CONFIG, ALIVE, CAP)
         assert len(dataset) == joint_grid_size(2, 12, ALIVE)
         assert dataset.svrbs.shape[1] == dataset.throughput.shape[1] == dataset.fps.shape[1] == 2
+
+    def test_holds_one_row_block_beside_its_columns(self):
+        """The sweep's peak stays within its three arrays plus about one block of Python rows.
+
+        Three slices on 40 vRBs give 9,880 rows, three blocks; a sweep that
+        listed every grid row at once would hold about 2.4 blocks of them.
+        """
+        tracemalloc.start()
+        try:
+            rows = enumerate_joint_grid(3, 40, ALIVE, CAP)[:PREDICT_BLOCK_ROWS].tolist()
+            block = tracemalloc.get_traced_memory()[0]
+            del rows
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            dataset = sweep_dataset(SPECS, replace(CONFIG, capacity_h=40), ALIVE, CAP)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 9_880
+        columns = dataset.svrbs.nbytes + dataset.throughput.nbytes + dataset.fps.nbytes
+        assert peak - columns <= 1.5 * block
 
 
 def dataset_of(entries):

@@ -13,8 +13,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceorch import blas, harness, netenv
-from sliceorch.agent import PortfolioBo, SliceAgent
-from sliceorch.baselines import GridPortfolioBo
+from sliceorch.agent import PREDICT_BLOCK_ROWS, PortfolioBo, SliceAgent
+from sliceorch.baselines import GridPortfolioBo, OracleDataset
 from sliceorch.cli import _build_parser, main
 from sliceorch.coordinator import CoordinatorState, clamp_capacity, spread_capacity
-from sliceorch.core import Action, CostParams
+from sliceorch.core import Action, CostParams, normalized_performance, slice_cost
 from sliceorch.errors import NoFeasibleActionError, ScenarioError
 from sliceorch.harness import (
     ALGORITHMS,
@@ -45,6 +46,7 @@ from sliceorch.harness import (
     scenario_to_dict,
     trace_columns,
     write_manifest,
+    write_oracle_csv,
     write_trace_csv,
 )
 from sliceorch.netenv import EnvConfig, RanEnvironment, TrafficProfile
@@ -537,6 +539,88 @@ class TestRunners:
                 assert all(0.0 <= a.sw <= 1.0 for a in r.actions.values())
 
 
+class TestSlotRecord:
+    """A record derives its per-slice costs and normalized performance from what it keeps."""
+
+    # a's SLA tightens at slot 2, b leaves at 3, a at 4 (no slice active),
+    # a rejoins at 5 and b at 6.
+    EVENTS = [
+        {"slot": 2, "kind": "sla_change", "slice_id": "a", "q_throughput": 14.0, "q_fps": 20.0},
+        {"slot": 3, "kind": "slice_leave", "slice_id": "b"},
+        {"slot": 4, "kind": "slice_leave", "slice_id": "a"},
+        {"slot": 5, "kind": "slice_join", "slice_id": "a"},
+        {"slot": 6, "kind": "slice_join", "slice_id": "b"},
+    ]
+
+    def scenario(self, algorithm):
+        return scenario_from_dict(base_dict(
+            algorithm=algorithm, slots=8, events=self.EVENTS, cost={"u_h": 1.5, "u_s": 2.0},
+            env={"capacity_h": 12, "per_vrb_rate": 3.2, "noise_std": 0.03},
+        ))
+
+    @staticmethod
+    def in_force(scenario, slot):
+        """Each slice's spec at `slot`, replaying the events by hand."""
+        specs = {s.slice_id: s for s in scenario.slices}
+        for ev in scenario.events:
+            if ev.slot > slot:
+                continue
+            if ev.kind == "sla_change":
+                specs[ev.slice_id] = replace(
+                    specs[ev.slice_id], q_throughput=ev.q_throughput, q_fps=ev.q_fps
+                )
+            else:
+                specs[ev.slice_id] = replace(specs[ev.slice_id], active=ev.kind == "slice_join")
+        return specs
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_derived_fields_follow_the_spec_in_force(self, algorithm):
+        scn = self.scenario(algorithm)
+        records = run(scn)
+        active = [{"a", "b"}, {"a", "b"}, {"a", "b"}, {"a"}, set(), {"a"}, {"a", "b"}, {"a", "b"}]
+        for slot, r in enumerate(records):
+            specs = self.in_force(scn, slot)
+            assert set(r.actions) == set(r.perfs) == active[slot]
+            assert r.per_slice_cost == {sid: slice_cost(a, scn.cost) for sid, a in r.actions.items()}
+            assert r.norm_perf == {
+                sid: normalized_performance(r.perfs[sid], specs[sid]) for sid in r.actions
+            }
+            assert r.total_cost == math.fsum(r.per_slice_cost.values())
+            norms = list(r.norm_perf.values())
+            assert r.mean_norm_perf == (math.fsum(norms) / len(norms) if norms else 0.0)
+        empty = records[4]
+        assert (empty.per_slice_cost, empty.norm_perf) == ({}, {})
+        assert (empty.total_cost, empty.mean_norm_perf) == (0.0, 0.0)
+        # the tightened SLA halves a's normalized performance on the same delivery
+        before, after = self.in_force(scn, 1)["a"], self.in_force(scn, 2)["a"]
+        perf = records[2].perfs["a"]
+        assert records[2].norm_perf["a"] == normalized_performance(perf, after)
+        assert records[2].norm_perf["a"] == pytest.approx(normalized_performance(perf, before) / 2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_shared_parts_cannot_be_written_through(self, algorithm):
+        records = run(self.scenario(algorithm))
+        owners = Counter(id(m) for r in records for m in (r.actions, r.perfs))
+        for r in records:
+            for mapping in (r.actions, r.perfs):
+                if owners[id(mapping)] > 1 and mapping:
+                    with pytest.raises(TypeError):
+                        mapping["a"] = Action(1, 0.0)
+            with pytest.raises(TypeError):
+                r.specs[0] = r.specs[1]
+            with pytest.raises(FrozenInstanceError):
+                r.total_cost = 0.0
+            r.norm_perf.clear()  # a derived mapping is the reader's own
+            r.per_slice_cost.clear()
+            assert r.norm_perf.keys() == r.per_slice_cost.keys() == r.actions.keys()
+        # slots 0-2 play one population and slots 0-1 one SLA epoch: they share specs
+        assert records[0].specs is records[1].specs
+        assert records[1].specs is not records[2].specs
+        if algorithm == "exsearch":  # one pick per SLA epoch, shared by its slots
+            assert records[0].actions is records[1].actions
+            assert records[5].actions is records[3].actions
+
+
 class TestMatrix:
     def test_cell_failure_becomes_an_error_row(self):
         data = base_dict()
@@ -621,6 +705,31 @@ class TestFileOutputs:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
         assert manifest["openblas_threads"] == blas.threads()
+
+    def test_oracle_writer_holds_one_row_block(self, tmp_path):
+        """Writing 30,000 rows (8 blocks) holds about one block of them as Python rows."""
+        svrbs = np.arange(60_000).reshape(30_000, 2) % 25 + 1
+        dataset = OracleDataset(svrbs, svrbs * 3.2, svrbs * 1.5)
+        columns = (dataset.svrbs, dataset.throughput, dataset.fps)
+        tracemalloc.start()
+        try:
+            rows = [column[:PREDICT_BLOCK_ROWS].tolist() for column in columns]
+            block = tracemalloc.get_traced_memory()[0]
+            del rows
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            write_oracle_csv(dataset, ["a", "b"], tmp_path / "oracle.csv")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block
+        with open(tmp_path / "oracle.csv", newline="") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 30_001
+        for i in (0, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, 29_999):  # across a block edge
+            ints = [str(v) for v in svrbs[i].tolist()]
+            floats = [repr(v) for c in columns[1:] for v in c[i].tolist()]
+            assert lines[i + 1] == ",".join(ints + floats)
 
 
 @pytest.fixture
