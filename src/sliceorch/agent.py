@@ -210,13 +210,6 @@ class Observation:
     perfs: dict[str, PerfVector]
     price: float = math.nan  # set when archived, renewed by PortfolioBo._reprice
 
-    def __post_init__(self) -> None:
-        self._key = tuple(self.x.tolist())
-
-    def key(self) -> tuple:
-        """Identity of the probed input: its archive key."""
-        return self._key
-
 
 class PortfolioBo:
     """Shared core of the online Bayesian optimizers.
@@ -231,8 +224,9 @@ class PortfolioBo:
     replacement, or on all of them when the window is no larger. A subclass
     owns its candidate rows and design sequence; it calls `_propose` for a warm
     suggestion and `_learn` to record a probe. Its settings are `AlgoParams`,
-    KAPPA and NOISE_VAR_START; the run's prices, the barrier coefficient and
-    the SLA violation penalty, 10 * u_h * `capacity`, are fixed at construction.
+    the class constants below, KAPPA and NOISE_VAR_START; the run's prices,
+    the barrier coefficient and the SLA violation penalty, 10 * u_h *
+    `capacity`, are fixed at construction.
 
     An observation is priced as its stored resource cost plus each of its
     slices' SLA barriers (`_price`), under the specs of the call, so stored
@@ -253,6 +247,10 @@ class PortfolioBo:
     nominees, sorted by row.
     """
 
+    buffer_capacity = 40  # archive entries in the training window
+    subsample = 30  # window entries a refit trains on
+    n_init = 3  # window entries before the surrogate drives the search
+
     def __init__(
         self,
         spans: Iterable[float],
@@ -269,9 +267,6 @@ class PortfolioBo:
         self.rng = rng
         self.hedge = HedgeState(eta=algo.hedge_eta)
         self.hedge_rng = hedge_rng
-        self.buffer_capacity = algo.buffer_capacity
-        self.subsample = algo.subsample
-        self.n_init = algo.n_init
         self.noise_var = NOISE_VAR_START
         self.hyperopt_every = algo.hyperopt_every
         self._default_params = KernelParams(default_length_scales(spans))
@@ -392,8 +387,9 @@ class PortfolioBo:
         self._reprice(specs)  # re-prices the archive first if the specs changed
         obs.price = self._price(obs, specs)
         # a re-probed input replaces its earlier probe at the end
-        self.archive.pop(obs.key(), None)
-        self.archive[obs.key()] = obs
+        key = tuple(x.tolist())
+        self.archive.pop(key, None)
+        self.archive[key] = obs
         sample = self.buffer
         if len(sample) > self.subsample:
             sample = [sample[i] for i in self.rng.choice(len(sample), self.subsample, replace=False)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -139,7 +140,7 @@ class GridPortfolioBo(PortfolioBo):
         if gp.params != self._columns_params:
             self._columns = {}
             self._columns_params = gp.params
-        window = {o.key() for o in self.buffer}
+        window = set(islice(reversed(self.archive), self.buffer_capacity))
         self._columns = {k: c for k, c in self._columns.items() if k in window}
         taken = set(self._columns.values())
         free = (slot for slot in range(self._kernel_columns.shape[1]) if slot not in taken)

@@ -86,9 +86,6 @@ class AlgoParams:
 
     rho: float = 2.0
     max_iters: int = 15  # consensus iterations per slot, and the baselines' probes
-    buffer_capacity: int = 40
-    subsample: int = 30
-    n_init: int = 3
     hyperopt_every: int = 5
     hedge_eta: float = 1.0
     # The log barrier turns into a bonus once the margin exceeds 1. Near the
@@ -100,10 +97,7 @@ class AlgoParams:
     grid_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        _check(self, (
-            "max_iters", "buffer_capacity", "subsample", "n_init", "hyperopt_every",
-            "min_alive", "grid_cap",
-        ), *_COUNT)
+        _check(self, ("max_iters", "hyperopt_every", "min_alive", "grid_cap"), *_COUNT)
         _check(self, ("rho", "hedge_eta"), *_POSITIVE)
         _check(self, ("barrier_coef",), *_NONNEGATIVE)
 

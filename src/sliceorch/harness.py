@@ -45,6 +45,7 @@ from .core import (
     _whole,
     normalized_performance,
     slice_cost,
+    total_cost,
 )
 from .errors import ScenarioError
 from .netenv import DynamicsEvent, EnvConfig, RanEnvironment, apply_events
@@ -306,7 +307,7 @@ def _make_record(
         perfs=perfs,
         specs=specs,
         cost=cost,
-        total_cost=math.fsum(slice_cost(a, cost) for a in actions.values()),
+        total_cost=total_cost(actions.values(), cost),
         mean_norm_perf=(math.fsum(norms) / len(norms)) if norms else 0.0,
         admm_iterations=outcome.iterations,
         primal_residual=outcome.primal_residual,
@@ -324,7 +325,6 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
     """Per-slice agents negotiating svRBs through the consensus coordinator."""
     p = scenario.algo
     state = CoordinatorState(rho=p.rho, max_iters=p.max_iters)
-    peers_span = max(1.0, float(len(scenario.slices) - 1))
     design_offsets = {s.slice_id: i for i, s in enumerate(scenario.slices)}
     agents: dict[str, SliceAgent] = {}
 
@@ -338,7 +338,7 @@ def _adaslicing(scenario: Scenario, env: RanEnvironment) -> Policy:
                     substream(scenario.seed, f"hedge:{sid}"),
                     p,
                     scenario.cost,
-                    peers_sw_span=peers_span,
+                    peers_sw_span=float(len(scenario.slices) - 1),
                     design_offset=design_offsets[sid],
                     shares_pool=scenario.env.shares_pool,
                 )

@@ -13,6 +13,7 @@ from sliceorch.agent import (
     SW_VALUES,
     AgentContext,
     Observation,
+    PortfolioBo,
     SliceAgent,
     barrier_value,
     design_point,
@@ -129,8 +130,9 @@ class TestGrid:
         assert list(pts[11]) == [2.0, 0.0, 0.0]
         assert not pts[:, 2].any()
 
-    def test_suggest_leaves_the_query_matrix_unchanged(self):
-        agent = make_agent(n_init=1)
+    def test_suggest_leaves_the_query_matrix_unchanged(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "n_init", 1)
+        agent = make_agent()
         before = agent.queries.copy()
         agent.observe(Action(4, 0.0), GOOD, make_ctx())
         agent.suggest(make_ctx(s=0.7))
@@ -176,8 +178,9 @@ class TestColdStart:
         assert len(agent.archive) == 1
         assert agent.archive[(4, 0.0, 0.0)].perfs == {"s1": BAD}
 
-    def test_suggestions_stay_on_grid_once_fitted(self):
-        agent = make_agent(n_init=2)
+    def test_suggestions_stay_on_grid_once_fitted(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "n_init", 2)
+        agent = make_agent()
         ctx = make_ctx()
         for slot in range(6):
             action = agent.suggest(ctx)
@@ -203,22 +206,25 @@ class TestTrainingWindow:
         for svrb in svrbs:
             agent.observe(Action(svrb, 0.0), perf, make_ctx())
 
-    def test_oldest_input_leaves_the_window_but_stays_archived(self):
-        agent = make_agent(buffer_capacity=3)
+    def test_oldest_input_leaves_the_window_but_stays_archived(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 3)
+        agent = make_agent()
         self.probe(agent, 1, 2, 3, 4, 5)
         assert [o.x[0] for o in agent.buffer] == [3.0, 4.0, 5.0]
         assert [key[0] for key in agent.archive] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_reprobe_replaces_its_entry_at_the_window_end(self):
-        agent = make_agent(buffer_capacity=4)
+    def test_reprobe_replaces_its_entry_at_the_window_end(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 4)
+        agent = make_agent()
         self.probe(agent, 1, 2)
         self.probe(agent, 1, perf=BAD)
         assert [o.x[0] for o in agent.buffer] == [2.0, 1.0]
         assert agent.buffer[-1].perfs == {"s1": BAD}
         assert len(agent.archive) == 2
 
-    def test_reprobe_brings_an_input_back_into_the_window(self):
-        agent = make_agent(buffer_capacity=2)
+    def test_reprobe_brings_an_input_back_into_the_window(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 2)
+        agent = make_agent()
         self.probe(agent, 1, 2, 3, 1)
         assert [o.x[0] for o in agent.buffer] == [3.0, 1.0]
         assert [key[0] for key in agent.archive] == [2.0, 3.0, 1.0]
@@ -234,15 +240,19 @@ class TestTrainingWindow:
             assert obs.price == price(agent, obs, make_ctx())
         assert agent.archive[(1.0, 0.0, 0.0)].perfs == {"s1": BAD}
 
-    def test_a_window_no_larger_than_the_subsample_trains_whole(self):
-        agent = make_agent(buffer_capacity=8, subsample=4)
+    def test_a_window_no_larger_than_the_subsample_trains_whole(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
+        monkeypatch.setattr(PortfolioBo, "subsample", 4)
+        agent = make_agent()
         self.probe(agent, 1, 2, 3, 4)
         assert np.array_equal(agent.gp.x_train, np.stack([o.x for o in agent.buffer]))
 
-    def test_a_larger_window_trains_on_a_subsample_of_distinct_entries(self):
-        agent = make_agent(buffer_capacity=6, subsample=3)
+    def test_a_larger_window_trains_on_a_subsample_of_distinct_entries(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 6)
+        monkeypatch.setattr(PortfolioBo, "subsample", 3)
+        agent = make_agent()
         self.probe(agent, 1, 2, 3, 4, 5, 6, 7)
-        window = {o.key() for o in agent.buffer}
+        window = set(list(agent.archive)[-agent.buffer_capacity:])
         drawn = [tuple(row) for row in agent.gp.x_train.tolist()]
         assert len(drawn) == len(set(drawn)) == 3
         assert set(drawn) <= window

@@ -17,6 +17,7 @@ from sliceorch.acquisition import KAPPA, portfolio_nominate
 from sliceorch.agent import (
     PREDICT_BLOCK_ROWS,
     AgentContext,
+    PortfolioBo,
     SliceAgent,
     barrier_value,
     row_blocks,
@@ -114,23 +115,25 @@ EASY = {
 
 
 class TestGridPortfolioBo:
-    def test_grid_order_scan_finds_what_the_design_walk_skips(self):
+    def test_grid_order_scan_finds_what_the_design_walk_skips(self, monkeypatch):
         # The 12-step van der Corput walk over 12 rows never reaches the
         # last one, so svRB 12 comes from the grid-order scan.
         walk = {min(int(agent_module._radical_inverse(i + 1, 2) * 12), 11) for i in range(12)}
         assert sorted(set(range(12)) - walk) == [5, 8, 11]
-        bo = make_bo(capacity=12, n_init=99)
+        monkeypatch.setattr(PortfolioBo, "n_init", 99)
+        bo = make_bo(capacity=12)
         for svrb in range(1, 12):
             bo.observe({"a": Action(svrb, 0.0)}, {"a": GOOD}, EASY)
         assert bo.suggest(EASY) == {"a": Action(12, 0.0)}
 
-    def test_next_unexplored_falls_back_to_grid_order_then_to_none(self):
+    def test_next_unexplored_falls_back_to_grid_order_then_to_none(self, monkeypatch):
         # From cursor 0, 12 steps of the van der Corput walk over atlas's
         # 12-row grid miss svRBs 6, 9 and 12.
         walker = make_bo(capacity=12)
         walk = [int(walker.candidates[walker._design_index()][0]) for _ in range(12)]
         assert walk == [7, 4, 10, 2, 8, 5, 11, 1, 7, 4, 10, 3]
-        bo = make_bo(capacity=12, n_init=99)
+        monkeypatch.setattr(PortfolioBo, "n_init", 99)
+        bo = make_bo(capacity=12)
         for svrb in range(1, 13):
             if svrb != 6:
                 bo.observe({"a": Action(svrb, 0.0)}, {"a": GOOD}, EASY)
@@ -166,8 +169,9 @@ class TestGridPortfolioBo:
         entry = next(iter(bo.archive.values()))
         assert entry.perfs == {"a": GOOD}
 
-    def test_exhausted_grid_still_suggests(self):
-        bo = make_bo(capacity=3, n_init=1)
+    def test_exhausted_grid_still_suggests(self, monkeypatch):
+        monkeypatch.setattr(PortfolioBo, "n_init", 1)
+        bo = make_bo(capacity=3)
         for slot, v in enumerate([1, 2, 3]):
             bo.observe({"a": Action(v, 0.0)}, {"a": GOOD}, EASY)
         actions = bo.suggest(EASY)
@@ -243,9 +247,11 @@ def blocked_predict(bo):
 
 
 class TestCrossKernelCache:
-    def test_cached_prediction_equals_plain_predict(self):
+    def test_cached_prediction_equals_plain_predict(self, monkeypatch):
         """Bit-identical across hyperparameter searches and rows leaving the training window."""
-        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
+        monkeypatch.setattr(PortfolioBo, "subsample", 6)
+        bo = make_bo("abc", 12, hyperopt_every=3)
         searches = 0
         for slot in range(30):
             actions = bo.suggest(THREE)
@@ -258,7 +264,7 @@ class TestCrossKernelCache:
             mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
             assert np.array_equal(mu, mu_ref)
             assert np.array_equal(sigma, sigma_ref)
-            window = {e.key() for e in bo.buffer}
+            window = set(list(bo.archive)[-bo.buffer_capacity:])
             assert set(bo._columns) <= window
             assert len(bo._columns) <= len(window)
         assert searches > 0
@@ -266,9 +272,12 @@ class TestCrossKernelCache:
 
 
 @pytest.mark.parametrize("window, width", [(5, 5), (12, 12), (10**12, 12)])
-def test_kernel_column_cache_is_no_wider_than_the_grid(window, width):
+def test_kernel_column_cache_is_no_wider_than_the_grid(window, width, monkeypatch):
     # archive keys are grid rows, so the window never holds more than 12
-    bo = make_bo(capacity=12, buffer_capacity=window, n_init=2, subsample=4)
+    monkeypatch.setattr(PortfolioBo, "buffer_capacity", window)
+    monkeypatch.setattr(PortfolioBo, "n_init", 2)
+    monkeypatch.setattr(PortfolioBo, "subsample", 4)
+    bo = make_bo(capacity=12)
     assert bo._kernel_columns.shape == (12, width)
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -291,7 +300,9 @@ def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
         return original(self, row, params)
 
     monkeypatch.setattr(baselines.KernelLattice, "column", counting)
-    bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+    monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
+    monkeypatch.setattr(PortfolioBo, "subsample", 6)
+    bo = make_bo("abc", 12, hyperopt_every=3)
     reused = 0
     for slot in range(30):
         actions = bo.suggest(THREE)
@@ -372,13 +383,17 @@ class TestBlockedScoring:
         # 220 rows: under one block, 3 x 64 + 28, and 3 x 73 + 1, whose
         # lone last row joins the block before it
         monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
-        bo = make_bo("abc", 12, buffer_capacity=8, subsample=6, hyperopt_every=3)
+        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
+        monkeypatch.setattr(PortfolioBo, "subsample", 6)
+        bo = make_bo("abc", 12, hyperopt_every=3)
         assert self.check(bo, THREE, varied_perfs, 16) > 8
 
-    def test_matches_on_the_five_slice_grid(self):
+    def test_matches_on_the_five_slice_grid(self, monkeypatch):
         # 42,504 rows: ten full blocks and a partial one
         specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcde"}
-        bo = make_bo("abcde", 24, n_init=3, subsample=5)
+        monkeypatch.setattr(PortfolioBo, "n_init", 3)
+        monkeypatch.setattr(PortfolioBo, "subsample", 5)
+        bo = make_bo("abcde", 24)
         assert bo.candidates.shape[0] % agent_module.PREDICT_BLOCK_ROWS != 0
         rng = np.random.default_rng(4)
 
@@ -440,7 +455,8 @@ class TestPriceCache:
         assert [(k, o.price) for k, o in bo.archive.items()] == list(fresh.items())
 
     def test_grid_optimizer_after_an_sla_change(self, monkeypatch):
-        bo = make_bo("abc", 12, subsample=6)
+        monkeypatch.setattr(PortfolioBo, "subsample", 6)
+        bo = make_bo("abc", 12)
         calls = []
         original = bo._price
         monkeypatch.setattr(bo, "_price", lambda o, specs: calls.append(o) or original(o, specs))

@@ -376,17 +376,13 @@ class TestAlgoParams:
 
         built, states = instances(PortfolioBo), instances(CoordinatorState)
         settings = {
-            "buffer_capacity": 7, "subsample": 4, "n_init": 2, "hedge_eta": 0.3,
-            "barrier_coef": 0.25, "hyperopt_every": 3,
+            "hedge_eta": 0.3, "barrier_coef": 0.25, "hyperopt_every": 3,
             "rho": 1.5, "max_iters": 4,
         }
         run(scenario_from_dict(base_dict(algorithm=algorithm, slots=2, algo_params=settings)))
         assert len(built) == count
         for bo in built:
             assert type(bo) is kind
-            assert bo.buffer_capacity == 7
-            assert bo.subsample == 4
-            assert bo.n_init == 2
             assert bo.hedge.eta == 0.3
             assert bo.barrier_coef == 0.25
             assert bo.hyperopt_every == 3
@@ -1215,13 +1211,10 @@ class TestFailureContract:
     @pytest.mark.parametrize(
         "name,value",
         [
-            ("buffer_capacity", 0),
-            ("subsample", 0),
             ("hyperopt_every", 0),
             ("hedge_eta", 0),
             ("rho", -1.0),
             ("max_iters", 0),
-            ("n_init", 0),
             ("barrier_coef", -1.0),
             ("min_alive", 0),
             ("grid_cap", 0),
@@ -1311,6 +1304,10 @@ class TestFailureContract:
             ("kappa", 1.96),
             ("sw_step", 0.1),
             ("priority_decay", 0.95),  # the replay priorities it decayed are gone
+            # now PortfolioBo constants, set here to their old defaults
+            ("buffer_capacity", 40),
+            ("subsample", 30),
+            ("n_init", 3),
         ],
     )
     def test_removed_algo_param(self, name, value, tmp_path, capsys):
