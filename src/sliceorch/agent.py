@@ -349,9 +349,14 @@ class PortfolioBo:
             if offset is not None:
                 mu = mu + offset(queries[rows])
             local = portfolio_nominate(mu, sigma, best, KAPPA)
-            return rows.start + local, mu[local], sigma[local]
+            index = rows[local] if isinstance(rows, np.ndarray) else rows.start + local
+            return index, mu[local], sigma[local]
 
-        blocks = parallel_map(score, row_blocks(queries.shape[0]))
+        n = queries.shape[0]
+        if n > PREDICT_BLOCK_ROWS:
+            blocks = [score(np.sort(self.rng.choice(n, PREDICT_BLOCK_ROWS, replace=False)))]
+        else:
+            blocks = parallel_map(score, row_blocks(n))
         nominees, mu, sigma = (np.concatenate(part) for part in zip(*blocks))
         if len(blocks) > 1:
             # Each block nominated its first best row (or first NaN) per

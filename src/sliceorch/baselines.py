@@ -160,7 +160,10 @@ class GridPortfolioBo(PortfolioBo):
 
     def _predict_rows(self, rows: slice, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """gp.predict(candidates[rows]), from the cached kernel `columns`."""
-        k_star = self._kernel_columns[rows, columns]
+        if isinstance(rows, np.ndarray):
+            k_star = self._kernel_columns[np.ix_(rows, columns)]
+        else:
+            k_star = self._kernel_columns[rows, columns]
         return self.gp.predict(self.candidates[rows], k_star=k_star)
 
     def _design_index(self) -> int:

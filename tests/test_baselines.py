@@ -351,100 +351,49 @@ def test_gbo_runs_bit_identical_with_and_without_helpers(monkeypatch, tmp_path):
     assert np.array_equal(outcomes[1][1], outcomes[2][1])
 
 
-def whole_grid_nominees(bo, specs):
-    """What a warm suggestion nominates when every candidate is scored in one call."""
-    mu, sigma = bo.gp.predict(bo.candidates)
-    best = min(bo._price(o, specs) for o in bo.archive.values())
-    return mu, sigma, portfolio_nominate(mu, sigma, best, KAPPA)
+def scoring_calls(monkeypatch):
+    """Each warm proposal's scored row indices, and the mean and deviation scored for them."""
+    calls = []
+    propose = PortfolioBo._propose
+
+    def recording(self, queries, specs, predict, *args, **kwargs):
+        def scored(rows):
+            mu, sigma = predict(rows)
+            calls.append((np.arange(queries.shape[0])[rows], mu, sigma))
+            return mu, sigma
+
+        return propose(self, queries, specs, scored, *args, **kwargs)
+
+    monkeypatch.setattr(PortfolioBo, "_propose", recording)
+    return calls
 
 
-class TestBlockedScoring:
-    """Scoring the grid block by block nominates what scoring it whole does, bit for bit."""
-
-    def check(self, bo, specs, perfs, slots):
-        """Run `slots` probes; every warm one must score and nominate as one whole-grid call."""
-        warm = 0
-        for slot in range(slots):
-            if bo._warm():
-                mu_ref, sigma_ref, nominees = whole_grid_nominees(bo, specs)
-                mu, sigma = blocked_predict(bo)
-                assert np.array_equal(mu, mu_ref)
-                assert np.array_equal(sigma, sigma_ref)
-                actions = bo.suggest(specs)
-                assert np.array_equal(bo._last_nominees, bo.candidates[nominees])
-                warm += 1
-            else:
-                actions = bo.suggest(specs)
-            bo.observe(actions, perfs(actions), specs)
-        return warm
-
-    @pytest.mark.parametrize("block_rows", [4096, 64, 73])
-    def test_matches_whole_grid_scoring(self, monkeypatch, block_rows):
-        # 220 rows: under one block, 3 x 64 + 28, and 3 x 73 + 1, whose
-        # lone last row joins the block before it
-        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
-        monkeypatch.setattr(PortfolioBo, "subsample", 6)
-        bo = make_bo("abc", 12, hyperopt_every=3)
-        assert self.check(bo, THREE, varied_perfs, 16) > 8
-
-    def test_matches_on_the_five_slice_grid(self, monkeypatch):
-        # 42,504 rows: ten full blocks and a partial one
-        specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcde"}
-        monkeypatch.setattr(PortfolioBo, "n_init", 3)
-        monkeypatch.setattr(PortfolioBo, "subsample", 5)
-        bo = make_bo("abcde", 24)
-        assert bo.candidates.shape[0] % agent_module.PREDICT_BLOCK_ROWS != 0
-        rng = np.random.default_rng(4)
-
-        def perfs(actions):
-            return {sid: PerfVector(*rng.uniform(0.5, 4.0, 2)) for sid in specs}
-
-        assert self.check(bo, specs, perfs, 5) == 2
-
-    def propose(self, mu, sigma):
-        """Nominees of _propose over synthetic scores, and of one whole-grid call."""
-        bo = make_bo(capacity=2)
-        bo.observe({"a": Action(1, 0.0)}, {"a": GOOD}, EASY)
-        queries = np.arange(mu.shape[0], dtype=float)[:, None]
-        bo._propose(queries, EASY, lambda rows: (mu[rows], sigma[rows]), lambda: None)
-        best = bo._price(next(iter(bo.archive.values())), EASY)
-        whole = portfolio_nominate(mu, sigma, best, KAPPA)
-        return bo._last_nominees[:, 0].astype(int).tolist(), whole.tolist()
-
-    def test_tie_across_a_block_boundary_keeps_the_first_row(self):
-        block = agent_module.PREDICT_BLOCK_ROWS
-        mu = np.full(2 * block + 5, 50.0)
-        sigma = np.ones_like(mu)
-        mu[[block - 1, block]] = 10.0  # the best row of every acquisition, twice
-        nominees, whole = self.propose(mu, sigma)
-        assert nominees == whole == [block - 1] * 3
-
-    def test_first_nan_wins_as_argmax_lets_it(self):
-        block = agent_module.PREDICT_BLOCK_ROWS
-        mu = np.full(3 * block, 50.0)
-        sigma = np.ones_like(mu)
-        mu[2 * block + 7] = -100.0  # a later, better row does not displace a NaN
-        mu[[block + 3, block + 9, 2 * block]] = np.nan
-        nominees, whole = self.propose(mu, sigma)
-        assert nominees == whole == [block + 3] * 3
-
-    @pytest.mark.parametrize(
-        "block_rows, nan_share",
-        [pytest.param(rows, 0.0, id=str(rows)) for rows in (1, 2, 3, 5, 8)]
-        + [pytest.param(rows, 0.2, id=f"{rows}-nan") for rows in (1, 2, 3, 5, 8)],
-    )
-    def test_coarse_scores_with_many_ties(self, monkeypatch, block_rows, nan_share):
-        monkeypatch.setattr(agent_module, "PREDICT_BLOCK_ROWS", block_rows)
-        rng = np.random.default_rng(block_rows)
-        for _ in range(20):
-            mu = rng.integers(0, 4, 23).astype(float)
-            sigma = rng.integers(0, 3, 23).astype(float)
-            if nan_share:  # first-NaN semantics, in the mean and in the deviation
-                mu[rng.random(23) < nan_share] = np.nan
-                sigma[rng.random(23) < nan_share] = np.nan
-            nominees, whole = self.propose(mu, sigma)
-            assert nominees == whole
+def test_a_warm_suggestion_scores_at_most_one_block_of_rows(monkeypatch):
+    """A grid over PREDICT_BLOCK_ROWS rows scores a sorted sample drawn from the
+    optimizer's rng; a smaller grid scores every row and draws nothing."""
+    calls = scoring_calls(monkeypatch)
+    specs = {sid: SliceSpec(sid, 2.0, 2.0, TrafficProfile(30.0, 0.5)) for sid in "abcd"}
+    rng = np.random.default_rng(4)
+    for ids, capacity in (("abcd", 20), ("abc", 12)):
+        bo = make_bo(ids, capacity)
+        while not bo._warm():
+            actions = bo.suggest(specs)
+            bo.observe(actions, {sid: PerfVector(*rng.uniform(0.5, 4.0, 2)) for sid in ids}, specs)
+        state = bo.rng.bit_generator.state
+        calls.clear()
+        bo.suggest(specs)
+        ((rows, mu, sigma),) = calls
+        mu_ref, sigma_ref = bo.gp.predict(bo.candidates[rows])
+        assert np.array_equal(mu, mu_ref) and np.array_equal(sigma, sigma_ref)
+        if bo.candidates.shape[0] > PREDICT_BLOCK_ROWS:  # 4,845 rows
+            assert rows.shape == (PREDICT_BLOCK_ROWS,)
+            assert (np.diff(rows) > 0).all()  # distinct and ascending
+            assert bo.rng.bit_generator.state != state
+        else:  # 220 rows
+            assert np.array_equal(rows, np.arange(bo.candidates.shape[0]))
+            assert bo.rng.bit_generator.state == state
+        nominees = {tuple(row) for row in bo._last_nominees.tolist()}
+        assert nominees <= {tuple(row) for row in bo.candidates[rows].tolist()}
 
 
 class TestPriceCache:
