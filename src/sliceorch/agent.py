@@ -10,23 +10,19 @@ known quadratic and is added analytically when candidates are scored.
 `PortfolioBo` is the one optimizer core of the workbench: its `Observation`
 record, its pricing rule (stored resource cost plus SLA barriers, kept on
 each archive entry until the SLAs change), its propose step (best so far,
-predict and nominate block by block, Hedge-pick, swap an already-probed
-nominee for an unexplored design row) and its learn step (archive, training
-window, GP refits and hyperparameter searches). `SliceAgent` and the
-baselines' `GridPortfolioBo` subclass it with their own candidate rows,
-design sequences and recommendation rules. `parallel_map` splits the
-independent row blocks of a large grid between the caller and one helper
-thread.
+predict and nominate over at most PREDICT_BLOCK_ROWS candidates, Hedge-pick,
+swap an already-probed nominee for an unexplored design row) and its learn
+step (archive, training window, GP refits and hyperparameter searches).
+`SliceAgent` and the baselines' `GridPortfolioBo` subclass it with their own
+candidate rows, design sequences and recommendation rules.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,81 +38,20 @@ from .gp import (
     optimize_params,
 )
 
-# Candidate rows scored per surrogate call: a block's cross-covariance is
-# about 1 MB at 30 training rows, so a probe's temporaries stay this size
-# however large the candidate grid.
+# Candidate rows a warm proposal scores, and rows per block of the oracle
+# sweep and its CSV writer. A proposal over more candidates scores a sample
+# of this many: its cross-covariance is about 1 MB at 30 training rows, so a
+# probe's temporaries stay this size however large the candidate grid.
 PREDICT_BLOCK_ROWS = 4096
 
 SW_VALUES = tuple(round(i * 0.1, 10) for i in range(11))  # an agent's weights on a shared pool
 
 
 def row_blocks(n_rows: int) -> list[slice]:
-    """Consecutive row slices of at most PREDICT_BLOCK_ROWS rows covering n_rows.
-
-    A lone last row joins the block before it: numpy multiplies a one-row
-    matrix through gemv rather than gemm, whose sums can differ in the last
-    bit from the same row's sums inside a larger block.
-    """
-    starts = list(range(0, n_rows, PREDICT_BLOCK_ROWS))
-    if len(starts) > 1 and n_rows - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
-
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-# (pid, helper thread or None) of this process, built on first use. One
-# helper, not one per CPU: each item in flight holds about 3.5 MB on the
-# 5-slice joint grid, and perfbench `joint` (seed 61) read 110 MB of peak
-# RSS inline, 115 MB with one helper and 150 MB with eleven.
-_pool: tuple[int, ThreadPoolExecutor | None] | None = None
-
-
-def _helper() -> ThreadPoolExecutor | None:
-    """The helper thread beside the caller, or None when the process may use one CPU.
-
-    A forked child inherits the executor but not its thread, so the helper
-    is rebuilt whenever the process id changes.
-    """
-    global _pool
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            cpus = os.cpu_count() or 1
-        _pool = (pid, ThreadPoolExecutor(1, "sliceorch") if cpus > 1 else None)
-    return _pool[1]
-
-
-def _settled(fn: Callable[[T], R], item: T) -> Future:
-    """fn(item), run in this thread, as a finished future."""
-    done: Future = Future()
-    try:
-        done.set_result(fn(item))
-    except Exception as exc:  # read back by the caller in item order
-        done.set_exception(exc)
-    return done
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """[fn(item) for item in items], split between the caller and one helper thread.
-
-    The calling thread computes the even-position items and the helper the
-    odd ones, so at most two items are in flight. It returns once every
-    item has finished; the first exception in item order propagates. With
-    one CPU, or fewer than two items, everything runs inline. The items
-    must be independent: numpy releases the interpreter lock in their
-    array work, so they overlap.
-    """
-    helper = _helper()
-    if helper is None or len(items) < 2:
-        return [fn(item) for item in items]
-    odd = [helper.submit(fn, x) for x in items[1::2]]
-    futures = [odd[i // 2] if i % 2 else _settled(fn, x) for i, x in enumerate(items)]
-    wait(futures)
-    return [f.result() for f in futures]
+    """Consecutive row slices of at most PREDICT_BLOCK_ROWS rows covering n_rows."""
+    return [
+        slice(a, min(a + PREDICT_BLOCK_ROWS, n_rows)) for a in range(0, n_rows, PREDICT_BLOCK_ROWS)
+    ]
 
 
 @dataclass(frozen=True)
@@ -239,12 +174,11 @@ class PortfolioBo:
     `_cheapest`, the one rule through which the subclasses' recommendations
     commit, all read these prices.
 
-    `_propose` scores the candidates block by block (`row_blocks`), so a
-    probe's temporaries are bounded by PREDICT_BLOCK_ROWS rows per thread
-    whatever the grid's size, and nominates the same rows, bit for bit, as
-    scoring the whole grid in one call would. The blocks are scored through
-    `parallel_map`, and `portfolio_nominate` picks again among their
-    nominees, sorted by row.
+    `_propose` scores at most PREDICT_BLOCK_ROWS candidates, in one call,
+    so a probe's temporaries are bounded whatever the grid's size. Over more
+    candidates it scores a uniform sample of that many, drawn without
+    replacement from `rng`, the stream of the training subsample, and taken
+    in row order. Over fewer it scores every row and draws nothing.
     """
 
     buffer_capacity = 40  # archive entries in the training window
@@ -323,47 +257,35 @@ class PortfolioBo:
         self,
         queries: np.ndarray,
         specs: Mapping[str, SliceSpec],
-        predict: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+        predict: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         unexplored: Callable[[], np.ndarray | None],
         offset: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> np.ndarray:
         """The query row a warm optimizer probes next.
 
         `predict(rows)` gives the surrogate's mean and deviation over
-        `queries[rows]`; it may run on several row blocks at once. `offset`
+        `queries[rows]`, for ascending row indices `rows`: every row, or a
+        sample of PREDICT_BLOCK_ROWS of them when there are more. `offset`
         is a known additive term of the objective over input rows, which the
-        surrogate does not model. Each acquisition nominates a row against
-        the best objective observed so far, block by block, and Hedge picks
-        one. A nominee already in the archive teaches the surrogate nothing,
-        so the probe goes to the subclass's `unexplored()` design row
-        instead, when there is one.
+        surrogate does not model. Each acquisition nominates a scored row
+        against the best objective observed so far, and Hedge picks one. A
+        nominee already in the archive teaches the surrogate nothing, so the
+        probe goes to the subclass's `unexplored()` design row instead, when
+        there is one.
         """
         self._reprice(specs)
         best = np.fromiter((o.price for o in self.archive.values()), float, len(self.archive))
         if offset is not None:
             best = best + offset(np.array([o.x for o in self.archive.values()]))
         best = float(best.min())
-
-        def score(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            mu, sigma = predict(rows)
-            if offset is not None:
-                mu = mu + offset(queries[rows])
-            local = portfolio_nominate(mu, sigma, best, KAPPA)
-            index = rows[local] if isinstance(rows, np.ndarray) else rows.start + local
-            return index, mu[local], sigma[local]
-
         n = queries.shape[0]
+        rows = np.arange(n)
         if n > PREDICT_BLOCK_ROWS:
-            blocks = [score(np.sort(self.rng.choice(n, PREDICT_BLOCK_ROWS, replace=False)))]
-        else:
-            blocks = parallel_map(score, row_blocks(n))
-        nominees, mu, sigma = (np.concatenate(part) for part in zip(*blocks))
-        if len(blocks) > 1:
-            # Each block nominated its first best row (or first NaN) per
-            # acquisition, so the grid's first best row is among the
-            # nominees; taken in row order, the same rule keeps it.
-            nominees, first = np.unique(nominees, return_index=True)
-            nominees = nominees[portfolio_nominate(mu[first], sigma[first], best, KAPPA)]
+            rows = np.sort(self.rng.choice(n, PREDICT_BLOCK_ROWS, replace=False))
+        mu, sigma = predict(rows)
+        if offset is not None:
+            mu = mu + offset(queries[rows])
+        nominees = rows[portfolio_nominate(mu, sigma, best, KAPPA)]
         self._last_nominees = queries[nominees]
         chosen = queries[nominees[hedge_select(self.hedge, self.hedge_rng)]]
         if tuple(chosen.tolist()) in self.archive:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agent import PortfolioBo, _radical_inverse, parallel_map, row_blocks
+from .agent import PortfolioBo, _radical_inverse, row_blocks
 from .core import Action, AlgoParams, CostParams, PerfVector, SliceSpec
 from .errors import GridCapExceededError, NoFeasibleActionError
 from .gp import KernelLattice, KernelParams
@@ -89,21 +88,11 @@ class GridPortfolioBo(PortfolioBo):
     rows. The archive keeps the incumbent after it leaves the training
     window, and tells the propose step which rows were probed already.
 
-    Every training row is a candidate row, so the cross-covariance between
-    the candidates and the training sample is kept column by column, keyed
-    by row, in one column-major matrix with a slot per window row: archive
-    keys are grid rows, so it is candidates x min(buffer_capacity,
-    candidates). A refit computes only the columns of rows new to the
-    sample; a hyperparameter search that changes the kernel drops them
-    all. A row that leaves the subsample but stays in the training window
-    keeps its column, since the next refit's sample is likely to draw it
-    again; rows that leave the window lose theirs.
-
-    That matrix is the largest state that grows with the grid. A warm
-    suggestion scores the candidates in the core's row blocks: each block
-    gathers its rows of the training sample's columns (a copy of at most
-    PREDICT_BLOCK_ROWS x subsample entries) and predicts from them, so the
-    temporaries of a probe do not grow with the grid.
+    A warm suggestion scores at most PREDICT_BLOCK_ROWS candidates, a
+    sample of them on a larger grid (`PortfolioBo._propose`). Their
+    cross-covariance with the training sample comes from the candidates'
+    KernelLattice, which builds each lane's table for all training rows at
+    once and equals kernel_matrix bit for bit.
     """
 
     def __init__(
@@ -122,49 +111,12 @@ class GridPortfolioBo(PortfolioBo):
         spans = self.candidates.max(axis=0) - self.candidates.min(axis=0)
         super().__init__(np.maximum(spans, 1.0), rng, hedge_rng, algo, cost, capacity)
         self._lattice = KernelLattice(self.candidates)
-        rows = self.candidates.shape[0]
-        self._kernel_columns = np.empty((rows, min(self.buffer_capacity, rows)), order="F")
-        self._columns: dict[tuple, int] = {}  # window row key -> its slot in _kernel_columns
-        self._columns_params: KernelParams | None = None
 
-    def _training_columns(self) -> list[int]:
-        """The `_kernel_columns` slot of each training row of the current GP, in order.
-
-        Columns missing from the cache are computed first. Each is
-        kernel_matrix(candidates, row), taken from the candidates'
-        KernelLattice, which equals the matching column of the full
-        cross-covariance bit for bit. Each is written to its own slot, so
-        they are filled through `parallel_map`.
-        """
+    def _predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """gp.predict(candidates[rows]), with the cross-covariance from the lattice."""
         gp = self.gp
-        if gp.params != self._columns_params:
-            self._columns = {}
-            self._columns_params = gp.params
-        window = set(islice(reversed(self.archive), self.buffer_capacity))
-        self._columns = {k: c for k, c in self._columns.items() if k in window}
-        taken = set(self._columns.values())
-        free = (slot for slot in range(self._kernel_columns.shape[1]) if slot not in taken)
-        keys = [tuple(row.tolist()) for row in gp.x_train]
-        missing = []
-        for key, row in zip(keys, gp.x_train):
-            if key not in self._columns:
-                self._columns[key] = next(free)
-                missing.append((self._columns[key], row))
-
-        def fill(job: tuple[int, np.ndarray]) -> None:
-            slot, row = job
-            self._kernel_columns[:, slot] = self._lattice.column(row, gp.params)
-
-        parallel_map(fill, missing)
-        return [self._columns[k] for k in keys]
-
-    def _predict_rows(self, rows: slice, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """gp.predict(candidates[rows]), from the cached kernel `columns`."""
-        if isinstance(rows, np.ndarray):
-            k_star = self._kernel_columns[np.ix_(rows, columns)]
-        else:
-            k_star = self._kernel_columns[rows, columns]
-        return self.gp.predict(self.candidates[rows], k_star=k_star)
+        k_star = self._lattice.cross(rows, gp.x_train, gp.params)
+        return gp.predict(self.candidates[rows], k_star=k_star)
 
     def _design_index(self) -> int:
         u = _radical_inverse(self._next_design() + 1, 2)
@@ -195,14 +147,8 @@ class GridPortfolioBo(PortfolioBo):
         if not self._warm():
             row = self._next_unexplored()
             return self._actions(row if row is not None else self.candidates[self._design_index()])
-        columns = self._training_columns()
         return self._actions(
-            self._propose(
-                self.candidates,
-                specs,
-                lambda rows: self._predict_rows(rows, columns),
-                self._next_unexplored,
-            )
+            self._propose(self.candidates, specs, self._predict, self._next_unexplored)
         )
 
     def incumbent(self, specs: Mapping[str, SliceSpec]) -> dict[str, Action]:

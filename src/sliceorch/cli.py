@@ -14,7 +14,8 @@ All subcommands exit 0 on success. On failure the last line printed to stderr
 is machine parsable: `ERROR <kind>: <message>`.
 
 Unless OPENBLAS_NUM_THREADS is set, the bundled OpenBLAS libraries run on one
-thread: gbo already scores its grid on a thread pool of its own.
+thread: the trace digests were recorded, and perfbench measures, on one BLAS
+thread.
 """
 
 from __future__ import annotations

@@ -233,19 +233,20 @@ def _combinations(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class KernelLattice:
-    """Kernel columns over one fixed candidate matrix, from per-lane tables.
+    """Cross-covariances of one fixed candidate matrix with any rows, from per-lane tables.
 
     `_sum_squares` sums a row's squared scaled differences in two lanes, the
     even-index dimensions and the odd-index ones, so a lane's partial sum
     depends only on the candidate's levels in that lane's dimensions. Each
     lane keeps the distinct level combinations of the candidates (1,540
     and 210 of them on the 5-slice joint grid's 42,504 rows) and one inverse
-    index from candidates to combinations. `column` sums each lane over its
-    combinations, from (level - row_k) / l_k squared, gathers the two partial
-    sums through the inverse indices, adds them and takes the Matern
-    covariance in place. Every difference, square and sum is the one
-    kernel_matrix computes, in its order, so a column equals
-    kernel_matrix(candidates, row[None, :], params)[:, 0] bit for bit.
+    index from candidates to combinations. `cross` sums each lane over its
+    combinations against every training row, from (level - x_k) / l_k
+    squared, gathers the two partial sums of the requested candidates
+    through the inverse indices, adds them and takes the Matern covariance
+    in place. Every difference, square and sum is the one kernel_matrix
+    computes, in its order, so the result equals
+    kernel_matrix(candidates[rows], x, params) bit for bit.
     """
 
     def __init__(self, candidates: np.ndarray):
@@ -255,15 +256,15 @@ class KernelLattice:
             dims = np.arange(first, candidates.shape[1], 2)
             self._lanes.append((dims, *_combinations(candidates[:, dims])))
 
-    def column(self, row: np.ndarray, params: KernelParams) -> np.ndarray:
-        """kernel_matrix(candidates, row[None, :], params)[:, 0]."""
+    def cross(self, rows: np.ndarray, x: np.ndarray, params: KernelParams) -> np.ndarray:
+        """kernel_matrix(candidates[rows], x, params), for candidate row indices `rows`."""
         scale = np.asarray(params.length_scales, dtype=float)
-        row = np.asarray(row, dtype=float)
+        x = np.asarray(x, dtype=float)
         r = None
         for dims, combos, inverse in self._lanes:
-            scaled = (combos - row[dims]) / scale[dims]
+            scaled = (combos[:, None, :] - x[None, :, dims]) / scale[dims]
             scaled *= scaled
-            part = _row_sum(scaled).take(inverse)
+            part = _row_sum(scaled).take(inverse[rows], axis=0)
             if r is None:
                 r = part
             else:
@@ -345,8 +346,8 @@ class GpModel:
         is multiplied by the cached `w` in one product, whose last column is
         the mean and whose other columns, squared and summed, are the
         variance explained by the data. `k_star`, when given, must equal
-        that kernel matrix; callers that cache kernel columns pass it to skip
-        the recomputation.
+        that kernel matrix; a caller that has it from a KernelLattice passes
+        it to skip the recomputation.
 
         An inf or NaN in k_star raises ValueError. It makes its whole row of
         the product inf or NaN (an inf times a zero weight is NaN), so the

@@ -1,9 +1,6 @@
 """Per-slice agent: objective pieces, design sequence, and recommendations."""
 
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -334,101 +331,3 @@ class TestRecommend:
         agent.archive[(5, 0.2, 0.4)] = entry(5, 0.2, 0.4, PerfVector(16.0, 30.0))
         doubled = SliceSpec("s1", 14.0, 20.0, TrafficProfile(30.0, 0.5))
         assert agent.recommend(doubled) == Action(5, 0.0)
-
-
-def force_cpus(monkeypatch, n):
-    """A fresh pool, as if the process's CPU affinity held `n` CPUs."""
-    monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(n)), raising=False)
-    monkeypatch.setattr(agent_module, "_pool", None)
-
-
-class TestParallelMap:
-    def test_results_keep_item_order(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
-
-        def square(x):
-            time.sleep(0.002 * (x % 3))  # later items often finish first
-            return x * x
-
-        assert agent_module.parallel_map(square, list(range(17))) == [x * x for x in range(17)]
-
-    def test_caller_takes_every_other_item_beside_one_helper(self, monkeypatch):
-        force_cpus(monkeypatch, 8)  # still one helper
-        main = threading.get_ident()
-        ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), list(range(9)))
-        assert [t == main for t in ran_on] == [i % 2 == 0 for i in range(9)]
-        assert len(set(ran_on[1::2])) == 1
-        agent_module._pool[1].shutdown()
-
-    def test_first_exception_in_item_order_propagates_after_every_item(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
-        finished = []
-
-        def task(x):
-            if x in (4, 3):  # 4 is the caller's, 3 the helper's
-                raise ValueError(f"item {x}")
-            time.sleep(0.01 if x == 5 else 0.0)
-            finished.append(x)
-            return x
-
-        with pytest.raises(ValueError, match="item 3"):
-            agent_module.parallel_map(task, list(range(8)))
-        assert sorted(finished) == [0, 1, 2, 5, 6, 7]
-
-    def test_runs_inline_without_helpers(self, monkeypatch):
-        force_cpus(monkeypatch, 1)
-        main = threading.get_ident()
-        assert agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2, 3]) == [main] * 3
-        assert agent_module._pool[1] is None
-        with pytest.raises(KeyError):
-            agent_module.parallel_map(lambda x: {}[x], [1, 2])
-
-    @pytest.mark.parametrize("cpu_count, helped", [(None, False), (1, False), (4, True)])
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch, cpu_count, helped):
-        monkeypatch.delattr(agent_module.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(agent_module.os, "cpu_count", lambda: cpu_count)
-        monkeypatch.setattr(agent_module, "_pool", None)
-        main = threading.get_ident()
-        ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2])
-        assert (ran_on[1] != main) == helped == (agent_module._pool[1] is not None)
-        assert ran_on[0] == main
-
-    def test_runs_a_single_item_inline(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
-        assert agent_module.parallel_map(lambda _: threading.get_ident(), [0]) == [
-            threading.get_ident()
-        ]
-        assert agent_module.parallel_map(lambda x: x, []) == []
-
-    def test_pool_is_rebuilt_after_a_pid_change(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
-        assert agent_module.parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-        pid, first = agent_module._pool
-        assert first is not None
-        monkeypatch.setattr(agent_module.os, "getpid", lambda: pid + 1)
-        main = threading.get_ident()
-        ran_on = agent_module.parallel_map(lambda _: threading.get_ident(), [1, 2, 3])
-        assert agent_module._pool[0] == pid + 1
-        assert agent_module._pool[1] is not first
-        assert ran_on[0] == ran_on[2] == main != ran_on[1]
-        first.shutdown()
-
-    def test_concurrent_column_writes_are_all_kept(self, monkeypatch):
-        """The caller and the helper writing columns, switching threads often: no write is lost."""
-        force_cpus(monkeypatch, 2)
-        out = np.zeros((2000, 64), order="F")
-
-        def fill(j):
-            out[:, j] = np.arange(2000.0) * j
-            return j
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                out[:] = 0.0
-                assert agent_module.parallel_map(fill, list(range(64))) == list(range(64))
-                assert np.array_equal(out, np.outer(np.arange(2000.0), np.arange(64.0)))
-        finally:
-            sys.setswitchinterval(interval)
-

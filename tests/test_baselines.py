@@ -1,10 +1,8 @@
 """Baseline optimizers: joint BO, independent BO, and the exhaustive sweep."""
 
 import math
-import threading
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sliceorch import agent as agent_module
-from sliceorch import baselines, harness
-from sliceorch.acquisition import KAPPA, portfolio_nominate
 from sliceorch.agent import (
     PREDICT_BLOCK_ROWS,
     AgentContext,
     PortfolioBo,
     SliceAgent,
     barrier_value,
-    row_blocks,
 )
 from sliceorch.baselines import (
     GridPortfolioBo,
@@ -37,7 +32,6 @@ from sliceorch.errors import (
     InfeasibleCapacityError,
     NoFeasibleActionError,
 )
-from sliceorch.gp import kernel_matrix
 from sliceorch.netenv import EnvConfig, TrafficProfile
 from sliceorch.rng import substream
 
@@ -237,118 +231,6 @@ def varied_perfs(actions):
         sid: PerfVector(w * actions[sid].svrb + 1.0 + np.sin(total), 1.0 + w * actions[sid].svrb)
         for sid, w in zip("abc", (1.0, 0.5, 2.0))
     }
-
-
-def blocked_predict(bo):
-    """The mean and deviation a warm suggestion scores, gathered over its row blocks."""
-    columns = bo._training_columns()
-    parts = [bo._predict_rows(rows, columns) for rows in row_blocks(bo.candidates.shape[0])]
-    return np.concatenate([mu for mu, _ in parts]), np.concatenate([sd for _, sd in parts])
-
-
-class TestCrossKernelCache:
-    def test_cached_prediction_equals_plain_predict(self, monkeypatch):
-        """Bit-identical across hyperparameter searches and rows leaving the training window."""
-        monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
-        monkeypatch.setattr(PortfolioBo, "subsample", 6)
-        bo = make_bo("abc", 12, hyperopt_every=3)
-        searches = 0
-        for slot in range(30):
-            actions = bo.suggest(THREE)
-            params = bo.params
-            bo.observe(actions, varied_perfs(actions), THREE)
-            if bo.gp is None:
-                continue
-            searches += bo.params != params
-            mu, sigma = blocked_predict(bo)
-            mu_ref, sigma_ref = bo.gp.predict(bo.candidates)
-            assert np.array_equal(mu, mu_ref)
-            assert np.array_equal(sigma, sigma_ref)
-            window = set(list(bo.archive)[-bo.buffer_capacity:])
-            assert set(bo._columns) <= window
-            assert len(bo._columns) <= len(window)
-        assert searches > 0
-        assert len(bo.archive) > bo.buffer_capacity  # rows left the window
-
-
-@pytest.mark.parametrize("window, width", [(5, 5), (12, 12), (10**12, 12)])
-def test_kernel_column_cache_is_no_wider_than_the_grid(window, width, monkeypatch):
-    # archive keys are grid rows, so the window never holds more than 12
-    monkeypatch.setattr(PortfolioBo, "buffer_capacity", window)
-    monkeypatch.setattr(PortfolioBo, "n_init", 2)
-    monkeypatch.setattr(PortfolioBo, "subsample", 4)
-    bo = make_bo(capacity=12)
-    assert bo._kernel_columns.shape == (12, width)
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        actions = bo.suggest(EASY)
-        bo.observe(actions, {"a": PerfVector(*rng.uniform(0.5, 3.0, 2))}, EASY)
-        slots = bo._training_columns()
-        assert len(set(bo._columns.values())) == len(bo._columns) <= width
-        for row, slot in zip(bo.gp.x_train, slots):
-            expected = kernel_matrix(bo.candidates, row[None, :], bo.gp.params)[:, 0]
-            np.testing.assert_array_equal(bo._kernel_columns[:, slot], expected)
-
-
-def test_grid_optimizer_reuses_lattice_columns(monkeypatch):
-    """Lattice columns are computed only for rows new to the cache."""
-    computed = []
-    original = baselines.KernelLattice.column
-
-    def counting(self, row, params):
-        computed.append((tuple(row.tolist()), params))
-        return original(self, row, params)
-
-    monkeypatch.setattr(baselines.KernelLattice, "column", counting)
-    monkeypatch.setattr(PortfolioBo, "buffer_capacity", 8)
-    monkeypatch.setattr(PortfolioBo, "subsample", 6)
-    bo = make_bo("abc", 12, hyperopt_every=3)
-    reused = 0
-    for slot in range(30):
-        actions = bo.suggest(THREE)
-        bo.observe(actions, varied_perfs(actions), THREE)
-        if bo.gp is None:
-            continue
-        computed.clear()
-        bo._training_columns()
-        reused += len(computed) < bo.gp.x_train.shape[0]
-        assert len(set(computed)) == len(computed)
-        assert all(params == bo.gp.params for _, params in computed)
-    assert reused > 0
-
-
-def test_gbo_runs_bit_identical_with_and_without_helpers(monkeypatch, tmp_path):
-    """The helper thread and no helper give gbo the same trace bytes and kernel columns."""
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "scale" / "slices_5.yaml"
-    scenario = replace(harness.load_scenario(path), algorithm="gbo", slots=2)
-    ids = [s.slice_id for s in scenario.slices]
-    make_grid_bo, column = harness._grid_bo, baselines.KernelLattice.column
-    outcomes, threads = {}, {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(agent_module.os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
-        monkeypatch.setattr(agent_module, "_pool", None)
-        built, filled_on = [], threads.setdefault(cpus, set())
-
-        def grid_bo(*args):
-            built.append(make_grid_bo(*args))
-            return built[-1]
-
-        def traced_column(self, row, params):
-            filled_on.add(threading.get_ident())
-            return column(self, row, params)
-
-        monkeypatch.setattr(harness, "_grid_bo", grid_bo)
-        monkeypatch.setattr(baselines.KernelLattice, "column", traced_column)
-        records = harness.run(scenario)
-        harness.write_trace_csv(records, ids, tmp_path / f"{cpus}.csv")
-        (bo,) = built
-        columns = bo._kernel_columns[:, bo._training_columns()]
-        assert np.array_equal(columns, kernel_matrix(bo.candidates, bo.gp.x_train, bo.gp.params))
-        outcomes[cpus] = (tmp_path / f"{cpus}.csv").read_bytes(), columns
-    assert threads[1] == {threading.get_ident()}
-    assert len(threads[2]) == 2  # the helper filled columns too
-    assert outcomes[1][0] == outcomes[2][0]
-    assert np.array_equal(outcomes[1][1], outcomes[2][1])
 
 
 def scoring_calls(monkeypatch):

@@ -590,8 +590,16 @@ def log_uniform(rng, low, high, size=None):
     return np.exp(rng.uniform(math.log(low), math.log(high), size=size))
 
 
+def random_subset(rng, grid):
+    """Ascending indices of a random subset of the grid's rows: all of them, or at least one."""
+    n = grid.shape[0]
+    if rng.random() < 0.2:
+        return np.arange(n)
+    return np.sort(rng.choice(n, rng.integers(1, min(n, 500) + 1), replace=False))
+
+
 class TestLatticeColumns:
-    """KernelLattice's columns against kernel_matrix, bit for bit."""
+    """KernelLattice.cross against kernel_matrix, bit for bit."""
 
     GRIDS = [
         np.asarray(enumerate_joint_grid(k, 12, ALGO.min_alive, ALGO.grid_cap), dtype=float)
@@ -603,11 +611,15 @@ class TestLatticeColumns:
         np.array([[svrb, sw] for svrb in range(ALGO.min_alive, 13) for sw in SW_VALUES]),
     ]
 
+    @staticmethod
+    def check(grid, rows, x, params):
+        expected = kernel_matrix(grid[rows], x, params)
+        assert np.array_equal(KernelLattice(grid).cross(rows, x, params), expected, equal_nan=True)
+
     @pytest.mark.parametrize("nu", [2.5])
     def test_equals_the_kernel_matrix_column(self, nu):
         rng = np.random.default_rng(int(nu * 10) + 41)
         for grid in self.GRIDS:
-            lattice = KernelLattice(grid)
             d = grid.shape[1]
             for case in range(12):
                 scales = log_uniform(rng, 1e-2, 1e3, size=d)
@@ -616,10 +628,8 @@ class TestLatticeColumns:
                 params = KernelParams(
                     tuple(float(v) for v in scales), float(log_uniform(rng, 1e-4, 1e4))
                 )
-                row = grid[rng.integers(grid.shape[0])]
-                expected = kernel_matrix(grid, row[None, :], params)[:, 0]
-                assert np.array_equal(lattice.column(row, params), expected)
-
+                x = grid[rng.integers(grid.shape[0], size=rng.integers(1, 41))]
+                self.check(grid, random_subset(rng, grid), x, params)
 
     WIDE_GRIDS = [
         np.asarray(enumerate_joint_grid(6, 10, ALGO.min_alive, ALGO.grid_cap), dtype=float),
@@ -630,32 +640,26 @@ class TestLatticeColumns:
     def test_wide_joint_grids(self, grid):
         """Six and seven dimensions give each lane three or four terms."""
         rng = np.random.default_rng(grid.shape[1])
-        lattice = KernelLattice(grid)
         for _ in range(12):
             params, _ = random_params(rng, grid.shape[1])
-            row = grid[rng.integers(grid.shape[0])]
-            expected = kernel_matrix(grid, row[None, :], params)[:, 0]
-            assert np.array_equal(lattice.column(row, params), expected)
+            x = grid[rng.integers(grid.shape[0], size=rng.integers(1, 41))]
+            self.check(grid, random_subset(rng, grid), x, params)
 
     @pytest.mark.parametrize("grid", GRIDS + WIDE_GRIDS)
     def test_row_off_the_lattice(self, grid):
         rng = np.random.default_rng(5)
-        lattice = KernelLattice(grid)
         params, _ = random_params(rng, grid.shape[1])
-        row = rng.uniform(-2.0, 30.0, size=grid.shape[1])
-        expected = kernel_matrix(grid, row[None, :], params)[:, 0]
-        assert np.array_equal(lattice.column(row, params), expected)
+        x = rng.uniform(-2.0, 30.0, size=(30, grid.shape[1]))
+        self.check(grid, random_subset(rng, grid), x, params)
 
     @pytest.mark.parametrize("grid", GRIDS + WIDE_GRIDS)
     def test_nan_length_scale(self, grid):
-        lattice = KernelLattice(grid)
         d = grid.shape[1]
         params = KernelParams((math.nan,) + (2.0,) * (d - 1), 1.5)
-        row = grid[grid.shape[0] // 2]
-        expected = kernel_matrix(grid, row[None, :], params)[:, 0]
-        got = lattice.column(row, params)
+        x = grid[[grid.shape[0] // 2, 0]]
+        got = KernelLattice(grid).cross(np.arange(grid.shape[0]), x, params)
         assert np.isnan(got).any()
-        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(got, kernel_matrix(grid, x, params), equal_nan=True)
 
 
 class TestSubnormalFlush:
